@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import NORMAL, ShiftFamily, std_normal_cdf
-from .select import select_top_k
-from .sos import ConfidenceInterval, golden_section_min, optimize_delta
+from .dist import NORMAL, ShiftFamily, _check_alpha, _check_mk, std_normal_cdf
+from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
+from .sos import (
+    ConfidenceInterval,
+    _resolve_families,
+    _selected_intervals,
+    golden_section_min,
+    optimize_delta,
+    spec_from_delta,
+)
 
 __all__ = [
     "MethodLabel",
@@ -49,23 +57,12 @@ class MethodLabel(str, enum.Enum):
         return self.value
 
 
-def _check_mk(m: int, k: int) -> None:
-    if m < 1 or k < 1 or k > m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
 def bonferroni_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
     """Half-width of two-sided simultaneous intervals at per-coordinate level
     alpha / m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_alpha(alpha)
-    return family.quantile(1.0 - alpha / (2.0 * m))
+    return method_offsets(MethodLabel.BONFERRONI, m, 1, alpha, family)[0]
 
 
 def sidak_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
@@ -73,9 +70,7 @@ def sidak_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float
     1 - (1 - alpha)^(1/m); exact simultaneous coverage under independence."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_alpha(alpha)
-    per_coord = 1.0 - (1.0 - alpha) ** (1.0 / m)
-    return family.quantile(1.0 - per_coord / 2.0)
+    return method_offsets(MethodLabel.SIDAK, m, 1, alpha, family)[0]
 
 
 def _fcw_coverage(c: float, d: float, m: int, k: int) -> float:
@@ -120,7 +115,9 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     if _fcw_tail_limit(0.0, m, k) > target + 1e-9:
         d_lo = 0.0
     else:
-        d_lo = brentq(lambda d: _fcw_tail_limit(d, m, k) - (target + 1e-6), 0.0, 20.0,
+        # feasibility margin, kept below alpha so that target + margin < 1
+        margin = min(1e-6, alpha / 2.0)
+        d_lo = brentq(lambda d: _fcw_tail_limit(d, m, k) - (target + margin), 0.0, 20.0,
                       xtol=1e-12)
 
     def total(d: float) -> float:
@@ -141,24 +138,16 @@ def fcr_selection_aware_offsets(m: int, k: int, alpha: float,
                                 family: ShiftFamily = NORMAL) -> tuple[float, float]:
     """Offsets (lower, upper) of the selection-aware false-coverage interval:
     lower tail widened to (alpha/2) * (k/m), upper tail kept at alpha/2."""
-    _check_mk(m, k)
-    _check_alpha(alpha)
-    lower = family.quantile(1.0 - 0.5 * alpha * k / m)
-    upper = family.quantile(1.0 - 0.5 * alpha)
-    return lower, upper
+    return method_offsets(MethodLabel.FCR_SELECTION_AWARE, m, k, alpha, family)
 
 
 def fcr_selection_aware_interval(y, k: int, alpha: float,
                                  family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
     """Selection-aware intervals for the k largest of m estimates, best-first."""
     y = np.asarray(y, dtype=float)
-    lower, upper = fcr_selection_aware_offsets(y.size, k, alpha, family)
-    selection = select_top_k(y, k)
-    return [
-        ConfidenceInterval(idx, float(y[idx]) - lower, float(y[idx]) + upper,
-                           MethodLabel.FCR_SELECTION_AWARE.value)
-        for idx in selection.selected
-    ]
+    offsets = fcr_selection_aware_offsets(y.size, k, alpha, family)
+    return _selected_intervals(y, k, lambda idx: offsets,
+                               MethodLabel.FCR_SELECTION_AWARE.value)
 
 
 def method_tail_levels(method, m: int, k: int, alpha: float,
@@ -186,24 +175,36 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
         return p, p
     if method is MethodLabel.SOS_SHORTEST:
         delta, _ = optimize_delta(m, k, alpha, family)
-        return delta * alpha / m, (1.0 - delta) * alpha / k
+        spec = spec_from_delta(m, k, alpha, delta, family)
+        return spec.lambda_lower, spec.lambda_upper
     if method is MethodLabel.FCR_SELECTION_AWARE:
         return 0.5 * alpha * k / m, 0.5 * alpha
     raise ValueError(f"{method.value} is not a quantile-level method")
 
 
 def method_offsets(method, m: int, k: int, alpha: float,
-                   family: ShiftFamily = NORMAL) -> tuple[float, float]:
+                   family: ShiftFamily | Sequence[ShiftFamily] = NORMAL):
     """Offsets (lower, upper) such that each selected interval is
-    [y - lower, y + upper]."""
+    [y - lower, y + upper].
+
+    `family` is one ShiftFamily, giving two floats, or one family per
+    coordinate, giving two arrays of m offsets.  With a sequence, the tail
+    levels (and so the sos_shortest delta) are tuned on the normal family and
+    each coordinate takes its own family's quantile.
+    """
     method = MethodLabel(method)
+    single = isinstance(family, ShiftFamily)
+    families = [family] if single else _resolve_families(family, m)
     if method in (MethodLabel.FCW_SYMMETRIC, MethodLabel.FCW_SHORTEST):
-        if family.name != "normal":
+        if any(f.name != "normal" for f in families):
             raise ValueError(f"{method.value} is defined for normal estimates only")
         mode = "symmetric" if method is MethodLabel.FCW_SYMMETRIC else "shortest"
-        return fcw_constants(m, k, alpha, mode)
-    p_lo, p_up = method_tail_levels(method, m, k, alpha, family)
-    return family.quantile(1.0 - p_lo), family.quantile(1.0 - p_up)
+        c, d = fcw_constants(m, k, alpha, mode)
+        return (c, d) if single else (np.full(m, c), np.full(m, d))
+    p_lo, p_up = method_tail_levels(method, m, k, alpha, family if single else NORMAL)
+    lower = [f.quantile(1.0 - p_lo) for f in families]
+    upper = [f.quantile(1.0 - p_up) for f in families]
+    return (lower[0], upper[0]) if single else (np.array(lower), np.array(upper))
 
 
 def method_length(method, m: int, k: int, alpha: float,

@@ -25,8 +25,8 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
 
-from .baselines import sidak_halfwidth
-from .dist import NORMAL, ShiftFamily, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .baselines import MethodLabel, method_offsets, sidak_halfwidth
+from .dist import NORMAL, ShiftFamily, _check_alpha, std_normal_cdf, std_normal_pdf
 from .select import select_abs_max, select_top_k
 from .sos import ConfidenceInterval
 
@@ -57,13 +57,11 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     2 theta - Y1) when both parameters are equal, and separated parameters
     only make the selected estimate more likely to track its own parameter.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    c, _ = method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha, family)
     y = np.asarray(y, dtype=float)
     if y.size != 2:
         raise ValueError(f"needs exactly 2 estimates, got {y.size}")
     idx = select_top_k(y, 1).selected[0]
-    c = family.quantile(1.0 - alpha / 2.0)
     w = float(y[idx])
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
@@ -121,20 +119,20 @@ def c_plus(a: float, alpha: float) -> float:
     """
     if a < 0.0:
         raise ValueError(f"a must be >= 0, got {a!r} (the curve is even: use |a|)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     target = 1.0 - alpha
     mu = (float(a), 0.0)
 
     def gap(c: float) -> float:
         return b_region_probability(mu, c) - target
 
-    lo = std_normal_quantile(1.0 - alpha / 2.0) - 0.05
+    # c >= 0, and gap(0) = -target < 0, so the lower end is clamped at 0
+    lo = max(method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha)[0] - 0.05, 0.0)
     hi = sidak_halfwidth(2, alpha) + 0.05
     for _ in range(8):  # defensive: widen if the standard bracket ever fails
         if gap(lo) < 0.0 < gap(hi):
             break
-        lo -= 0.25
+        lo = max(lo - 0.25, 0.0)
         hi += 0.25
     else:
         raise QuadratureError(f"could not bracket the calibration constant at a={a}")
@@ -249,8 +247,7 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     the two-coordinate Sidak box at every w and approaches the unadjusted
     interval for large |w|.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     selection = select_abs_max(y)
     idx = selection.selected[0]
     w = float(np.asarray(y, dtype=float)[idx])

@@ -18,16 +18,19 @@ import sys
 
 import numpy as np
 
-from .baselines import (
-    MethodLabel,
-    fcr_selection_aware_interval,
-    method_offsets,
-)
+from .baselines import MethodLabel, method_offsets
 from .bivariate import QuadratureError, abs_max_interval, cplus_curve, larger_of_two_interval
 from .dist import CovarianceModel, NotPositiveDefiniteError
 from .mc import Scenario, load_scenario, run_coverage
-from .select import select_top_k
-from .sos import ConfidenceInterval, OptimizationError, k_of_m_intervals, optimize_delta, interval_length
+from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
+from .sos import (
+    ConfidenceInterval,
+    OptimizationError,
+    _selected_intervals,
+    interval_length,
+    k_of_m_intervals,
+    optimize_delta,
+)
 
 __all__ = ["OutputTable", "main", "cmd_intervals", "cmd_compare",
            "cmd_cplus_curve", "cmd_delta_scan", "cmd_simulate"]
@@ -156,13 +159,8 @@ def cmd_intervals(args) -> OutputTable:
         label = "abs_max"
     else:
         label = args.method.replace("-", "_")
-        if label == "fcr_selection_aware":
-            intervals = fcr_selection_aware_interval(y, k, alpha)
-        else:
-            lower, upper = method_offsets(label, m, k, alpha)
-            selection = select_top_k(y, k)
-            intervals = [ConfidenceInterval(i, float(y[i]) - lower, float(y[i]) + upper, label)
-                         for i in selection.selected]
+        offsets = method_offsets(label, m, k, alpha)
+        intervals = _selected_intervals(y, k, lambda idx: offsets, label)
 
     meta = {"command": "intervals", "m": int(m), "k": int(k),
             "alpha": alpha, "method": label}

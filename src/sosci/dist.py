@@ -28,6 +28,7 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "cholesky",
+    "draw_replicates",
     "sample_mvn",
     "sample_mvt",
     "seeded_rng",
@@ -63,6 +64,16 @@ def std_normal_quantile(p: float) -> float:
     if dens > 0.0:  # skip the polish once the density underflows (|z| > 38)
         z -= (std_normal_cdf(z) - p) / dens
     return z
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _check_mk(m: int, k: int) -> None:
+    if m < 1 or k < 1 or k > m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
 
 
 def _check_df(df) -> int:
@@ -180,34 +191,38 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np.ndarray:
-    """reps x m draws of N(theta, sigma); rows are independent replicates."""
+def draw_replicates(rng: np.random.Generator, theta: np.ndarray, lower: np.ndarray,
+                    size: int, df: int | None) -> np.ndarray:
+    """size x m draws of theta + L z from `rng`, with L the lower Cholesky factor.
+
+    With df None the rows are N(theta, L L^T).  With an integer df each row is
+    divided by sqrt(W / df) for one chi-square(df) W per row, so marginals are
+    t(df) scaled by the row norms of L.  Draw order (z block, then W) is fixed
+    for replay stability.
+    """
+    z = rng.standard_normal((size, theta.size))
+    if df is None:
+        return theta + z @ lower.T
+    w = rng.chisquare(df, size)
+    return theta + (z @ lower.T) / np.sqrt(w / df)[:, None]
+
+
+def _sample(theta, sigma: np.ndarray, reps: int, seed, df: int | None) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     lower = cholesky(sigma)
     if theta.shape != (lower.shape[0],):
         raise ValueError("theta and sigma dimensions disagree")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    rng = seeded_rng(seed)
-    z = rng.standard_normal((reps, theta.size))
-    return theta + z @ lower.T
+    return draw_replicates(seeded_rng(seed), theta, lower, reps, df)
+
+
+def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np.ndarray:
+    """reps x m draws of N(theta, sigma); rows are independent replicates."""
+    return _sample(theta, sigma, reps, seed, None)
 
 
 def sample_mvt(theta: Sequence[float], sigma: np.ndarray, df: int, reps: int, seed) -> np.ndarray:
-    """Multivariate-t draws: one chi-square mixing variable per replicate row.
-
-    Y = theta + (L z) / sqrt(W / df), so marginals are t(df) scaled by the
-    square roots of diag(sigma).  Draw order (z block, then W) is fixed for
-    replay stability.
-    """
-    theta = np.asarray(theta, dtype=float)
-    df = _check_df(df)
-    lower = cholesky(sigma)
-    if theta.shape != (lower.shape[0],):
-        raise ValueError("theta and sigma dimensions disagree")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    rng = seeded_rng(seed)
-    z = rng.standard_normal((reps, theta.size))
-    w = rng.chisquare(df, reps)
-    return theta + (z @ lower.T) / np.sqrt(w / df)[:, None]
+    """Multivariate-t draws: one chi-square mixing variable per replicate row
+    (see `draw_replicates`)."""
+    return _sample(theta, sigma, reps, seed, _check_df(df))

@@ -20,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import MethodLabel, fcw_constants, method_tail_levels
+from .baselines import MethodLabel, method_offsets
+# bench/tracer.py wraps these by their names in this module
+from .baselines import fcw_constants, method_tail_levels  # noqa: F401
 from .bivariate import c_plus
 from .dist import (
     NORMAL,
     CovarianceModel,
-    ShiftFamily,
+    _check_alpha,
     cholesky,
+    draw_replicates,
     seeded_rng,
     student_t_family,
 )
@@ -45,6 +48,7 @@ __all__ = [
 _BLOCK = 4096
 _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
 
+_EYE2 = np.eye(2)
 _PANELS = ("all_normal", "half_normal_half_t5")
 _THETA_RULES = ("uniform", "fixed")
 
@@ -191,26 +195,13 @@ class CoverageReport:
         }
 
 
-def _panel_families(scenario: Scenario) -> list[ShiftFamily]:
+def _panel_parts(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray) -> list[tuple]:
+    # (theta, lower Cholesky factor, t df or None) for each independent half
     if scenario.panel == "all_normal":
-        return [NORMAL] * scenario.m
+        return [(theta, cholesky(sigma), None)]
     half = scenario.m // 2
-    return [NORMAL] * half + [student_t_family(scenario.t_df)] * (scenario.m - half)
-
-
-def _offset_vectors(method: str, scenario: Scenario, k: int, alpha: float,
-                    scales: np.ndarray, families: list[ShiftFamily]):
-    label = MethodLabel(method)
-    if label in (MethodLabel.FCW_SYMMETRIC, MethodLabel.FCW_SHORTEST):
-        if scenario.panel != "all_normal":
-            raise ValueError(f"{label.value} is defined for normal estimates only")
-        mode = "symmetric" if label is MethodLabel.FCW_SYMMETRIC else "shortest"
-        c, d = fcw_constants(scenario.m, k, alpha, mode)
-        return scales * c, scales * d
-    p_lo, p_up = method_tail_levels(label, scenario.m, k, alpha)
-    c_lo = scales * np.array([f.quantile(1.0 - p_lo) for f in families])
-    c_up = scales * np.array([f.quantile(1.0 - p_up) for f in families])
-    return c_lo, c_up
+    return [(theta[:half], cholesky(sigma[:half, :half]), None),
+            (theta[half:], cholesky(sigma[half:, half:]), scenario.t_df)]
 
 
 def _block_sizes(reps: int) -> list[int]:
@@ -218,24 +209,6 @@ def _block_sizes(reps: int) -> list[int]:
     if reps % _BLOCK:
         sizes.append(reps % _BLOCK)
     return sizes
-
-
-def _draw_block(scenario: Scenario, theta: np.ndarray, chol_parts, block: int,
-                size: int) -> np.ndarray:
-    rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
-    if scenario.panel == "all_normal":
-        (lower,) = chol_parts
-        z = rng.standard_normal((size, scenario.m))
-        return theta + z @ lower.T
-    lower_n, lower_t = chol_parts
-    half = scenario.m // 2
-    y = np.empty((size, scenario.m))
-    z_n = rng.standard_normal((size, half))  # fixed draw order: normal, t, mixing
-    z_t = rng.standard_normal((size, scenario.m - half))
-    w = rng.chisquare(scenario.t_df, size)
-    y[:, :half] = theta[:half] + z_n @ lower_n.T
-    y[:, half:] = theta[half:] + (z_t @ lower_t.T) / np.sqrt(w / scenario.t_df)[:, None]
-    return y
 
 
 def _count_topk(y: np.ndarray, theta: np.ndarray, k: int,
@@ -274,14 +247,16 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
 
     `method` is a MethodLabel value or "abs_max" (the latter needs m == 2 and
     covariance s^2 * I, the setting the abs-max construction is built for).
+    On the half_normal_half_t5 panel each coordinate takes its own family's
+    quantile, and sos_shortest tunes delta on the normal family.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     sigma = build_covariance(scenario.covariance, scenario.seed)
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
+    parts = _panel_parts(scenario, sigma, theta)
 
     if method == "abs_max":
         if scenario.m != 2:
@@ -292,7 +267,6 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
         if not np.allclose(sigma, s * s * np.eye(2), atol=1e-12):
             raise ValueError("abs_max coverage needs covariance s^2 * I")
         c_at_theta = s * np.array([c_plus(abs(t) / s, alpha) for t in theta])
-        chol_parts = (cholesky(sigma),)
         label = "abs_max"
         k = 1
 
@@ -301,21 +275,23 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
     else:
         if not 1 <= k <= scenario.m:
             raise ValueError(f"k must lie in 1..{scenario.m}, got {k}")
-        families = _panel_families(scenario)
-        c_lo, c_up = _offset_vectors(method, scenario, k, alpha, scales, families)
-        if scenario.panel == "all_normal":
-            chol_parts = (cholesky(sigma),)
-        else:
-            half = scenario.m // 2
-            chol_parts = (cholesky(sigma[:half, :half]), cholesky(sigma[half:, half:]))
+        families = []
+        for th, _, df in parts:
+            families += [NORMAL if df is None else student_t_family(df)] * th.size
+        c_lo, c_up = method_offsets(method, scenario.m, k, alpha, families)
+        c_lo, c_up = scales * c_lo, scales * c_up
         label = MethodLabel(method).value
 
         def count(y):
             return _count_topk(y, theta, k, c_lo, c_up)
 
+    def draw(block: int, size: int) -> np.ndarray:
+        rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
+        ys = [draw_replicates(rng, th, lower, size, df) for th, lower, df in parts]
+        return ys[0] if len(ys) == 1 else np.hstack(ys)
+
     def run_block(args) -> tuple[int, int, int, int]:
-        block, size = args
-        return count(_draw_block(scenario, theta, chol_parts, block, size))
+        return count(draw(*args))
 
     jobs = list(enumerate(_block_sizes(scenario.reps)))
     if n_jobs == 1:
@@ -342,8 +318,7 @@ def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
         raise ValueError("reps must be >= 1")
     hits = 0
     for block, size in enumerate(_block_sizes(reps)):
-        rng = seeded_rng(seed, _STREAM_REPS, block)
-        y = mu + rng.standard_normal((size, 2))
+        y = draw_replicates(seeded_rng(seed, _STREAM_REPS, block), mu, _EYE2, size, None)
         sel = (np.abs(y[:, 1]) > np.abs(y[:, 0])).astype(np.intp)
         rows = np.arange(size)
         hits += int((np.abs(y[rows, sel] - mu[sel]) <= c).sum())
@@ -378,22 +353,32 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ValueError(f"unknown covariance keys: {sorted(unknown)}")
     model = CovarianceModel(
         kind=cov_cfg["kind"],
-        dimension=int(cov_cfg.get("dimension", cfg["m"])),
+        dimension=_integer(cov_cfg, "dimension", _integer(cfg, "m")),
         rho=float(cov_cfg.get("rho", 0.0)),
-        block_size=int(cov_cfg.get("block_size", 10)),
+        block_size=_integer(cov_cfg, "block_size", 10),
     )
     theta = cfg.get("theta")
     return Scenario(
-        m=int(cfg["m"]),
+        m=_integer(cfg, "m"),
         covariance=model,
-        reps=int(cfg["reps"]),
-        seed=int(cfg["seed"]),
+        reps=_integer(cfg, "reps"),
+        seed=_integer(cfg, "seed"),
         eta=float(cfg.get("eta", 0.0)),
         theta_rule=str(cfg.get("theta_rule", "uniform")),
         theta=None if theta is None else tuple(float(t) for t in theta),
         panel=str(cfg.get("panel", "all_normal")),
-        t_df=int(cfg.get("t_df", 5)),
+        t_df=_integer(cfg, "t_df", 5),
     )
+
+
+def _integer(cfg: dict, key: str, default=None) -> int:
+    # JSON numbers arrive as int or float; bools, strings and fractions are
+    # rejected rather than truncated
+    value = cfg.get(key, default)
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (isinstance(value, int) or integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_scenario(path) -> Scenario:

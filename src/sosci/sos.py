@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import NORMAL, ShiftFamily
+from .dist import NORMAL, ShiftFamily, _check_alpha, _check_mk
 from .select import select_top_k
 
 __all__ = [
@@ -88,16 +88,6 @@ class IntervalSpec:
             raise ValueError("tail levels must lie in (0, 1)")
         if not (math.isfinite(self.c_lower) and math.isfinite(self.c_upper)):
             raise ValueError("offsets must be finite")
-
-
-def _check_mk(m: int, k: int) -> None:
-    if m < 1 or k < 1 or k > m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def symmetric_delta(m: int, k: int) -> float:
@@ -224,14 +214,19 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     else:
         raise ValueError(f"unknown delta_policy {delta_policy!r}")
 
-    selection = select_top_k(y, k)
-    intervals = []
-    for idx in selection.selected:
+    def offsets(idx: int) -> tuple[float, float]:
         spec = spec_from_delta(m, k, alpha, delta, families[idx])
-        intervals.append(ConfidenceInterval(
-            index=idx,
-            lo=float(y[idx]) - spec.c_lower,
-            hi=float(y[idx]) + spec.c_upper,
-            method=label,
-        ))
+        return spec.c_lower, spec.c_upper
+
+    return _selected_intervals(y, k, offsets, label)
+
+
+def _selected_intervals(y: np.ndarray, k: int, offsets, label: str) -> list[ConfidenceInterval]:
+    # [y_i - lower, y_i + upper] with (lower, upper) = offsets(i) for the k
+    # largest y_i, best-first
+    intervals = []
+    for idx in select_top_k(y, k).selected:
+        lower, upper = offsets(idx)
+        intervals.append(ConfidenceInterval(idx, float(y[idx]) - lower,
+                                            float(y[idx]) + upper, label))
     return intervals

@@ -102,6 +102,16 @@ def test_fcw_shortest_boundary_case():
     assert c == pytest.approx(3.283407535, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_fcw_shortest_tiny_alpha(alpha):
+    # the feasibility margin must stay below alpha itself
+    c, d = fcw_constants(100, 10, alpha, mode="shortest")
+    assert np.isfinite(c) and np.isfinite(d) and d >= 0.0
+    assert _fcw_coverage(c, d, 100, 10) == pytest.approx(1.0 - alpha, abs=1e-13)
+    c_sym, d_sym = fcw_constants(100, 10, alpha, mode="symmetric")
+    assert c + d <= c_sym + d_sym + 1e-9
+
+
 def test_fcw_shortest_beats_symmetric_and_grid():
     for m, k in ((100, 10), (100, 1), (20, 5)):
         c_sym, d_sym = fcw_constants(m, k, 0.05, mode="symmetric")

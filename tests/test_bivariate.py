@@ -141,6 +141,17 @@ def test_c_plus_domain():
         c_plus(0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.97, 0.98, 0.999])
+@pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+def test_c_plus_large_alpha(a, alpha):
+    # the unadjusted constant minus the bracket margin is negative here
+    c = c_plus(a, alpha)
+    assert c > 0.0
+    assert b_region_probability((a, 0.0), c) == pytest.approx(1.0 - alpha, abs=1e-8)
+    if a == 0.0:  # (2 Phi(c) - 1)^2 = 1 - alpha
+        assert c == pytest.approx(sidak_halfwidth(2, alpha), abs=1e-8)
+
+
 def test_curve_build_and_call(small_curve):
     assert small_curve.alpha == 0.05
     grid = small_curve.grid

@@ -114,6 +114,10 @@ def test_simulate_config_file(tmp_path, capsys):
     _, rows = csv_rows(out)
     assert [r[3] for r in rows] == ["bonferroni", "sos_shortest"]
     assert rows[0][0] == "ar" and rows[0][6] == "1000"
+    # a fractional m is a configuration error, not a truncation
+    path.write_text(json.dumps({**cfg, "m": 10.7}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
+    assert code == 2 and "m must be an integer" in err
 
 
 def test_simulate_rejects_unknown_method(capsys):

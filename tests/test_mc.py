@@ -15,8 +15,7 @@ from sosci import (
     run_coverage,
     scenario_from_dict,
 )
-from sosci.mc import _draw_block
-from sosci.dist import cholesky
+from sosci.dist import cholesky, draw_replicates, seeded_rng
 
 
 def iid_scenario(m=20, reps=5000, seed=11, **kw):
@@ -222,6 +221,55 @@ def test_run_coverage_mixed_panel_runs_and_replays():
     assert a.sos_rate <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / scn.reps)
 
 
+_FROZEN_CASES = {
+    # name: (scenario, k, method, alpha, expected to_dict())
+    "normal_sos_shortest": (
+        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.5), reps=10000,
+                 seed=101, eta=20.0),
+        3, "sos_shortest", 0.05,
+        {"method": "sos_shortest", "k": 3, "alpha": 0.05, "reps": 10000, "seed": 101,
+         "sos_misses": 190, "lower_events": 57, "upper_events": 133,
+         "missed_intervals": 194, "sos_rate": 0.019, "fcr_rate": 0.006466666666666667,
+         "lower_miss_rate": 0.0057, "upper_miss_rate": 0.0133,
+         "se": 0.0013652472303579304}),
+    "mixed_sos_shortest": (
+        Scenario(m=20, covariance=CovarianceModel("block", 20, 0.5, block_size=10),
+                 reps=10000, seed=102, eta=20.0, panel="half_normal_half_t5"),
+        3, "sos_shortest", 0.05,
+        {"method": "sos_shortest", "k": 3, "alpha": 0.05, "reps": 10000, "seed": 102,
+         "sos_misses": 179, "lower_events": 67, "upper_events": 115,
+         "missed_intervals": 190, "sos_rate": 0.0179, "fcr_rate": 0.006333333333333333,
+         "lower_miss_rate": 0.0067, "upper_miss_rate": 0.0115,
+         "se": 0.0013258804621835258}),
+    "fcw_symmetric": (
+        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.3), reps=10000,
+                 seed=103, eta=20.0),
+        4, "fcw_symmetric", 0.05,
+        {"method": "fcw_symmetric", "k": 4, "alpha": 0.05, "reps": 10000, "seed": 103,
+         "sos_misses": 192, "lower_events": 115, "upper_events": 77,
+         "missed_intervals": 195, "sos_rate": 0.0192, "fcr_rate": 0.004875,
+         "lower_miss_rate": 0.0115, "upper_miss_rate": 0.0077,
+         "se": 0.0013722740251130602}),
+    "abs_max": (
+        Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+                 reps=10000, seed=104, theta_rule="fixed", theta=(0.5, -1.0)),
+        1, "abs_max", 0.1,
+        {"method": "abs_max", "k": 1, "alpha": 0.1, "reps": 10000, "seed": 104,
+         "sos_misses": 956, "lower_events": 468, "upper_events": 488,
+         "missed_intervals": 956, "sos_rate": 0.0956, "fcr_rate": 0.0956,
+         "lower_miss_rate": 0.0468, "upper_miss_rate": 0.0488,
+         "se": 0.0029404190177592035}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+def test_run_coverage_frozen_counts(name):
+    # exact counts pin the draw order, block layout, offsets and tuned delta:
+    # 10000 reps span two full blocks and one partial block
+    scenario, k, method, alpha, expected = _FROZEN_CASES[name]
+    assert run_coverage(scenario, k, method, alpha).to_dict() == expected
+
+
 def test_mixed_panel_marginals():
     # first half: standard normal; second half: t5 (unit block covariance)
     cov = CovarianceModel("block", 10, 0.0, block_size=1)
@@ -229,8 +277,12 @@ def test_mixed_panel_marginals():
                    panel="half_normal_half_t5")
     sigma = build_covariance(cov, scn.seed)
     half = scn.m // 2
-    parts = (cholesky(sigma[:half, :half]), cholesky(sigma[half:, half:]))
-    y = _draw_block(scn, np.zeros(10), parts, block=0, size=30000)
+    # the engine's block 0: normal half, then t half, on one generator
+    rng = seeded_rng(scn.seed, 3, 0)
+    y = np.hstack([
+        draw_replicates(rng, np.zeros(half), cholesky(sigma[:half, :half]), 30000, None),
+        draw_replicates(rng, np.zeros(half), cholesky(sigma[half:, half:]), 30000, scn.t_df),
+    ])
     assert stats.kstest(y[:, 0], "norm").statistic < 0.01
     assert stats.kstest(y[:, 9], "t", args=(5,)).statistic < 0.01
     assert stats.kstest(y[:, 9], "norm").statistic > 0.02  # tails are heavier
@@ -286,6 +338,17 @@ def test_scenario_from_dict_errors():
         scenario_from_dict({**base, "covariance": {"kind": "ar", "row": 0.1}})
     with pytest.raises(ValueError):
         scenario_from_dict([1, 2, 3])
+    # integer fields are never truncated or coerced
+    for key, value in [("m", 10.7), ("m", "10"), ("m", True), ("reps", True),
+                       ("reps", 5.5), ("seed", "1"), ("seed", False), ("t_df", 5.5)]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            scenario_from_dict({**base, key: value})
+    for key, value in [("block_size", 5.5), ("block_size", True), ("dimension", 4.5),
+                       ("dimension", "4")]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            scenario_from_dict({**base, "covariance": {"kind": "block", key: value}})
+    # integral floats are exact and accepted
+    assert scenario_from_dict({**base, "m": 4.0, "reps": 10.0}).m == 4
 
 
 def test_load_scenario(tmp_path):
