@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.optimize import brentq
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
-from .dist import NORMAL, ShiftFamily, _check_alpha, std_normal_cdf, std_normal_pdf
+from .dist import _INV_SQRT_2PI, NORMAL, ShiftFamily, _check_alpha
 from .select import select_abs_max, select_top_k
 from .sos import ConfidenceInterval
 
@@ -40,8 +40,9 @@ __all__ = [
     "abs_max_interval",
 ]
 
-_QUAD_TOL = 1e-11
-_QUAD_BUDGET = 1e-8  # accumulated abserr above this is treated as failure
+_GL_X, _GL_W = special.roots_legendre(48)  # Gauss-Legendre rule on [-1, 1]
+_C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
+_A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
 
 
 class QuadratureError(Exception):
@@ -66,22 +67,32 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
 
-def _b_term(mu_i: float, mu_j: float, c: float) -> tuple[float, float]:
-    # Pr{ |Y_i - mu_i| <= c and |Y_j| < |Y_i| } for independent standard
+def _miss_term(mu_i: float, mu_j: float, c: float) -> float:
+    # Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| } for independent standard
     # normal errors, by conditioning on Y_i = mu_i + t:
-    #   integral_{-c}^{c} phi(t) [Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j)] dt
-    # The |t + mu_i| kink is passed to the quadrature as a break point.
-    def integrand(t: float) -> float:
-        u = abs(t + mu_i)
-        return std_normal_pdf(t) * (std_normal_cdf(u - mu_j) - std_normal_cdf(-u - mu_j))
+    #   integral_{|t| > c} phi(t) [Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j)] dt
+    # Integrating the two tails, not [-c, c], keeps full relative accuracy
+    # when the miss probability is tiny.  Each tail ends where phi has fallen
+    # by e^-40 from phi(c) and is split at the |t + mu_i| kink (a kink outside
+    # the tail leaves one panel empty); the integrand is smooth on each panel,
+    # so a fixed Gauss-Legendre rule is exact to rounding.
+    c = min(c, _C_UNDERFLOW)
+    far = c + 80.0 / (math.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
+    left = min(max(-mu_i, -far), -c)
+    right = min(max(-mu_i, c), far)
+    lo = np.array([-far, left, c, right])
+    hi = np.array([left, -c, right, far])
+    half = 0.5 * (hi - lo)[:, None]
+    t = 0.5 * (hi + lo)[:, None] + half * _GL_X
+    u = np.abs(t + mu_i)
+    f = np.exp(-0.5 * t * t) * (special.ndtr(u - mu_j) - special.ndtr(-u - mu_j))
+    return _INV_SQRT_2PI * float(np.sum(half * _GL_W * f))
 
-    kink = -mu_i
-    points = [kink] if -c < kink < c else None
-    out = integrate.quad(integrand, -c, c, points=points,
-                         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature trouble for mu=({mu_i}, {mu_j}), c={c}: {out[3]}")
-    return float(out[0]), float(out[1])
+
+def _miss_probability(mu_0: float, mu_1: float, c: float) -> float:
+    # 1 - b_region_probability: the two coordinates' selection events split
+    # the sample space, so their conditional integrals over all t sum to 1
+    return _miss_term(mu_0, mu_1, c) + _miss_term(mu_1, mu_0, c)
 
 
 def b_region_probability(mu, c: float) -> float:
@@ -95,19 +106,17 @@ def b_region_probability(mu, c: float) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2,) or not np.all(np.isfinite(mu)):
         raise ValueError("mu must be two finite means")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
-    if c == 0.0:
+    if c == 0.0:  # exactly 0, where 1 - miss would leave rounding error
         return 0.0
-    total = 0.0
-    err = 0.0
-    for mu_i, mu_j in ((mu[0], mu[1]), (mu[1], mu[0])):
-        val, e = _b_term(float(mu_i), float(mu_j), float(c))
-        total += val
-        err += e
-    if err > _QUAD_BUDGET:
-        raise QuadratureError(f"accumulated quadrature error {err:.3e} exceeds budget")
-    return min(max(total, 0.0), 1.0)
+    return min(max(1.0 - _miss_probability(float(mu[0]), float(mu[1]), c), 0.0), 1.0)
+
+
+def _limits(alpha: float) -> tuple[float, float]:
+    # the unadjusted constant (c_plus as a -> infinity) and the
+    # two-coordinate Sidak constant (c_plus at a = 0)
+    return method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha)[0], sidak_halfwidth(2, alpha)
 
 
 def c_plus(a: float, alpha: float) -> float:
@@ -117,26 +126,15 @@ def c_plus(a: float, alpha: float) -> float:
     the two-coordinate Sidak constant (the value at a = 0); the probability is
     increasing in c, so a sign-change root gives the calibration exactly.
     """
-    if a < 0.0:
-        raise ValueError(f"a must be >= 0, got {a!r} (the curve is even: use |a|)")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"a must be finite and >= 0, got {a!r} (the curve is even: use |a|)")
     _check_alpha(alpha)
-    target = 1.0 - alpha
-    mu = (float(a), 0.0)
-
-    def gap(c: float) -> float:
-        return b_region_probability(mu, c) - target
-
-    # c >= 0, and gap(0) = -target < 0, so the lower end is clamped at 0
-    lo = max(method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha)[0] - 0.05, 0.0)
-    hi = sidak_halfwidth(2, alpha) + 0.05
-    for _ in range(8):  # defensive: widen if the standard bracket ever fails
-        if gap(lo) < 0.0 < gap(hi):
-            break
-        lo = max(lo - 0.25, 0.0)
-        hi += 0.25
-    else:
-        raise QuadratureError(f"could not bracket the calibration constant at a={a}")
-    return float(brentq(gap, lo, hi, xtol=1e-9))
+    z, s = _limits(alpha)
+    # solved on the miss probability, not on 1 - alpha, so the root keeps its
+    # accuracy at small alpha; the miss is 1 at c = 0, so the lower end is
+    # clamped at 0
+    return float(brentq(lambda c: alpha - _miss_probability(float(a), 0.0, c),
+                        max(z - 0.05, 0.0), s + 0.05, xtol=1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +153,9 @@ class CPlusCurve:
     grid_c: np.ndarray
 
     @classmethod
-    def build(cls, alpha: float, a_max: float = 8.0, step: float = 0.01) -> "CPlusCurve":
-        if a_max <= 0.0 or step <= 0.0 or step > a_max:
-            raise ValueError("need 0 < step <= a_max")
+    def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
+        if not 0.0 < step <= a_max < math.inf:
+            raise ValueError(f"need finite 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
         n = int(round(a_max / step))
         grid_a = np.linspace(0.0, n * step, n + 1)
         grid_c = np.array([c_plus(float(a), alpha) for a in grid_a])
@@ -173,69 +171,24 @@ class CPlusCurve:
 
 
 @lru_cache(maxsize=8)
-def cplus_curve(alpha: float, a_max: float = 8.0, step: float = 0.01) -> CPlusCurve:
+def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:
     """Cached curve; building one evaluates ~a_max/step quadrature roots."""
     return CPlusCurve.build(alpha, a_max, step)
 
 
-def _first_crossing_root(a_knots, g_knots, w, exact, c_flat):
-    # smallest a with g(a) = a + c(|a|) >= w; g is increasing at the knots in
-    # practice, and scanning left-to-right keeps the result conservative even
-    # if interpolation wobbles
-    if w > g_knots[-1]:
-        return w - c_flat  # flat region beyond the grid
-    idx = int(np.argmax(g_knots >= w))
-    if idx == 0:
-        return w - c_flat
-    return _polish(exact, float(a_knots[idx - 1]), float(a_knots[idx]))
-
-
-def _last_crossing_root(a_knots, g_knots, w, exact, c_flat):
-    # largest a with g(a) = a - c(|a|) <= w
-    if w >= g_knots[-1]:
-        return w + c_flat
-    below = np.nonzero(g_knots <= w)[0]
-    if below.size == 0:
-        return w + c_flat
-    idx = int(below[-1])
-    if idx == len(a_knots) - 1:
-        return w + c_flat
-    return _polish(exact, float(a_knots[idx]), float(a_knots[idx + 1]))
-
-
-def _polish(f, lo: float, hi: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        # interpolation placed the root a knot away; widen once, else accept
-        # the knot-level answer (error below grid resolution)
-        width = hi - lo
-        lo2, hi2 = lo - width, hi + width
-        if f(lo2) * f(hi2) < 0.0:
-            return float(brentq(f, lo2, hi2, xtol=1e-9))
-        return 0.5 * (lo + hi)
-    return float(brentq(f, lo, hi, xtol=1e-9))
-
-
-def _invert_endpoints(w: float, curve: CPlusCurve, alpha: float) -> tuple[float, float]:
+def _invert_endpoints(w: float, alpha: float, a_max: float) -> tuple[float, float]:
     # endpoints for a nonnegative selected value w:
     #   lower = inf{a : a + c(|a|) >= w},  upper = sup{a : a - c(|a|) <= w}
-    a_knots = np.concatenate([-curve.grid_a[::-1], curve.grid_a[1:]])
-    c_knots = np.concatenate([curve.grid_c[::-1], curve.grid_c[1:]])
-    c_flat = float(curve.grid_c[-1])
+    # c lies in [z, s] and its slope exceeds -1, so a + c(|a|) and a - c(|a|)
+    # are increasing and each endpoint is the one sign change in its bracket
+    z, s = _limits(alpha)
 
-    def exact_c(a: float) -> float:
-        mag = abs(a)
-        return c_plus(mag, alpha) if mag <= curve.a_max else c_flat
+    def c(a: float) -> float:
+        return c_plus(min(abs(a), a_max), alpha)
 
-    lower = _first_crossing_root(a_knots, a_knots + c_knots, w,
-                                 lambda a: a + exact_c(a) - w, c_flat)
-    upper = _last_crossing_root(a_knots, a_knots - c_knots, w,
-                                lambda a: a - exact_c(a) - w, c_flat)
-    return lower, upper
+    lower = brentq(lambda a: a + c(a) - w, w - s - 0.05, w - z + 0.05, xtol=1e-9)
+    upper = brentq(lambda a: a - c(a) - w, w + z - 0.05, w + s + 0.05, xtol=1e-9)
+    return float(lower), float(upper)
 
 
 def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> ConfidenceInterval:
@@ -245,19 +198,20 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     Endpoints invert the family of acceptance intervals |w - a| <= c_plus(|a|):
     the interval is exactly {a : |w - a| <= c_plus(|a|)}, which is shorter than
     the two-coordinate Sidak box at every w and approaches the unadjusted
-    interval for large |w|.
+    interval for large |w|.  Both endpoints are solved against exact c_plus
+    values; `curve` only sets a_max (default 8), beyond which the constant is
+    held flat, as on the tabulated curve.
     """
     _check_alpha(alpha)
     selection = select_abs_max(y)
     idx = selection.selected[0]
     w = float(np.asarray(y, dtype=float)[idx])
-    if curve is None:
-        curve = cplus_curve(alpha)
-    elif not math.isclose(curve.alpha, alpha, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(f"curve was built for alpha={curve.alpha}, got {alpha}")
-    if w >= 0.0:
-        lo, hi = _invert_endpoints(w, curve, alpha)
-    else:
-        lo, hi = _invert_endpoints(-w, curve, alpha)
+    a_max = _A_MAX
+    if curve is not None:
+        if not math.isclose(curve.alpha, alpha, rel_tol=0.0, abs_tol=1e-12):
+            raise ValueError(f"curve was built for alpha={curve.alpha}, got {alpha}")
+        a_max = curve.a_max
+    lo, hi = _invert_endpoints(abs(w), alpha, a_max)
+    if w < 0.0:
         lo, hi = -hi, -lo
     return ConfidenceInterval(idx, lo, hi, "abs_max")

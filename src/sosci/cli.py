@@ -147,6 +147,8 @@ def cmd_intervals(args) -> OutputTable:
     if not np.all(np.isfinite(y)):
         raise ValueError("estimates must be finite")
     m, k, alpha = y.size, args.k, args.alpha
+    if args.method in ("larger-of-two", "abs-max") and k != 1:
+        raise ValueError(f"--method {args.method} selects one estimate, so --k must be 1, got {k}")
 
     if args.method == "sos":
         intervals = k_of_m_intervals(y, k, alpha, args.delta_policy, delta=args.delta)

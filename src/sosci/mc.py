@@ -310,10 +310,10 @@ def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
     """Monte-Carlo check of `b_region_probability`: fraction of N(mu, I_2)
     draws whose abs-max coordinate lands within c of its own mean."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2,):
-        raise ValueError("mu must have two coordinates")
-    if c < 0.0:
-        raise ValueError("c must be >= 0")
+    if mu.shape != (2,) or not np.all(np.isfinite(mu)):
+        raise ValueError("mu must be two finite means")
+    if not c >= 0.0:
+        raise ValueError(f"c must be >= 0, got {c!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     hits = 0

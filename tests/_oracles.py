@@ -1,9 +1,11 @@
 """Independent numerical oracles for the test suite.
 
 These deliberately avoid the code paths used by the package: the normal CDF
-is a Taylor series (no erf/erfc), quantiles come from plain bisection, and
-the Student-t CDF integrates the density directly.  Expected values frozen
-into tests were produced by these functions.
+is a Taylor series (no erf/erfc), quantiles come from plain bisection,
+the Student-t CDF integrates the density directly, and the abs-max region
+probability is adaptive quadrature over math.erfc (the package uses a fixed
+Gauss-Legendre rule over scipy's ndtr).  Expected values frozen into tests
+were produced by these functions.
 """
 
 import math
@@ -65,6 +67,31 @@ def t_cdf_quad(x: float, df: int) -> float:
     """CDF by integrating the density from 0 (symmetry pins the constant)."""
     val, _ = integrate.quad(lambda t: t_density(t, df), 0.0, x, epsabs=1e-12)
     return 0.5 + val
+
+
+def b_region_quad(mu, c: float) -> float:
+    """Abs-max region probability Pr{|Y_sel - mu_sel| <= c}, Y ~ N(mu, I_2),
+    by adaptive quadrature of each coordinate's term, conditioned on
+    Y_i = mu_i + t, with the |t + mu_i| kink passed as a break point:
+      integral_{-c}^{c} phi(t) [Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j)] dt
+    """
+    def dens(t: float) -> float:
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    def cdf(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    total = 0.0
+    for mu_i, mu_j in ((mu[0], mu[1]), (mu[1], mu[0])):
+        def integrand(t: float) -> float:
+            u = abs(t + mu_i)
+            return dens(t) * (cdf(u - mu_j) - cdf(-u - mu_j))
+
+        points = [-mu_i] if -c < -mu_i < c else None
+        val, _ = integrate.quad(integrand, -c, c, points=points,
+                                epsabs=1e-13, epsrel=1e-13, limit=400)
+        total += val
+    return total
 
 
 def grid_argmin(f, lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 from scipy.optimize import brentq
 
 from sosci import (
@@ -21,6 +24,8 @@ from sosci.dist import (
     student_t_family,
 )
 from sosci.mc import Scenario, estimate_b_probability
+
+from _oracles import b_region_quad
 
 Z975 = 1.959963985
 SIDAK2 = 2.236476645  # oracle: bisection solve of (1-(1-0.05)^(1/2))/2 tail
@@ -94,8 +99,32 @@ def test_b_region_edge_cases():
     assert 0.0 <= b_region_probability((0.0, 0.0), 1e-8) <= 1e-6
     with pytest.raises(ValueError):
         b_region_probability((1.0, 2.0), -0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu"):
         b_region_probability((np.inf, 0.0), 1.0)
+    with pytest.raises(ValueError, match="mu"):
+        b_region_probability((np.nan, 0.0), 1.0)
+    with pytest.raises(ValueError, match="c must"):
+        b_region_probability((1.0, 2.0), np.nan)
+    assert b_region_probability((1.0, 2.0), np.inf) == pytest.approx(1.0, abs=1e-12)
+
+
+def _oracle_grid():
+    # the |t + mu_0| kink at, just inside and just outside both ends of
+    # [-c, c], plus means up to 10 and c up to 40, where the tails underflow
+    for c in (1e-3, 0.3, 1.0, 1.96, 2.5, 5.0, 9.0, 12.0, 40.0):
+        near = [s * c + e for s in (-1.0, 1.0) for e in (-1e-7, 0.0, 1e-7)]
+        for mu_0 in near + [-10.0, -3.3, 0.0, 0.7, 3.3, 10.0]:
+            if abs(mu_0) <= 10.0:
+                for mu_1 in (-10.0, -2.0, 0.0, 0.4, 2.0, 10.0):
+                    yield (mu_0, mu_1), c
+
+
+def test_b_region_matches_quadrature_oracle():
+    worst = max(abs(b_region_probability(mu, c) - b_region_quad(mu, c))
+                for mu, c in _oracle_grid())
+    assert worst <= 1e-12
+    for mu in ((0.0, 0.0), (10.0, -10.0), (-3.0, 0.5)):
+        assert b_region_probability(mu, np.inf) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_b_region_monotone_in_c():
@@ -135,10 +164,22 @@ def test_c_plus_limits_and_monotone():
 
 
 def test_c_plus_domain():
-    with pytest.raises(ValueError):
-        c_plus(-1.0, 0.05)
+    for a in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="a must"):
+            c_plus(a, 0.05)
     with pytest.raises(ValueError):
         c_plus(0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-8, 1e-10, 1e-13])
+def test_c_plus_exact_at_small_alpha(alpha):
+    # both limits in closed form, with the tail levels formed without
+    # cancellation: at a = 0 the region probability is (2 Phi(c) - 1)^2, so
+    # the tail is (1 - sqrt(1 - alpha)) / 2; at a = 12 the second coordinate
+    # is never selected, so c_plus is the unadjusted constant
+    sidak_tail = 0.5 * alpha / (1.0 + math.sqrt(1.0 - alpha))
+    assert c_plus(0.0, alpha) == pytest.approx(-special.ndtri(sidak_tail), abs=1e-9)
+    assert c_plus(12.0, alpha) == pytest.approx(-special.ndtri(0.5 * alpha), abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.97, 0.98, 0.999])
@@ -150,6 +191,24 @@ def test_c_plus_large_alpha(a, alpha):
     assert b_region_probability((a, 0.0), c) == pytest.approx(1.0 - alpha, abs=1e-8)
     if a == 0.0:  # (2 Phi(c) - 1)^2 = 1 - alpha
         assert c == pytest.approx(sidak_halfwidth(2, alpha), abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
+def test_c_plus_between_limits(alpha):
+    # the one brentq bracket [z - 0.05, s + 0.05] of c_plus and of both
+    # abs-max endpoint solves rests on z <= c_plus(a) <= s
+    z = sidak_halfwidth(1, alpha)
+    s = sidak_halfwidth(2, alpha)
+    for a in np.arange(0.0, 12.01, 0.25):
+        assert z - 1e-9 <= c_plus(float(a), alpha) <= s + 1e-9, a
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
+def test_cplus_curve_slope_exceeds_minus_one(alpha):
+    # a + c(|a|) and a - c(|a|) are then increasing, so each abs-max endpoint
+    # is the one root in its bracket
+    curve = cplus_curve(alpha)
+    assert np.min(np.diff(curve.grid_c) / curve.step) > -1.0
 
 
 def test_curve_build_and_call(small_curve):
@@ -227,6 +286,25 @@ def test_abs_max_width_profile():
     assert widths[2.23] / base == pytest.approx(0.93819, abs=0.005)
     assert widths[10.0] / base == pytest.approx(0.87636, abs=0.005)
     assert widths[0.0] < widths[2.23]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.9])
+def test_abs_max_endpoints_solve_exactly(alpha):
+    curve = CPlusCurve.build(alpha, a_max=3.0, step=0.5)
+    for a_max, given in ((8.0, None), (3.0, curve)):
+        def c(a):
+            return c_plus(min(abs(a), a_max), alpha)
+
+        for w in (0.0, 0.4, 1.7, 2.23, 2.9, 3.1, 5.0, 9.5):
+            for y in ([w, 0.0], [0.0, -w]):
+                ci = abs_max_interval(y, alpha, curve=given)
+                w_sel = y[ci.index]
+                if w_sel < 0.0:  # reflect: the interval for -w is -(lo, hi)
+                    lo, hi = -ci.hi, -ci.lo
+                else:
+                    lo, hi = ci.lo, ci.hi
+                assert abs(lo + c(lo) - abs(w_sel)) <= 1e-8, (a_max, y)
+                assert abs(hi - c(hi) - abs(w_sel)) <= 1e-8, (a_max, y)
 
 
 def test_abs_max_alpha_mismatch(small_curve):

@@ -191,8 +191,12 @@ def test_delta_scan_explicit_deltas(capsys):
     ("intervals", "--y", "1,2", "--delta", "0.4"),              # needs fixed
     ("intervals", "--y", "1,2", "--delta-policy", "fixed"),     # needs delta
     ("intervals", "--y", "1,2,3", "--method", "abs-max"),       # pairs only
+    ("intervals", "--y", "1,2", "--method", "abs-max", "--k", "2"),
+    ("intervals", "--y", "1,2", "--method", "larger-of-two", "--k", "2"),
     ("intervals", "--input", "/nonexistent/path.csv"),
     ("compare", "--m", "5", "--k-range", "0:3"),
+    ("cplus-curve", "--a-max", "inf"),
+    ("cplus-curve", "--a-max", "nan"),
     ("compare", "--m", "5", "--k-range", "4:2"),
     ("compare", "--m", "5", "--k-range", "1:3:0"),
     ("delta-scan", "--m", "10", "--k", "2", "--deltas", "0.0,0.5"),

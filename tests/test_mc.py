@@ -302,6 +302,15 @@ def test_estimate_b_probability():
         estimate_b_probability((1.0, 2.0), 1.0, 0, 1)
 
 
+def test_estimate_b_probability_non_finite():
+    with pytest.raises(ValueError, match="c must"):
+        estimate_b_probability((1.0, 2.0), np.nan, 10, 1)
+    for mu in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="mu"):
+            estimate_b_probability(mu, 1.0, 10, 1)
+    assert estimate_b_probability((1.0, 2.0), np.inf, 10, 1) == 1.0
+
+
 def test_scenario_from_dict_round_trip():
     cfg = {
         "m": 12,
