@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .bivariate import (
     CPlusCurve,
-    QuadratureError,
     abs_max_interval,
     b_region_probability,
     c_plus,
@@ -79,8 +78,8 @@ __all__ = [
     "spec_from_delta", "symmetric_delta", "interval_length",
     "optimize_delta", "k_of_m_intervals",
     # bivariate
-    "QuadratureError", "CPlusCurve", "larger_of_two_interval",
-    "b_region_probability", "c_plus", "cplus_curve", "abs_max_interval",
+    "CPlusCurve", "larger_of_two_interval", "b_region_probability", "c_plus",
+    "cplus_curve", "abs_max_interval",
     # baselines
     "MethodLabel", "bonferroni_halfwidth", "sidak_halfwidth", "fcw_constants",
     "fcr_selection_aware_offsets", "fcr_selection_aware_interval",

@@ -168,7 +168,7 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
         p = alpha / (2.0 * m)
         return p, p
     if method is MethodLabel.SIDAK:
-        p = (1.0 - (1.0 - alpha) ** (1.0 / m)) / 2.0
+        p = -math.expm1(math.log1p(-alpha) / m) / 2.0  # no cancellation at small alpha
         return p, p
     if method is MethodLabel.SOS_SYMMETRIC:
         p = alpha / (m + k)

@@ -31,7 +31,6 @@ from .select import select_abs_max, select_top_k
 from .sos import ConfidenceInterval
 
 __all__ = [
-    "QuadratureError",
     "CPlusCurve",
     "larger_of_two_interval",
     "b_region_probability",
@@ -43,10 +42,6 @@ __all__ = [
 _GL_X, _GL_W = special.roots_legendre(48)  # Gauss-Legendre rule on [-1, 1]
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
-
-
-class QuadratureError(Exception):
-    """Numerical quadrature failed to reach the requested accuracy."""
 
 
 def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> ConfidenceInterval:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .baselines import MethodLabel, method_offsets
-from .bivariate import QuadratureError, abs_max_interval, cplus_curve, larger_of_two_interval
+from .bivariate import abs_max_interval, cplus_curve, larger_of_two_interval
 from .dist import CovarianceModel, NotPositiveDefiniteError
 from .mc import Scenario, load_scenario, run_coverage
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         table = args.func(args)
-    except (NotPositiveDefiniteError, QuadratureError, OptimizationError) as exc:
+    except (NotPositiveDefiniteError, OptimizationError) as exc:
         print(f"sosci: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:

@@ -33,6 +33,7 @@ from .dist import (
     seeded_rng,
     student_t_family,
 )
+from .select import abs_max_index, top_k_indices
 
 __all__ = [
     "Scenario",
@@ -211,9 +212,10 @@ def _block_sizes(reps: int) -> list[int]:
     return sizes
 
 
-def _count_topk(y: np.ndarray, theta: np.ndarray, k: int,
-                c_lo: np.ndarray, c_up: np.ndarray) -> tuple[int, int, int, int]:
-    order = np.argsort(-y, axis=1, kind="stable")[:, :k]
+def _count_misses(y: np.ndarray, theta: np.ndarray, order: np.ndarray,
+                  c_lo: np.ndarray, c_up: np.ndarray) -> tuple[int, int, int, int]:
+    # order[r] lists the coordinates selected in replicate r; interval i is
+    # [y_i - c_lo[i], y_i + c_up[i]]
     y_sel = np.take_along_axis(y, order, axis=1)
     th_sel = theta[order]
     low_miss = (y_sel - c_lo[order]) > th_sel
@@ -226,19 +228,6 @@ def _count_topk(y: np.ndarray, theta: np.ndarray, k: int,
         int(any_up.sum()),
         int((low_miss | up_miss).sum()),
     )
-
-
-def _count_absmax(y: np.ndarray, theta: np.ndarray, c_at_theta: np.ndarray
-                  ) -> tuple[int, int, int, int]:
-    # coverage of the inverted region: theta in [mu_minus, mu_plus] iff
-    # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale)
-    sel = (np.abs(y[:, 1]) > np.abs(y[:, 0])).astype(np.intp)
-    rows = np.arange(y.shape[0])
-    resid = y[rows, sel] - theta[sel]
-    low = resid > c_at_theta[sel]
-    up = -resid > c_at_theta[sel]
-    miss = int((low | up).sum())
-    return miss, int(low.sum()), int(up.sum()), miss
 
 
 def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
@@ -271,7 +260,9 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
         k = 1
 
         def count(y):
-            return _count_absmax(y, theta, c_at_theta)
+            # theta lies in the inverted region iff
+            # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale)
+            return _count_misses(y, theta, abs_max_index(y)[:, None], c_at_theta, c_at_theta)
     else:
         if not 1 <= k <= scenario.m:
             raise ValueError(f"k must lie in 1..{scenario.m}, got {k}")
@@ -283,7 +274,7 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
         label = MethodLabel(method).value
 
         def count(y):
-            return _count_topk(y, theta, k, c_lo, c_up)
+            return _count_misses(y, theta, top_k_indices(y, k), c_lo, c_up)
 
     def draw(block: int, size: int) -> np.ndarray:
         rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
@@ -316,13 +307,12 @@ def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
         raise ValueError(f"c must be >= 0, got {c!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    hits = 0
+    c_both = np.full(2, float(c))
+    misses = 0
     for block, size in enumerate(_block_sizes(reps)):
         y = draw_replicates(seeded_rng(seed, _STREAM_REPS, block), mu, _EYE2, size, None)
-        sel = (np.abs(y[:, 1]) > np.abs(y[:, 0])).astype(np.intp)
-        rows = np.arange(size)
-        hits += int((np.abs(y[rows, sel] - mu[sel]) <= c).sum())
-    return hits / reps
+        misses += _count_misses(y, mu, abs_max_index(y)[:, None], c_both, c_both)[0]
+    return (reps - misses) / reps
 
 
 _COV_KEYS = {"kind", "dimension", "rho", "block_size"}

@@ -1,4 +1,8 @@
-"""Selection rules: which coordinates get intervals, and in what order."""
+"""Selection rules: which coordinates get intervals, and in what order.
+
+Each rule is written once, along the last axis, so the intervals and the
+coverage engine's (reps, m) replicate blocks select the same coordinates.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SelectionResult", "select_top_k", "select_abs_max"]
+__all__ = ["SelectionResult", "select_top_k", "select_abs_max",
+           "top_k_indices", "abs_max_index"]
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Indices chosen by a selection rule.
-
-    `selected` lists the chosen 0-based coordinates best-first; `ranks` is the
-    full rank-to-index permutation of all m coordinates under the same rule.
-    """
+    """Indices chosen by a selection rule: the chosen 0-based coordinates,
+    best-first."""
 
     selected: tuple[int, ...]
-    ranks: tuple[int, ...]
+
+
+def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, largest first;
+    ties break toward the smaller index."""
+    return np.argsort(-y, axis=-1, kind="stable")[..., :k]  # stable keeps index order
+
+
+def abs_max_index(y: np.ndarray) -> np.ndarray:
+    """Index (0 or 1) of the larger |y| along the last axis of length 2; ties
+    pick index 0."""
+    return (np.abs(y[..., 1]) > np.abs(y[..., 0])).astype(np.intp)
 
 
 def _check_values(y) -> np.ndarray:
@@ -36,8 +49,7 @@ def select_top_k(y, k: int) -> SelectionResult:
     y = _check_values(y)
     if not 1 <= k <= y.size:
         raise ValueError(f"k must lie in 1..{y.size}, got {k}")
-    order = np.argsort(-y, kind="stable")  # stable: equal values keep index order
-    return SelectionResult(tuple(int(i) for i in order[:k]), tuple(int(i) for i in order))
+    return SelectionResult(tuple(int(i) for i in top_k_indices(y, k)))
 
 
 def select_abs_max(y) -> SelectionResult:
@@ -45,5 +57,4 @@ def select_abs_max(y) -> SelectionResult:
     y = _check_values(y)
     if y.size != 2:
         raise ValueError(f"abs-max selection needs exactly 2 coordinates, got {y.size}")
-    first = 0 if abs(y[0]) >= abs(y[1]) else 1
-    return SelectionResult((first,), (first, 1 - first))
+    return SelectionResult((int(abs_max_index(y)),))

@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,21 @@ def test_method_tail_levels_budget():
     assert lam_lo == lam_hi == pytest.approx(0.025)
     lam_lo, lam_hi = method_tail_levels(MethodLabel.BONFERRONI, 100, 10, 0.05)
     assert lam_lo == lam_hi == pytest.approx(0.025 / 100)
+
+
+@pytest.mark.parametrize("m", [2, 100])
+@pytest.mark.parametrize("alpha", [1e-9, 1e-13])
+def test_method_tail_levels_sidak_small_alpha(m, alpha):
+    # (1 - (1 - alpha)^(1/m)) / 2 cancels in double precision at small alpha;
+    # the reference is the same closed form evaluated to 50 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one = decimal.Decimal(1)
+        exact = float((one - (one - decimal.Decimal(alpha)) ** (one / m)) / 2)
+    closed = -math.expm1(math.log1p(-alpha) / m) / 2
+    assert closed == pytest.approx(exact, rel=1e-12, abs=0)
+    lo, hi = method_tail_levels(MethodLabel.SIDAK, m, 1, alpha)
+    assert lo == hi == pytest.approx(closed, rel=1e-12, abs=0)
 
 
 def test_method_tail_levels_fcw_rejected():

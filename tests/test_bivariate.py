@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from sosci import (
     CPlusCurve,
-    QuadratureError,
     abs_max_interval,
     b_region_probability,
     c_plus,
@@ -363,7 +362,3 @@ def test_larger_of_two_coverage_common_shock():
         target = np.asarray(theta)[sel]
         miss = np.mean(np.abs(picked - target) > c)
         assert miss <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps), theta
-
-
-def test_quadrature_failure_is_typed():
-    assert issubclass(QuadratureError, Exception)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sosci import cli
-from sosci.bivariate import QuadratureError
+from sosci.sos import OptimizationError
 
 
 def run_cli(capsys, *argv):
@@ -233,7 +233,7 @@ def test_bad_input_cell(tmp_path, capsys):
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise QuadratureError("synthetic quadrature failure")
+        raise OptimizationError("synthetic root-solve failure")
 
     monkeypatch.setattr(cli, "cplus_curve", boom)
     code, out, err = run_cli(capsys, "cplus-curve", "--a-max", "1", "--step", "0.5")

@@ -302,6 +302,13 @@ def test_estimate_b_probability():
         estimate_b_probability((1.0, 2.0), 1.0, 0, 1)
 
 
+def test_estimate_b_probability_frozen():
+    # exact hit counts pin the draw order, the abs-max tie rule and the
+    # hit comparison (20000 reps span four full blocks and one partial)
+    assert estimate_b_probability((0.3, -1.1), 1.7, 20000, seed=11) == 0.8529
+    assert estimate_b_probability((2.0, -2.0), 0.5, 5000, seed=7) == 0.3848
+
+
 def test_estimate_b_probability_non_finite():
     with pytest.raises(ValueError, match="c must"):
         estimate_b_probability((1.0, 2.0), np.nan, 10, 1)

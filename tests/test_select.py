@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sosci import select_abs_max, select_top_k
+from sosci.select import abs_max_index, top_k_indices
+
+# values from a small integer set, so blocks are full of ties (and of |y| ties
+# across signs)
+_TIED = st.integers(-3, 3).map(float)
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_top_k_basic():
     res = select_top_k([1.0, 3.0, 2.0], 2)
     assert res.selected == (1, 2)
-    assert res.ranks == (1, 2, 0)
 
 
 def test_top_k_all():
     res = select_top_k([0.4, -1.0, 0.2], 3)
     assert res.selected == (0, 2, 1)
-    assert res.ranks == res.selected
 
 
 def test_top_k_single():
@@ -60,9 +67,7 @@ def test_top_k_errors():
 def test_abs_max_basic():
     assert select_abs_max([2.9, 2.5]).selected == (0,)
     assert select_abs_max([-3.1, 2.5]).selected == (0,)
-    res = select_abs_max([0.4, -0.9])
-    assert res.selected == (1,)
-    assert res.ranks == (1, 0)
+    assert select_abs_max([0.4, -0.9]).selected == (1,)
 
 
 def test_abs_max_tie_prefers_first():
@@ -77,3 +82,24 @@ def test_abs_max_errors():
         select_abs_max([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         select_abs_max([np.inf, 1.0])
+
+
+@_PROPERTY
+@given(st.data())
+def test_top_k_indices_rows_match_select_top_k(data):
+    reps, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    y = data.draw(arrays(np.float64, (reps, m), elements=_TIED))
+    k = data.draw(st.integers(1, m))
+    block = top_k_indices(y, k)
+    assert block.shape == (reps, k)
+    for row, chosen in zip(y, block):
+        assert tuple(chosen) == select_top_k(row, k).selected
+
+
+@_PROPERTY
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)), elements=_TIED))
+def test_abs_max_index_rows_match_select_abs_max(y):
+    block = abs_max_index(y)
+    assert block.shape == (y.shape[0],)
+    for row, chosen in zip(y, block):
+        assert (chosen,) == select_abs_max(row).selected
