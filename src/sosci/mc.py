@@ -6,6 +6,11 @@ over blocks, so results are byte-identical on replay and independent of
 execution order: running blocks across a thread pool (`n_jobs > 1`) gives
 exactly the sequential answer.
 
+One pass serves every method asked for: each block is drawn once, each
+selection rule is applied to it once, and each method counts its misses on
+the selected sets, so a multi-method run reports the same counts as one run
+per method at the cost of one.
+
 Three dedicated streams are derived from one scenario seed: the covariance
 realization (for models with random parameters), the parameter draw, and the
 replicate blocks.  Everything downstream is a pure function of the scenario.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -230,15 +236,42 @@ def _count_misses(y: np.ndarray, theta: np.ndarray, order: np.ndarray,
     )
 
 
-def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
-                 n_jobs: int = 1) -> CoverageReport:
-    """Estimate miss rates for one method on one scenario.
+def _abs_max_offsets(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray,
+                     k: int, alpha: float) -> np.ndarray:
+    # theta lies in the inverted region iff
+    # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale)
+    if k != 1:
+        raise ValueError(f"abs_max coverage selects one coordinate, so k must be 1, got {k}")
+    if scenario.m != 2:
+        raise ValueError("abs_max coverage needs m == 2")
+    if scenario.panel != "all_normal":
+        raise ValueError("abs_max coverage is defined for normal errors")
+    s = float(np.sqrt(sigma[0, 0]))
+    if not np.allclose(sigma, s * s * np.eye(2), atol=1e-12):
+        raise ValueError("abs_max coverage needs covariance s^2 * I")
+    return s * np.array([c_plus(abs(t) / s, alpha) for t in theta])
 
-    `method` is a MethodLabel value or "abs_max" (the latter needs m == 2 and
-    covariance s^2 * I, the setting the abs-max construction is built for).
-    On the half_normal_half_t5 panel each coordinate takes its own family's
-    quantile, and sos_shortest tunes delta on the normal family.
+
+def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
+                 alpha: float = 0.05, n_jobs: int = 1) -> CoverageReport | list[CoverageReport]:
+    """Estimate miss rates on one scenario for one method, or for each of a
+    sequence of methods.
+
+    A single label gives one CoverageReport; a sequence gives a list of them
+    in its order.  All methods are scored in one pass over the replicates:
+    each block is drawn once, each selection rule the methods use (top-k,
+    abs-max) is applied to it once, and every method counts its misses on
+    that selection, so each report equals the one a call for that method
+    alone would give.  Every label is checked before the first draw.
+
+    A label is a MethodLabel value or "abs_max" (the latter needs k == 1,
+    m == 2 and covariance s^2 * I, the setting the abs-max construction is
+    built for).  On the half_normal_half_t5 panel each coordinate takes its
+    own family's quantile, and sos_shortest tunes delta on the normal family.
     """
+    labels = [method] if isinstance(method, str) else list(method)
+    if not labels:
+        raise ValueError("empty method list")
     _check_alpha(alpha)
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
@@ -246,43 +279,33 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
     parts = _panel_parts(scenario, sigma, theta)
+    families = []
+    for th, _, df in parts:
+        families += [NORMAL if df is None else student_t_family(df)] * th.size
 
-    if method == "abs_max":
-        if scenario.m != 2:
-            raise ValueError("abs_max coverage needs m == 2")
-        if scenario.panel != "all_normal":
-            raise ValueError("abs_max coverage is defined for normal errors")
-        s = float(scales[0])
-        if not np.allclose(sigma, s * s * np.eye(2), atol=1e-12):
-            raise ValueError("abs_max coverage needs covariance s^2 * I")
-        c_at_theta = s * np.array([c_plus(abs(t) / s, alpha) for t in theta])
-        label = "abs_max"
-        k = 1
+    rules = {}  # selection rule name -> function of a block
+    scored = []  # (report label, rule name, c_lo, c_up) per requested method
+    for label in labels:
+        if label == "abs_max":
+            c_at_theta = _abs_max_offsets(scenario, sigma, theta, k, alpha)
+            rules["abs_max"] = lambda y: abs_max_index(y)[:, None]
+            scored.append(("abs_max", "abs_max", c_at_theta, c_at_theta))
+        else:
+            label = MethodLabel(label).value
+            if not 1 <= k <= scenario.m:
+                raise ValueError(f"k must lie in 1..{scenario.m}, got {k}")
+            c_lo, c_up = method_offsets(label, scenario.m, k, alpha, families)
+            rules["top_k"] = lambda y: top_k_indices(y, k)
+            scored.append((label, "top_k", scales * c_lo, scales * c_up))
 
-        def count(y):
-            # theta lies in the inverted region iff
-            # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale)
-            return _count_misses(y, theta, abs_max_index(y)[:, None], c_at_theta, c_at_theta)
-    else:
-        if not 1 <= k <= scenario.m:
-            raise ValueError(f"k must lie in 1..{scenario.m}, got {k}")
-        families = []
-        for th, _, df in parts:
-            families += [NORMAL if df is None else student_t_family(df)] * th.size
-        c_lo, c_up = method_offsets(method, scenario.m, k, alpha, families)
-        c_lo, c_up = scales * c_lo, scales * c_up
-        label = MethodLabel(method).value
-
-        def count(y):
-            return _count_misses(y, theta, top_k_indices(y, k), c_lo, c_up)
-
-    def draw(block: int, size: int) -> np.ndarray:
+    def run_block(args) -> list[tuple[int, int, int, int]]:
+        block, size = args
         rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
         ys = [draw_replicates(rng, th, lower, size, df) for th, lower, df in parts]
-        return ys[0] if len(ys) == 1 else np.hstack(ys)
-
-    def run_block(args) -> tuple[int, int, int, int]:
-        return count(draw(*args))
+        y = ys[0] if len(ys) == 1 else np.hstack(ys)
+        chosen = {name: rule(y) for name, rule in rules.items()}
+        return [_count_misses(y, theta, chosen[name], c_lo, c_up)
+                for _, name, c_lo, c_up in scored]
 
     jobs = list(enumerate(_block_sizes(scenario.reps)))
     if n_jobs == 1:
@@ -291,10 +314,13 @@ def run_coverage(scenario: Scenario, k: int, method: str, alpha: float = 0.05,
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(run_block, jobs))
 
-    sos, low, up, missed = (sum(col) for col in zip(*results))
-    return CoverageReport(method=label, k=k, alpha=alpha, reps=scenario.reps,
-                          seed=scenario.seed, sos_misses=sos, lower_events=low,
-                          upper_events=up, missed_intervals=missed)
+    reports = []
+    for (label, *_), per_block in zip(scored, zip(*results)):
+        sos, low, up, missed = (sum(col) for col in zip(*per_block))
+        reports.append(CoverageReport(method=label, k=k, alpha=alpha, reps=scenario.reps,
+                                      seed=scenario.seed, sos_misses=sos, lower_events=low,
+                                      upper_events=up, missed_intervals=missed))
+    return reports[0] if isinstance(method, str) else reports
 
 
 def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:

@@ -2,6 +2,8 @@
 
 Each rule is written once, along the last axis, so the intervals and the
 coverage engine's (reps, m) replicate blocks select the same coordinates.
+The block functions return selected sets; `select_top_k` orders its one
+vector's pick best-first.
 """
 
 from __future__ import annotations
@@ -23,9 +25,26 @@ class SelectionResult:
 
 
 def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries along the last axis, largest first;
-    ties break toward the smaller index."""
-    return np.argsort(-y, axis=-1, kind="stable")[..., :k]  # stable keeps index order
+    """Indices of the k largest entries along the last axis, in no particular
+    order; a tie for the k-th place breaks toward the smaller index.
+
+    Each row's set equals the first k of a stable descending argsort.  A
+    partition finds it; only rows where the k-th and (k+1)-th largest values
+    tie, whose set the partition leaves open, are sorted.
+    """
+    m = y.shape[-1]
+    rows = y.reshape(-1, m)
+    if k == m:
+        chosen = np.broadcast_to(np.arange(m), rows.shape).copy()
+    else:
+        part = np.argpartition(rows, m - k - 1, axis=-1)
+        chosen = part[:, m - k:]
+        tail = np.take_along_axis(rows, part[:, m - k - 1:], axis=-1)
+        tied = tail[:, 1:].min(axis=-1) == tail[:, 0]
+        if tied.any():
+            # stable keeps index order among equal values
+            chosen[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")[:, :k]
+    return chosen.reshape(y.shape[:-1] + (k,))
 
 
 def abs_max_index(y: np.ndarray) -> np.ndarray:
@@ -49,7 +68,8 @@ def select_top_k(y, k: int) -> SelectionResult:
     y = _check_values(y)
     if not 1 <= k <= y.size:
         raise ValueError(f"k must lie in 1..{y.size}, got {k}")
-    return SelectionResult(tuple(int(i) for i in top_k_indices(y, k)))
+    chosen = sorted(top_k_indices(y, k).tolist(), key=lambda i: (-y[i], i))
+    return SelectionResult(tuple(chosen))
 
 
 def select_abs_max(y) -> SelectionResult:

@@ -221,10 +221,10 @@ def test_c09_dependence_grid_coverage():
                 cell += 1
                 scn = Scenario(m=m, covariance=model, reps=REPS,
                                seed=SEED + 1000 + cell, eta=eta, panel=panel)
-                for method in ("sos_symmetric", "sos_shortest"):
-                    report = run_coverage(scn, k=k, method=method)
+                reports = run_coverage(scn, k=k, method=["sos_symmetric", "sos_shortest"])
+                for report in reports:
                     assert report.sos_rate <= mc_bound(0.05, REPS), (
-                        panel, model.kind, model.rho, eta, method)
+                        panel, model.kind, model.rho, eta, report.method)
     elapsed = time.perf_counter() - start
     assert elapsed < (120.0 if REPS <= 5000 else 1800.0)
 

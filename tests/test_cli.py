@@ -204,6 +204,8 @@ def test_delta_scan_explicit_deltas(capsys):
     ("simulate", "--sigma-model", "block", "--m", "15", "--k", "1",
      "--reps", "10"),                                           # 15 % 10 != 0
     ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--eta", ""),
+    ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--methods", ","),
+    ("simulate", "--m", "2", "--k", "2", "--reps", "10", "--methods", "abs_max"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

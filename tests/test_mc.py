@@ -15,6 +15,7 @@ from sosci import (
     run_coverage,
     scenario_from_dict,
 )
+from sosci import mc
 from sosci.dist import cholesky, draw_replicates, seeded_rng
 
 
@@ -203,6 +204,49 @@ def test_run_coverage_abs_max_requirements():
                      reps=100, seed=1, panel="half_normal_half_t5")
     with pytest.raises(ValueError):
         run_coverage(mixed, k=1, method="abs_max")
+    # abs-max selects one coordinate; k = 2 is an error, not coerced to 1
+    with pytest.raises(ValueError, match="k must be 1"):
+        run_coverage(iid_scenario(m=2, reps=100, seed=1), k=2, method="abs_max")
+
+
+_LIST_CASES = {
+    # name: (scenario, k, methods)
+    "all_normal": (
+        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.5), reps=9000,
+                 seed=111, eta=5.0),
+        3, ["sos_symmetric", "sos_shortest", "sidak", "fcw_shortest", "unadjusted"]),
+    "mixed_panel": (
+        Scenario(m=20, covariance=CovarianceModel("block", 20, 0.5, block_size=10),
+                 reps=9000, seed=112, eta=5.0, panel="half_normal_half_t5"),
+        4, ["sos_symmetric", "bonferroni", "sos_shortest", "fcr_selection_aware"]),
+    "abs_max_and_unadjusted": (
+        Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+                 reps=9000, seed=113, theta_rule="fixed", theta=(0.5, -1.0)),
+        1, ["abs_max", "unadjusted"]),
+}
+
+
+@pytest.mark.parametrize("n_jobs", [1, 4])
+@pytest.mark.parametrize("name", sorted(_LIST_CASES))
+def test_run_coverage_list_matches_single_calls(name, n_jobs):
+    scenario, k, methods = _LIST_CASES[name]
+    together = run_coverage(scenario, k, methods, n_jobs=n_jobs)
+    assert [r.to_dict() for r in together] == [
+        run_coverage(scenario, k, method).to_dict() for method in methods]
+
+
+def test_run_coverage_checks_every_label_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("replicates drawn before every label was checked")
+
+    monkeypatch.setattr(mc, "draw_replicates", no_draws)
+    scn = iid_scenario(m=6, reps=100, seed=1)
+    with pytest.raises(ValueError, match="empty"):
+        run_coverage(scn, k=1, method=[])
+    with pytest.raises(ValueError):
+        run_coverage(scn, k=1, method=["sidak", "median"])
+    with pytest.raises(ValueError):
+        run_coverage(scn, k=1, method=["sidak", "abs_max"])  # m != 2
 
 
 def test_run_coverage_fcw_rejects_mixed_panel():

@@ -93,7 +93,20 @@ def test_top_k_indices_rows_match_select_top_k(data):
     block = top_k_indices(y, k)
     assert block.shape == (reps, k)
     for row, chosen in zip(y, block):
-        assert tuple(chosen) == select_top_k(row, k).selected
+        assert set(chosen) == set(select_top_k(row, k).selected)
+
+
+@_PROPERTY
+@given(st.data())
+def test_top_k_indices_rows_match_stable_argsort(data):
+    reps, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 10))
+    y = data.draw(arrays(np.float64, (reps, m), elements=_TIED))
+    k = data.draw(st.sampled_from([m, data.draw(st.integers(1, m))]))
+    block = top_k_indices(y, k)
+    assert block.shape == (reps, k)
+    for row, chosen in zip(y, block):
+        assert len(set(chosen)) == k
+        assert set(chosen) == set(np.argsort(-row, kind="stable")[:k])
 
 
 @_PROPERTY
