@@ -49,7 +49,7 @@ from .mc import (
     run_coverage,
     scenario_from_dict,
 )
-from .select import SelectionResult, select_abs_max, select_top_k
+from .select import select_abs_max, select_top_k
 from .sos import (
     ConfidenceInterval,
     IntervalSpec,
@@ -72,7 +72,7 @@ __all__ = [
     "std_normal_quantile", "student_t_cdf", "student_t_quantile",
     "cholesky", "sample_mvn", "sample_mvt", "seeded_rng",
     # select
-    "SelectionResult", "select_top_k", "select_abs_max",
+    "select_top_k", "select_abs_max",
     # sos
     "ConfidenceInterval", "IntervalSpec", "OptimizationError",
     "spec_from_delta", "symmetric_delta", "interval_length",

@@ -21,7 +21,6 @@ from .dist import NORMAL, ShiftFamily, _check_alpha, _check_mk, std_normal_cdf
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
-    _resolve_families,
     _selected_intervals,
     golden_section_min,
     optimize_delta,
@@ -60,16 +59,12 @@ class MethodLabel(str, enum.Enum):
 def bonferroni_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
     """Half-width of two-sided simultaneous intervals at per-coordinate level
     alpha / m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return method_offsets(MethodLabel.BONFERRONI, m, 1, alpha, family)[0]
 
 
 def sidak_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
     """Half-width of two-sided intervals at per-coordinate level
     1 - (1 - alpha)^(1/m); exact simultaneous coverage under independence."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return method_offsets(MethodLabel.SIDAK, m, 1, alpha, family)[0]
 
 
@@ -146,8 +141,7 @@ def fcr_selection_aware_interval(y, k: int, alpha: float,
     """Selection-aware intervals for the k largest of m estimates, best-first."""
     y = np.asarray(y, dtype=float)
     offsets = fcr_selection_aware_offsets(y.size, k, alpha, family)
-    return _selected_intervals(y, k, lambda idx: offsets,
-                               MethodLabel.FCR_SELECTION_AWARE.value)
+    return _selected_intervals(y, k, *offsets, MethodLabel.FCR_SELECTION_AWARE.value)
 
 
 def method_tail_levels(method, m: int, k: int, alpha: float,
@@ -180,6 +174,16 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
     if method is MethodLabel.FCR_SELECTION_AWARE:
         return 0.5 * alpha * k / m, 0.5 * alpha
     raise ValueError(f"{method.value} is not a quantile-level method")
+
+
+def _resolve_families(family, m: int) -> list[ShiftFamily]:
+    # the mixed panel's one family per coordinate
+    if not (isinstance(family, Sequence)
+            and all(isinstance(f, ShiftFamily) for f in family)):
+        raise ValueError(f"family must be a ShiftFamily or a sequence of them, got {family!r}")
+    if len(family) != m:
+        raise ValueError(f"need one family per coordinate: got {len(family)} for m={m}")
+    return list(family)
 
 
 def method_offsets(method, m: int, k: int, alpha: float,

@@ -57,7 +57,7 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     y = np.asarray(y, dtype=float)
     if y.size != 2:
         raise ValueError(f"needs exactly 2 estimates, got {y.size}")
-    idx = select_top_k(y, 1).selected[0]
+    (idx,) = select_top_k(y, 1)
     w = float(y[idx])
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
@@ -134,11 +134,10 @@ def c_plus(a: float, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CPlusCurve:
-    """c_plus(|a|) tabulated on a uniform grid and interpolated linearly.
+    """c_plus(a) tabulated at grid_a = 0, step, ..., a_max.
 
     The curve is even in a and flat beyond a_max (where it has already
     converged to the unadjusted constant to well below grid resolution).
-    Calling the curve with any array-like returns interpolated constants.
     """
 
     alpha: float
@@ -156,13 +155,6 @@ class CPlusCurve:
         grid_c = np.array([c_plus(float(a), alpha) for a in grid_a])
         return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
                    grid_a=grid_a, grid_c=grid_c)
-
-    @property
-    def grid(self) -> list[tuple[float, float]]:
-        return [(float(a), float(c)) for a, c in zip(self.grid_a, self.grid_c)]
-
-    def __call__(self, a):
-        return np.interp(np.abs(a), self.grid_a, self.grid_c)
 
 
 @lru_cache(maxsize=8)
@@ -198,11 +190,12 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     held flat, as on the tabulated curve.
     """
     _check_alpha(alpha)
-    selection = select_abs_max(y)
-    idx = selection.selected[0]
+    idx = select_abs_max(y)
     w = float(np.asarray(y, dtype=float)[idx])
     a_max = _A_MAX
     if curve is not None:
+        if not isinstance(curve, CPlusCurve):
+            raise ValueError(f"curve must be a CPlusCurve, got {curve!r}")
         if not math.isclose(curve.alpha, alpha, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"curve was built for alpha={curve.alpha}, got {alpha}")
         a_max = curve.a_max

@@ -129,8 +129,8 @@ def _interval_rows(intervals: list[ConfidenceInterval], y) -> list[tuple]:
             for iv in intervals]
 
 
-_OFFSET_METHODS = ("unadjusted", "bonferroni", "sidak", "fcw-symmetric",
-                   "fcw-shortest", "fcr-selection-aware")
+_OFFSET_METHODS = tuple(label.value.replace("_", "-") for label in MethodLabel
+                        if not label.value.startswith("sos_"))
 _INTERVAL_METHODS = _OFFSET_METHODS + ("sos", "larger-of-two", "abs-max")
 
 
@@ -161,8 +161,7 @@ def cmd_intervals(args) -> OutputTable:
         label = "abs_max"
     else:
         label = args.method.replace("-", "_")
-        offsets = method_offsets(label, m, k, alpha)
-        intervals = _selected_intervals(y, k, lambda idx: offsets, label)
+        intervals = _selected_intervals(y, k, *method_offsets(label, m, k, alpha), label)
 
     meta = {"command": "intervals", "m": int(m), "k": int(k),
             "alpha": alpha, "method": label}

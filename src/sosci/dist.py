@@ -9,6 +9,7 @@ accurate far into the tails, and every sampler is a pure function of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +64,20 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
+def _check_int(value, name: str) -> int:
+    """`value` as an int; bools and non-integral values raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_mk(m: int, k: int) -> None:
+    # plain ints skip the helper: this runs in optimize_delta's search loop
+    if m.__class__ is not int or k.__class__ is not int:
+        m, k = _check_int(m, "m"), _check_int(k, "k")
     if m < 1 or k < 1 or k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
 
@@ -90,33 +104,21 @@ def student_t_quantile(p: float, df: int) -> float:
 class ShiftFamily:
     """A symmetric location family: Y = theta + E with E ~ F0, F0(-x) = 1 - F0(x).
 
-    `cdf` and `quantile` describe F0.  `sampler(rng, size)` returns
-    standardized noise E; callers add the location and scale.
+    An interval around a shift estimate needs only F0's `quantile`; replicate
+    draws come from `draw_replicates`.
     """
 
     name: str
-    cdf: Callable[[float], float]
     quantile: Callable[[float], float]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def normal_family() -> ShiftFamily:
-    return ShiftFamily(
-        name="normal",
-        cdf=std_normal_cdf,
-        quantile=std_normal_quantile,
-        sampler=lambda rng, size: rng.standard_normal(size),
-    )
+    return ShiftFamily("normal", std_normal_quantile)
 
 
 def student_t_family(df: int) -> ShiftFamily:
     df = _check_df(df)
-    return ShiftFamily(
-        name=f"student_t({df})",
-        cdf=lambda x: student_t_cdf(x, df),
-        quantile=lambda p: student_t_quantile(p, df),
-        sampler=lambda rng, size: rng.standard_t(df, size),
-    )
+    return ShiftFamily(f"student_t({df})", lambda p: student_t_quantile(p, df))
 
 
 NORMAL = normal_family()
@@ -144,6 +146,8 @@ class CovarianceModel:
     def __post_init__(self):
         if self.kind not in _COV_KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
+        _check_int(self.dimension, "dimension")
+        _check_int(self.block_size, "block_size")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.kind == "ar" and not -1.0 < self.rho < 1.0:

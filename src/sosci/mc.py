@@ -34,6 +34,8 @@ from .dist import (
     NORMAL,
     CovarianceModel,
     _check_alpha,
+    _check_int,
+    _check_mk,
     cholesky,
     draw_replicates,
     seeded_rng,
@@ -82,6 +84,8 @@ class Scenario:
     t_df: int = 5
 
     def __post_init__(self):
+        for name in ("m", "reps", "seed", "t_df"):
+            _check_int(getattr(self, name), name)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.covariance.dimension != self.m:
@@ -272,6 +276,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     labels = [method] if isinstance(method, str) else list(method)
     if not labels:
         raise ValueError("empty method list")
+    _check_mk(scenario.m, k)
     _check_alpha(alpha)
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
@@ -292,8 +297,6 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
             scored.append(("abs_max", "abs_max", c_at_theta, c_at_theta))
         else:
             label = MethodLabel(label).value
-            if not 1 <= k <= scenario.m:
-                raise ValueError(f"k must lie in 1..{scenario.m}, got {k}")
             c_lo, c_up = method_offsets(label, scenario.m, k, alpha, families)
             rules["top_k"] = lambda y: top_k_indices(y, k)
             scored.append((label, "top_k", scales * c_lo, scales * c_up))
@@ -331,7 +334,7 @@ def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
         raise ValueError("mu must be two finite means")
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
-    if reps < 1:
+    if _check_int(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
     c_both = np.full(2, float(c))
     misses = 0
@@ -391,10 +394,9 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     # JSON numbers arrive as int or float; bools, strings and fractions are
     # rejected rather than truncated
     value = cfg.get(key, default)
-    integral = isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not (isinstance(value, int) or integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return _check_int(value, key)
 
 
 def load_scenario(path) -> Scenario:

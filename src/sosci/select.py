@@ -8,20 +8,11 @@ vector's pick best-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SelectionResult", "select_top_k", "select_abs_max",
-           "top_k_indices", "abs_max_index"]
+from .dist import _check_mk
 
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Indices chosen by a selection rule: the chosen 0-based coordinates,
-    best-first."""
-
-    selected: tuple[int, ...]
+__all__ = ["select_top_k", "select_abs_max", "top_k_indices", "abs_max_index"]
 
 
 def top_k_indices(y: np.ndarray, k: int) -> np.ndarray:
@@ -62,19 +53,18 @@ def _check_values(y) -> np.ndarray:
     return y
 
 
-def select_top_k(y, k: int) -> SelectionResult:
-    """The k largest coordinates of y, largest first; ties break toward the
-    smaller index so the result is deterministic."""
+def select_top_k(y, k: int) -> tuple[int, ...]:
+    """0-based indices of the k largest coordinates of y, largest first; ties
+    break toward the smaller index so the result is deterministic."""
     y = _check_values(y)
-    if not 1 <= k <= y.size:
-        raise ValueError(f"k must lie in 1..{y.size}, got {k}")
-    chosen = sorted(top_k_indices(y, k).tolist(), key=lambda i: (-y[i], i))
-    return SelectionResult(tuple(chosen))
+    _check_mk(y.size, k)
+    return tuple(sorted(top_k_indices(y, k).tolist(), key=lambda i: (-y[i], i)))
 
 
-def select_abs_max(y) -> SelectionResult:
-    """The coordinate of a pair with the larger |y|; ties pick index 0."""
+def select_abs_max(y) -> int:
+    """0-based index of the coordinate of a pair with the larger |y|; ties
+    pick index 0."""
     y = _check_values(y)
     if y.size != 2:
         raise ValueError(f"abs-max selection needs exactly 2 coordinates, got {y.size}")
-    return SelectionResult((int(abs_max_index(y)),))
+    return int(abs_max_index(y))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class IntervalSpec:
     lambda_upper: float
     c_lower: float
     c_upper: float
-    family: ShiftFamily
 
     def __post_init__(self):
         if not (0.0 < self.lambda_lower < 1.0 and 0.0 < self.lambda_upper < 1.0):
@@ -109,7 +107,6 @@ def spec_from_delta(m: int, k: int, alpha: float, delta: float,
         lambda_upper=lam_up,
         c_lower=family.quantile(1.0 - lam_lo),
         c_upper=-family.quantile(lam_up),
-        family=family,
     )
 
 
@@ -166,34 +163,20 @@ def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
     return delta_star, length(delta_star)
 
 
-def _resolve_families(family, m: int) -> list[ShiftFamily]:
-    if isinstance(family, ShiftFamily):
-        return [family] * m
-    families = list(family)
-    if len(families) != m:
-        raise ValueError(f"need one family per coordinate: got {len(families)} for m={m}")
-    if not all(isinstance(f, ShiftFamily) for f in families):
-        raise ValueError("family sequence must contain ShiftFamily entries")
-    return families
-
-
 def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,
                      delta: float | None = None,
-                     family: ShiftFamily | Sequence[ShiftFamily] = NORMAL,
-                     ) -> list[ConfidenceInterval]:
+                     family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
     """Intervals for the k largest of m estimates, best-first.
 
     delta_policy is one of "symmetric", "shortest", or "fixed" (which requires
-    `delta`).  A sequence of per-coordinate families is accepted for the
-    "symmetric" and "fixed" policies; "shortest" needs one common family
-    because a single length is being minimized.
+    `delta`).  Every coordinate shares the one error `family`.
     """
     y = np.asarray(y, dtype=float)
     m = y.size
     _check_mk(m, k)
     _check_alpha(alpha)
-    families = _resolve_families(family, m)
-    homogeneous = all(f is families[0] for f in families)
+    if not isinstance(family, ShiftFamily):
+        raise ValueError(f"family must be a ShiftFamily, got {family!r}")
 
     if delta_policy == "symmetric":
         if delta is not None:
@@ -203,9 +186,7 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     elif delta_policy == "shortest":
         if delta is not None:
             raise ValueError("delta is only accepted with delta_policy='fixed'")
-        if not homogeneous:
-            raise ValueError("delta_policy='shortest' requires a common family")
-        delta, _ = optimize_delta(m, k, alpha, families[0])
+        delta, _ = optimize_delta(m, k, alpha, family)
         label = "sos_shortest"
     elif delta_policy == "fixed":
         if delta is None:
@@ -214,19 +195,12 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     else:
         raise ValueError(f"unknown delta_policy {delta_policy!r}")
 
-    def offsets(idx: int) -> tuple[float, float]:
-        spec = spec_from_delta(m, k, alpha, delta, families[idx])
-        return spec.c_lower, spec.c_upper
-
-    return _selected_intervals(y, k, offsets, label)
+    spec = spec_from_delta(m, k, alpha, delta, family)
+    return _selected_intervals(y, k, spec.c_lower, spec.c_upper, label)
 
 
-def _selected_intervals(y: np.ndarray, k: int, offsets, label: str) -> list[ConfidenceInterval]:
-    # [y_i - lower, y_i + upper] with (lower, upper) = offsets(i) for the k
-    # largest y_i, best-first
-    intervals = []
-    for idx in select_top_k(y, k).selected:
-        lower, upper = offsets(idx)
-        intervals.append(ConfidenceInterval(idx, float(y[idx]) - lower,
-                                            float(y[idx]) + upper, label))
-    return intervals
+def _selected_intervals(y: np.ndarray, k: int, lower: float, upper: float,
+                        label: str) -> list[ConfidenceInterval]:
+    # [y_i - lower, y_i + upper] for the k largest y_i, best-first
+    return [ConfidenceInterval(idx, float(y[idx]) - lower, float(y[idx]) + upper, label)
+            for idx in select_top_k(y, k)]

@@ -78,8 +78,10 @@ def test_c03_cplus_curve_shape():
     start = time.perf_counter()
     curve = cplus_curve(0.05)  # default grid: a in [0, 8], step 0.01
     assert curve.step == 0.01
-    assert abs(curve(0.0) - SIDAK2) <= 1e-3
-    assert abs(curve(3.0) - 1.960) <= 0.02
+    at_3 = int(round(3.0 / curve.step))
+    assert curve.grid_a[0] == 0.0 and curve.grid_a[at_3] == pytest.approx(3.0)
+    assert abs(curve.grid_c[0] - SIDAK2) <= 1e-3
+    assert abs(curve.grid_c[at_3] - 1.960) <= 0.02
     assert np.all(np.diff(curve.grid_c) <= 1e-9)
     assert time.perf_counter() - start < 30.0
 

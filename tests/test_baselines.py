@@ -208,6 +208,17 @@ def test_method_offsets_t_family():
         method_offsets(MethodLabel.FCW_SYMMETRIC, 100, 10, 0.05, family=t5)
 
 
+def test_method_offsets_per_coordinate_families():
+    fams = [normal_family()] * 3 + [student_t_family(5)] * 3
+    lower, upper = method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05, fams)
+    assert lower.shape == upper.shape == (6,)
+    assert lower[0] == method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05)[0]
+    # the t interval is wider than the normal one at the same levels
+    assert lower[3] > lower[0] and upper[3] > upper[0]
+    with pytest.raises(ValueError):
+        method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05, fams[:5])
+
+
 def test_method_length_orders_mid_k():
     # strict width ordering for interior k; the selection-aware baseline and
     # the symmetric plug-in swap places near the extremes, exercised below
@@ -247,3 +258,9 @@ def test_sos_symmetric_length_identity():
         spec.c_lower + spec.c_upper, abs=1e-15)
     assert method_length(MethodLabel.SOS_SYMMETRIC, 100, 10, 0.05) == pytest.approx(
         interval_length(100, 10, 0.05, delta), abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [None, "normal", [None] * 10])
+def test_method_offsets_rejects_non_families(family):
+    with pytest.raises(ValueError, match="family"):
+        method_offsets(MethodLabel.SIDAK, 10, 2, 0.05, family)

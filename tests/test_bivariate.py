@@ -210,24 +210,19 @@ def test_cplus_curve_slope_exceeds_minus_one(alpha):
     assert np.min(np.diff(curve.grid_c) / curve.step) > -1.0
 
 
-def test_curve_build_and_call(small_curve):
+def test_curve_build(small_curve):
     assert small_curve.alpha == 0.05
-    grid = small_curve.grid
-    assert grid[0][0] == 0.0
-    assert grid[-1][0] == pytest.approx(3.0)
-    cs = np.array([c for _, c in grid])
-    assert np.all(np.diff(cs) <= 1e-9)
-    assert small_curve(0.0) == pytest.approx(SIDAK2, abs=1e-6)
-    # evaluation interpolates, is even in a, and clamps beyond the grid
-    assert small_curve(-1.0) == small_curve(1.0)
-    assert small_curve(50.0) == small_curve(3.0)
-    arr = small_curve(np.array([0.0, 1.0, 2.0]))
-    assert arr.shape == (3,)
+    assert small_curve.grid_a[0] == 0.0
+    assert small_curve.grid_a[-1] == pytest.approx(3.0)
+    assert small_curve.grid_a.shape == small_curve.grid_c.shape == (61,)
+    assert np.all(np.diff(small_curve.grid_c) <= 1e-9)
+    assert small_curve.grid_c[0] == pytest.approx(SIDAK2, abs=1e-6)
 
 
 def test_curve_matches_pointwise_solver(small_curve):
-    for a in (0.512, 1.777, 2.404):  # off-knot, so interpolation is exercised
-        assert small_curve(a) == pytest.approx(c_plus(a, 0.05), abs=2e-4)
+    for i in (10, 35, 48):  # knots a = 0.5, 1.75, 2.4
+        a = float(small_curve.grid_a[i])
+        assert small_curve.grid_c[i] == c_plus(a, 0.05)
 
 
 def test_cplus_curve_cache():
@@ -264,16 +259,18 @@ def test_abs_max_interval_never_wider_than_sidak_box(small_curve):
 
 
 def test_abs_max_membership_equivalence(small_curve):
-    # theta is inside the interval exactly when |w - theta| <= c(|theta|)
+    # theta is inside the interval exactly when |w - theta| <= c(|theta|),
+    # with c held flat beyond the curve's a_max
+    thetas = np.arange(-1.0, 7.01, 0.08)
+    c = [c_plus(min(abs(theta), small_curve.a_max), 0.05) for theta in thetas]
     for w in (0.0, 0.7, 1.9, 2.23, 3.4, 5.0):
         ci = abs_max_interval([w, 0.0], 0.05, curve=small_curve)
-        for theta in np.arange(-1.0, 7.01, 0.08):
+        for theta, c_theta in zip(thetas, c):
             inside = ci.lo <= theta <= ci.hi
-            accepted = abs(w - theta) <= small_curve(theta) + 1e-9
+            accepted = abs(w - theta) <= c_theta + 1e-9
             if not inside == accepted:
-                # only tolerate disagreement within interpolation slack
-                gap = abs(abs(w - theta) - small_curve(theta))
-                assert gap <= 2e-3
+                # only tolerate disagreement at the endpoints' solve tolerance
+                assert abs(abs(w - theta) - c_theta) <= 1e-8
 
 
 def test_abs_max_width_profile():
@@ -362,3 +359,10 @@ def test_larger_of_two_coverage_common_shock():
         target = np.asarray(theta)[sel]
         miss = np.mean(np.abs(picked - target) > c)
         assert miss <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps), theta
+
+
+def test_wrong_typed_family_and_curve():
+    with pytest.raises(ValueError, match="family"):
+        larger_of_two_interval([1.0, 0.0], 0.05, family=None)
+    with pytest.raises(ValueError, match="curve"):
+        abs_max_interval([1.0, 0.0], 0.05, curve="x")

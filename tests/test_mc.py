@@ -417,3 +417,24 @@ def test_load_scenario(tmp_path):
                                 "reps": 20, "seed": 4}), encoding="utf-8")
     scn = load_scenario(path)
     assert scn.m == 3 and scn.covariance.rho == 0.5 and scn.reps == 20
+
+
+_SCENARIO_INTEGERS = {"m": 2, "reps": 10, "seed": 1, "t_df": 5}
+
+
+@pytest.mark.parametrize("bad", [1.5, 10.5, True])
+@pytest.mark.parametrize("field", sorted(_SCENARIO_INTEGERS))
+def test_scenario_integer_fields(field, bad):
+    fields = {"covariance": CovarianceModel("ar", 2, 0.0), **_SCENARIO_INTEGERS}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Scenario(**{**fields, field: bad})
+    numpy_value = np.int64(_SCENARIO_INTEGERS[field])
+    assert Scenario(**{**fields, field: numpy_value}) == Scenario(**fields)
+
+
+def test_estimate_b_probability_integer_reps():
+    for bad in (10.5, True):
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            estimate_b_probability((1.0, 2.0), 1.0, bad, 1)
+    assert estimate_b_probability((1.0, 2.0), 1.0, np.int64(50), 1) == \
+        estimate_b_probability((1.0, 2.0), 1.0, 50, 1)

@@ -14,22 +14,19 @@ _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database
 
 
 def test_top_k_basic():
-    res = select_top_k([1.0, 3.0, 2.0], 2)
-    assert res.selected == (1, 2)
+    assert select_top_k([1.0, 3.0, 2.0], 2) == (1, 2)
 
 
 def test_top_k_all():
-    res = select_top_k([0.4, -1.0, 0.2], 3)
-    assert res.selected == (0, 2, 1)
+    assert select_top_k([0.4, -1.0, 0.2], 3) == (0, 2, 1)
 
 
 def test_top_k_single():
-    assert select_top_k([5.0, 7.0, 6.0], 1).selected == (1,)
+    assert select_top_k([5.0, 7.0, 6.0], 1) == (1,)
 
 
 def test_top_k_ties_break_by_index():
-    res = select_top_k([2.0, 2.0, 2.0, 1.0], 2)
-    assert res.selected == (0, 1)
+    assert select_top_k([2.0, 2.0, 2.0, 1.0], 2) == (0, 1)
 
 
 def test_top_k_invariant_under_increasing_transform():
@@ -37,18 +34,17 @@ def test_top_k_invariant_under_increasing_transform():
     for _ in range(20):
         y = rng.standard_normal(12)
         k = int(rng.integers(1, 12))
-        base = select_top_k(y, k).selected
-        scaled = select_top_k(3.0 * y + 1.0, k).selected
-        warped = select_top_k(np.exp(y), k).selected
-        assert np.array_equal(base, scaled)
-        assert np.array_equal(base, warped)
+        base = select_top_k(y, k)
+        scaled = select_top_k(3.0 * y + 1.0, k)
+        warped = select_top_k(np.exp(y), k)
+        assert base == scaled == warped
 
 
 def test_top_k_unchanged_by_appending_smaller_values():
     y = [4.0, 9.0, 7.0]
-    before = select_top_k(y, 2).selected
-    after = select_top_k(y + [-100.0, 0.0], 2).selected
-    assert np.array_equal(before, after)
+    before = select_top_k(y, 2)
+    after = select_top_k(y + [-100.0, 0.0], 2)
+    assert before == after
 
 
 def test_top_k_errors():
@@ -65,14 +61,14 @@ def test_top_k_errors():
 
 
 def test_abs_max_basic():
-    assert select_abs_max([2.9, 2.5]).selected == (0,)
-    assert select_abs_max([-3.1, 2.5]).selected == (0,)
-    assert select_abs_max([0.4, -0.9]).selected == (1,)
+    assert select_abs_max([2.9, 2.5]) == 0
+    assert select_abs_max([-3.1, 2.5]) == 0
+    assert select_abs_max([0.4, -0.9]) == 1
 
 
 def test_abs_max_tie_prefers_first():
-    assert select_abs_max([2.0, -2.0]).selected == (0,)
-    assert select_abs_max([-1.5, 1.5]).selected == (0,)
+    assert select_abs_max([2.0, -2.0]) == 0
+    assert select_abs_max([-1.5, 1.5]) == 0
 
 
 def test_abs_max_errors():
@@ -93,7 +89,7 @@ def test_top_k_indices_rows_match_select_top_k(data):
     block = top_k_indices(y, k)
     assert block.shape == (reps, k)
     for row, chosen in zip(y, block):
-        assert set(chosen) == set(select_top_k(row, k).selected)
+        assert set(chosen) == set(select_top_k(row, k))
 
 
 @_PROPERTY
@@ -115,4 +111,4 @@ def test_abs_max_index_rows_match_select_abs_max(y):
     block = abs_max_index(y)
     assert block.shape == (y.shape[0],)
     for row, chosen in zip(y, block):
-        assert (chosen,) == select_abs_max(row).selected
+        assert chosen == select_abs_max(row)

@@ -79,9 +79,9 @@ def test_spec_from_delta_domain():
 
 def test_interval_spec_validation():
     with pytest.raises(ValueError):
-        IntervalSpec(0.0, 0.01, 2.0, 2.0, normal_family())
+        IntervalSpec(0.0, 0.01, 2.0, 2.0)
     with pytest.raises(ValueError):
-        IntervalSpec(0.01, 0.01, math.inf, 2.0, normal_family())
+        IntervalSpec(0.01, 0.01, math.inf, 2.0)
 
 
 def test_k_of_m_symmetric_two_of_two():
@@ -133,14 +133,13 @@ def test_k_of_m_fixed_requires_delta_and_rejects_otherwise():
 
 
 def test_k_of_m_heterogeneous_families():
+    # one family serves every coordinate; per-coordinate families are a
+    # method_offsets case (the mixed panel)
     fams = [normal_family()] * 3 + [student_t_family(5)] * 3
     y = [3.0, 0.1, 0.2, 2.5, 0.0, -0.3]
-    out = k_of_m_intervals(y, 2, 0.05, family=fams)
-    by_index = {ci.index: ci for ci in out}
-    # the t interval is wider than the normal one at the same levels
-    assert by_index[3].length > by_index[0].length
-    with pytest.raises(ValueError):
-        k_of_m_intervals(y, 2, 0.05, delta_policy="shortest", family=fams)
+    for policy in ("symmetric", "shortest"):
+        with pytest.raises(ValueError):
+            k_of_m_intervals(y, 2, 0.05, delta_policy=policy, family=fams)
 
 
 def test_k_of_m_length_grows_with_k():
@@ -201,3 +200,8 @@ def test_optimize_delta_bounded_by_symmetric():
 def test_optimize_delta_failure_is_typed():
     with pytest.raises(OptimizationError):
         optimize_delta(100, 10, 1e-300)
+
+
+def test_k_of_m_rejects_non_family():
+    with pytest.raises(ValueError, match="family"):
+        k_of_m_intervals([1.0, 2.0, 3.0], 2, 0.05, family=None)
