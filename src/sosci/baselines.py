@@ -17,14 +17,14 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import NORMAL, ShiftFamily, _check_alpha, _check_mk, std_normal_cdf
+from .dist import NORMAL, ShiftFamily, _check_mk, _check_unit, std_normal_cdf
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
     _selected_intervals,
+    _spec,
     golden_section_min,
     optimize_delta,
-    spec_from_delta,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     optimum always sits at d <= the symmetric constant).
     """
     _check_mk(m, k)
-    _check_alpha(alpha)
+    _check_unit(alpha, "alpha")
     target = 1.0 - alpha
     c_sym = brentq(lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0, xtol=1e-12)
     if mode == "symmetric":
@@ -155,7 +155,7 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
     """
     method = MethodLabel(method)
     _check_mk(m, k)
-    _check_alpha(alpha)
+    _check_unit(alpha, "alpha")
     if method is MethodLabel.UNADJUSTED:
         return alpha / 2.0, alpha / 2.0
     if method is MethodLabel.BONFERRONI:
@@ -169,7 +169,7 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
         return p, p
     if method is MethodLabel.SOS_SHORTEST:
         delta, _ = optimize_delta(m, k, alpha, family)
-        spec = spec_from_delta(m, k, alpha, delta, family)
+        spec = _spec(m, k, alpha, delta, family)
         return spec.lambda_lower, spec.lambda_upper
     if method is MethodLabel.FCR_SELECTION_AWARE:
         return 0.5 * alpha * k / m, 0.5 * alpha

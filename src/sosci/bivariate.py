@@ -26,7 +26,7 @@ from scipy import special
 from scipy.optimize import brentq
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
-from .dist import _INV_SQRT_2PI, NORMAL, ShiftFamily, _check_alpha
+from .dist import _INV_SQRT_2PI, NORMAL, ShiftFamily, _check_mean_pair, _check_real, _check_unit
 from .select import select_abs_max, select_top_k
 from .sos import ConfidenceInterval
 
@@ -98,11 +98,7 @@ def b_region_probability(mu, c: float) -> float:
     two-sided coverage, which is why the calibrated constant at 0 matches the
     two-coordinate Sidak constant.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2,) or not np.all(np.isfinite(mu)):
-        raise ValueError("mu must be two finite means")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
+    mu = _check_mean_pair(mu, c)
     if c == 0.0:  # exactly 0, where 1 - miss would leave rounding error
         return 0.0
     return min(max(1.0 - _miss_probability(float(mu[0]), float(mu[1]), c), 0.0), 1.0)
@@ -121,9 +117,9 @@ def c_plus(a: float, alpha: float) -> float:
     the two-coordinate Sidak constant (the value at a = 0); the probability is
     increasing in c, so a sign-change root gives the calibration exactly.
     """
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"a must be finite and >= 0, got {a!r} (the curve is even: use |a|)")
-    _check_alpha(alpha)
+    _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
+                "be finite and >= 0 (the curve is even: use |a|)")
+    _check_unit(alpha, "alpha")
     z, s = _limits(alpha)
     # solved on the miss probability, not on 1 - alpha, so the root keeps its
     # accuracy at small alpha; the miss is 1 at c = 0, so the lower end is
@@ -148,8 +144,8 @@ class CPlusCurve:
 
     @classmethod
     def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
-        if not 0.0 < step <= a_max < math.inf:
-            raise ValueError(f"need finite 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
+        if not 0.0 < _check_real(step, "step") <= _check_real(a_max, "a_max"):
+            raise ValueError(f"need 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
         n = int(round(a_max / step))
         grid_a = np.linspace(0.0, n * step, n + 1)
         grid_c = np.array([c_plus(float(a), alpha) for a in grid_a])
@@ -189,7 +185,7 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     values; `curve` only sets a_max (default 8), beyond which the constant is
     held flat, as on the tabulated curve.
     """
-    _check_alpha(alpha)
+    _check_unit(alpha, "alpha")
     idx = select_abs_max(y)
     w = float(np.asarray(y, dtype=float)[idx])
     a_max = _A_MAX

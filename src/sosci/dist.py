@@ -54,49 +54,74 @@ def std_normal_pdf(x: float) -> float:
 
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (scipy's `ndtri`, accurate to a few ulp)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    _check_unit(p, "p")
     return float(special.ndtri(p))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+# Argument checks: public entry points check each argument once, before any work.
+
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """`value` as an int >= `least`; bools and fractions raise ValueError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
 
 
-def _check_int(value, name: str) -> int:
-    """`value` as an int; bools and non-integral values raise ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_real(value, name: str, test=math.isfinite, what: str = "be a finite number"):
+    """`value` if it is a number (not a bool) that passes `test`, else ValueError."""
+    try:
+        ok = not isinstance(value, bool) and test(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must {what}, got {value!r}")
+    return value
+
+
+def _check_unit(value, name: str) -> None:
+    # written out, not through _check_real: every quantile call runs it
+    try:
+        if 0.0 < value < 1.0:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def _check_mk(m: int, k: int) -> None:
-    # plain ints skip the helper: this runs in optimize_delta's search loop
-    if m.__class__ is not int or k.__class__ is not int:
-        m, k = _check_int(m, "m"), _check_int(k, "k")
-    if m < 1 or k < 1 or k > m:
+    m, k = _check_int(m, "m"), _check_int(k, "k")
+    if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
 
 
-def _check_df(df) -> int:
-    if not float(df).is_integer() or df < 1:
-        raise ValueError(f"df must be a positive integer, got {df!r}")
-    return int(df)
+def _check_family(family) -> None:
+    if not isinstance(family, ShiftFamily):
+        raise ValueError(f"family must be a ShiftFamily, got {family!r}")
+
+
+def _check_mean_pair(mu, c) -> np.ndarray:
+    """`mu` as two finite means, after checking that c >= 0 (inf included)."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (2,) or not np.all(np.isfinite(mu)):
+        raise ValueError("mu must be two finite means")
+    _check_real(c, "c", lambda v: v >= 0.0, "be >= 0")
+    return mu
 
 
 def student_t_cdf(x: float, df: int) -> float:
     """Student-t CDF with integer df >= 1."""
-    return float(special.stdtr(_check_df(df), x))
+    return float(special.stdtr(_check_int(df, "df", 1), x))
 
 
 def student_t_quantile(p: float, df: int) -> float:
-    df = _check_df(df)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    df = _check_int(df, "df", 1)
+    _check_unit(p, "p")
     return float(special.stdtrit(df, p))
 
 
@@ -117,7 +142,7 @@ def normal_family() -> ShiftFamily:
 
 
 def student_t_family(df: int) -> ShiftFamily:
-    df = _check_df(df)
+    df = _check_int(df, "df", 1)
     return ShiftFamily(f"student_t({df})", lambda p: student_t_quantile(p, df))
 
 
@@ -146,31 +171,24 @@ class CovarianceModel:
     def __post_init__(self):
         if self.kind not in _COV_KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
-        _check_int(self.dimension, "dimension")
-        _check_int(self.block_size, "block_size")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_int(self.dimension, "dimension", 1)
+        _check_int(self.block_size, "block_size", 1)
+        _check_real(self.rho, "rho")
         if self.kind == "ar" and not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar rho must lie in (-1, 1), got {self.rho!r}")
         if self.kind == "block" and not 0.0 <= self.rho < 1.0:
             raise ValueError(f"block rho must lie in [0, 1), got {self.rho!r}")
-        if self.kind == "block":
-            if self.block_size < 1 or self.dimension % self.block_size:
-                raise ValueError("dimension must be a positive multiple of block_size")
+        if self.kind == "block" and self.dimension % self.block_size:
+            raise ValueError("dimension must be a positive multiple of block_size")
 
 
-def seeded_rng(seed, *stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream).
+def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
+    """Counter-based generator for (seed, stream); seed is an integer >= 0.
 
     Distinct stream tags give statistically independent streams from one
     master seed, so parallel and sequential runs can draw identical numbers.
-    A Generator passed as `seed` is returned unchanged (stream must be empty).
     """
-    if isinstance(seed, np.random.Generator):
-        if stream:
-            raise ValueError("stream tags require an integer master seed")
-        return seed
-    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
+    seq = np.random.SeedSequence(_check_int(seed, "seed", 0), spawn_key=stream)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -205,11 +223,12 @@ def draw_replicates(rng: np.random.Generator, theta: np.ndarray, lower: np.ndarr
 
 def _sample(theta, sigma: np.ndarray, reps: int, seed, df: int | None) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     lower = cholesky(sigma)
     if theta.shape != (lower.shape[0],):
         raise ValueError("theta and sigma dimensions disagree")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_int(reps, "reps", 1)
     return draw_replicates(seeded_rng(seed), theta, lower, reps, df)
 
 
@@ -221,4 +240,4 @@ def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np
 def sample_mvt(theta: Sequence[float], sigma: np.ndarray, df: int, reps: int, seed) -> np.ndarray:
     """Multivariate-t draws: one chi-square mixing variable per replicate row
     (see `draw_replicates`)."""
-    return _sample(theta, sigma, reps, seed, _check_df(df))
+    return _sample(theta, sigma, reps, seed, _check_int(df, "df", 1))

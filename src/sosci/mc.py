@@ -33,9 +33,11 @@ from .bivariate import c_plus
 from .dist import (
     NORMAL,
     CovarianceModel,
-    _check_alpha,
     _check_int,
+    _check_mean_pair,
     _check_mk,
+    _check_real,
+    _check_unit,
     cholesky,
     draw_replicates,
     seeded_rng,
@@ -84,32 +86,25 @@ class Scenario:
     t_df: int = 5
 
     def __post_init__(self):
-        for name in ("m", "reps", "seed", "t_df"):
-            _check_int(getattr(self, name), name)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name, least in (("m", 1), ("reps", 1), ("seed", 0), ("t_df", 1)):
+            _check_int(getattr(self, name), name, least)
         if self.covariance.dimension != self.m:
             raise ValueError(
                 f"covariance dimension {self.covariance.dimension} != m {self.m}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.theta_rule not in _THETA_RULES:
             raise ValueError(f"unknown theta_rule {self.theta_rule!r}")
         if self.theta_rule == "fixed":
-            if self.theta is None or len(self.theta) != self.m:
+            if np.ndim(self.theta) != 1 or len(self.theta) != self.m:
                 raise ValueError("theta_rule='fixed' needs a theta of length m")
+            for t in self.theta:
+                _check_real(t, "theta")
         elif self.theta is not None:
             raise ValueError("theta is only accepted with theta_rule='fixed'")
-        if not math.isfinite(self.eta) or self.eta < 0.0:
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
+        _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
         if self.panel not in _PANELS:
             raise ValueError(f"unknown panel {self.panel!r}")
         if self.panel == "half_normal_half_t5" and self.m % 2:
             raise ValueError("the mixed panel needs an even m")
-        if self.t_df < 1:
-            raise ValueError("t_df must be >= 1")
 
 
 def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
@@ -125,8 +120,7 @@ def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
         with np.errstate(divide="ignore"):
             base = 0.5 * dist_ij.astype(float) ** -5.0
         np.fill_diagonal(base, 1.0)
-        rng = seeded_rng(seed, _STREAM_COV) if not isinstance(seed, np.random.Generator) else seed
-        scale = np.sqrt(rng.uniform(1.0, 3.0, m))
+        scale = np.sqrt(seeded_rng(seed, _STREAM_COV).uniform(1.0, 3.0, m))
         sigma = base * np.outer(scale, scale)
     else:  # block
         blocks = m // model.block_size
@@ -138,10 +132,7 @@ def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
 
 def resolve_theta(scenario: Scenario) -> np.ndarray:
     if scenario.theta_rule == "fixed":
-        theta = np.asarray(scenario.theta, dtype=float)
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        return theta
+        return np.asarray(scenario.theta, dtype=float)
     rng = seeded_rng(scenario.seed, _STREAM_THETA)
     return rng.uniform(-1.0, 1.0, scenario.m) * scenario.eta
 
@@ -273,13 +264,12 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     built for).  On the half_normal_half_t5 panel each coordinate takes its
     own family's quantile, and sos_shortest tunes delta on the normal family.
     """
-    labels = [method] if isinstance(method, str) else list(method)
-    if not labels:
-        raise ValueError("empty method list")
+    labels = [method] if isinstance(method, str) else method
+    if not isinstance(labels, Sequence) or not labels:
+        raise ValueError(f"method must be a label or a non-empty sequence, got {method!r}")
     _check_mk(scenario.m, k)
-    _check_alpha(alpha)
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
+    _check_unit(alpha, "alpha")
+    _check_int(n_jobs, "n_jobs", 1)
     sigma = build_covariance(scenario.covariance, scenario.seed)
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
@@ -329,13 +319,8 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
 def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
     """Monte-Carlo check of `b_region_probability`: fraction of N(mu, I_2)
     draws whose abs-max coordinate lands within c of its own mean."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2,) or not np.all(np.isfinite(mu)):
-        raise ValueError("mu must be two finite means")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
-    if _check_int(reps, "reps") < 1:
-        raise ValueError("reps must be >= 1")
+    mu = _check_mean_pair(mu, c)
+    _check_int(reps, "reps", 1)
     c_both = np.full(2, float(c))
     misses = 0
     for block, size in enumerate(_block_sizes(reps)):
@@ -373,18 +358,20 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     model = CovarianceModel(
         kind=cov_cfg["kind"],
         dimension=_integer(cov_cfg, "dimension", _integer(cfg, "m")),
-        rho=float(cov_cfg.get("rho", 0.0)),
+        rho=_real(cov_cfg.get("rho", 0.0), "rho"),
         block_size=_integer(cov_cfg, "block_size", 10),
     )
     theta = cfg.get("theta")
+    if isinstance(theta, list):  # anything else is left for Scenario to reject
+        theta = tuple(_real(t, "theta") for t in theta)
     return Scenario(
         m=_integer(cfg, "m"),
         covariance=model,
         reps=_integer(cfg, "reps"),
         seed=_integer(cfg, "seed"),
-        eta=float(cfg.get("eta", 0.0)),
+        eta=_real(cfg.get("eta", 0.0), "eta"),
         theta_rule=str(cfg.get("theta_rule", "uniform")),
-        theta=None if theta is None else tuple(float(t) for t in theta),
+        theta=theta,
         panel=str(cfg.get("panel", "all_normal")),
         t_df=_integer(cfg, "t_df", 5),
     )
@@ -397,6 +384,11 @@ def _integer(cfg: dict, key: str, default=None) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return _check_int(value, key)
+
+
+def _real(value, key: str) -> float:
+    # a JSON number (int or float) as a float; bools, strings and null raise
+    return float(_check_real(value, key))
 
 
 def load_scenario(path) -> Scenario:

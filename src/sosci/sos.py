@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NORMAL, ShiftFamily, _check_alpha, _check_mk
+from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_unit
 from .select import select_top_k
 
 __all__ = [
@@ -97,9 +97,14 @@ def symmetric_delta(m: int, k: int) -> float:
 def spec_from_delta(m: int, k: int, alpha: float, delta: float,
                     family: ShiftFamily = NORMAL) -> IntervalSpec:
     _check_mk(m, k)
-    _check_alpha(alpha)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_unit(alpha, "alpha")
+    _check_unit(delta, "delta")
+    _check_family(family)
+    return _spec(m, k, alpha, delta, family)
+
+
+def _spec(m: int, k: int, alpha: float, delta: float, family: ShiftFamily) -> IntervalSpec:
+    # unchecked: the delta search calls this at every step
     lam_lo = delta * alpha / m
     lam_up = (1.0 - delta) * alpha / k
     return IntervalSpec(
@@ -145,11 +150,13 @@ def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
     golden-section search over (DELTA_EPS, 1 - DELTA_EPS) suffices.
     """
     _check_mk(m, k)
-    _check_alpha(alpha)
+    _check_unit(alpha, "alpha")
+    _check_family(family)
 
     def length(delta: float) -> float:
         try:
-            val = interval_length(m, k, alpha, delta, family)
+            spec = _spec(m, k, alpha, delta, family)
+            val = spec.c_lower + spec.c_upper
         except ValueError as exc:
             # tail level underflowed the quantile domain
             raise OptimizationError(
@@ -173,11 +180,6 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     """
     y = np.asarray(y, dtype=float)
     m = y.size
-    _check_mk(m, k)
-    _check_alpha(alpha)
-    if not isinstance(family, ShiftFamily):
-        raise ValueError(f"family must be a ShiftFamily, got {family!r}")
-
     if delta_policy == "symmetric":
         if delta is not None:
             raise ValueError("delta is only accepted with delta_policy='fixed'")

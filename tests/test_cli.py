@@ -118,6 +118,15 @@ def test_simulate_config_file(tmp_path, capsys):
     path.write_text(json.dumps({**cfg, "m": 10.7}), encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
     assert code == 2 and "m must be an integer" in err
+    # config-file reals must be JSON numbers: no traceback, no coercion
+    for key, value in [("eta", None), ("eta", "2"), ("theta", 5)]:
+        path.write_text(json.dumps({**cfg, "theta_rule": "fixed", key: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
+        assert code == 2 and out == "" and key in err
+    path.write_text(json.dumps({**cfg, "covariance": {"kind": "ar", "rho": None}}),
+                    encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
+    assert code == 2 and "rho" in err
 
 
 def test_simulate_rejects_unknown_method(capsys):
@@ -206,6 +215,8 @@ def test_delta_scan_explicit_deltas(capsys):
     ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--eta", ""),
     ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--methods", ","),
     ("simulate", "--m", "2", "--k", "2", "--reps", "10", "--methods", "abs_max"),
+    ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--sigma-model", "time-decay",
+     "--rho", "nan"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -183,10 +184,8 @@ def test_seeded_rng_streams():
     c = dist.seeded_rng(5, 1).standard_normal(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, c)
-    gen = dist.seeded_rng(5)
-    assert dist.seeded_rng(gen) is gen
-    with pytest.raises(ValueError):
-        dist.seeded_rng(gen, 3)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dist.seeded_rng(dist.seeded_rng(5))
 
 
 def test_covariance_model_validation():
@@ -237,3 +236,83 @@ def test_covariance_model_integer_fields(field, bad):
         dist.CovarianceModel(**{**fields, field: bad})
     assert dist.CovarianceModel(**{**fields, field: np.int64(fields[field])}) == \
         dist.CovarianceModel(**fields)
+
+
+_I2 = np.eye(2)
+_GEN = np.random.default_rng(0)
+_SCN = sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 4, 0.0), reps=50, seed=1)
+_FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 4, 0.0), "reps": 50, "seed": 1,
+          "theta_rule": "fixed"}
+
+_BAD_ARGUMENTS = {
+    # case -> (call, the argument its message must name)
+    "alpha None, k_of_m_intervals": (lambda: sosci.k_of_m_intervals([1.0, 2.0], 1, None), "alpha"),
+    "alpha str, method_offsets": (lambda: sosci.method_offsets("sidak", 10, 2, "0.5"), "alpha"),
+    "alpha None, fcw_constants": (lambda: sosci.fcw_constants(10, 2, None), "alpha"),
+    "alpha str, optimize_delta": (lambda: sosci.optimize_delta(10, 2, "0.5"), "alpha"),
+    "alpha str, c_plus": (lambda: sosci.c_plus(0.0, "0.05"), "alpha"),
+    "alpha None, abs_max_interval": (lambda: sosci.abs_max_interval([1.0, 2.0], None), "alpha"),
+    "alpha None, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, "sidak", None), "alpha"),
+    "delta None, spec_from_delta": (lambda: sosci.spec_from_delta(10, 2, 0.05, None), "delta"),
+    "delta str, interval_length": (lambda: sosci.interval_length(10, 2, 0.05, "0.5"), "delta"),
+    "delta str, k_of_m_intervals": (
+        lambda: sosci.k_of_m_intervals([1.0, 2.0], 1, 0.05, "fixed", delta="0.5"), "delta"),
+    "p None, std_normal_quantile": (lambda: dist.std_normal_quantile(None), "p"),
+    "p str, student_t_quantile": (lambda: dist.student_t_quantile("0.5", 5), "p"),
+    "df True, student_t_family": (lambda: dist.student_t_family(True), "df"),
+    "df None, student_t_cdf": (lambda: dist.student_t_cdf(0.0, None), "df"),
+    "df True, sample_mvt": (lambda: dist.sample_mvt(np.zeros(2), _I2, True, 3, 1), "df"),
+    "family None, spec_from_delta": (
+        lambda: sosci.spec_from_delta(10, 2, 0.05, 0.5, None), "family"),
+    "family None, interval_length": (
+        lambda: sosci.interval_length(10, 2, 0.05, 0.5, None), "family"),
+    "family None, optimize_delta": (lambda: sosci.optimize_delta(10, 2, 0.05, None), "family"),
+    "family None, method_tail_levels": (
+        lambda: sosci.method_tail_levels("sos_shortest", 10, 2, 0.05, None), "family"),
+    "seed 1.5, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 3, 1.5), "seed"),
+    "seed str, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 3, "7"), "seed"),
+    "seed Generator, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 3, _GEN), "seed"),
+    "seed True, seeded_rng": (lambda: dist.seeded_rng(True), "seed"),
+    "seed Generator, build_covariance": (
+        lambda: sosci.build_covariance(dist.CovarianceModel("time_decay", 3), _GEN), "seed"),
+    "seed 1.5, build_covariance": (
+        lambda: sosci.build_covariance(dist.CovarianceModel("time_decay", 3), 1.5), "seed"),
+    "seed 1.5, estimate_b_probability": (
+        lambda: sosci.estimate_b_probability([0.0, 0.0], 1.0, 10, 1.5), "seed"),
+    "reps True, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, True, 1), "reps"),
+    "reps 2.5, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 2.5, 1), "reps"),
+    "reps None, sample_mvt": (lambda: dist.sample_mvt(np.zeros(2), _I2, 5, None, 1), "reps"),
+    "n_jobs 2.5, run_coverage": (
+        lambda: sosci.run_coverage(_SCN, 2, "sidak", n_jobs=2.5), "n_jobs"),
+    "n_jobs True, run_coverage": (
+        lambda: sosci.run_coverage(_SCN, 2, "sidak", n_jobs=True), "n_jobs"),
+    "method int, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, 5), "method"),
+    "method None, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, None), "method"),
+    "theta nan, sample_mvn": (lambda: dist.sample_mvn([math.nan, 0.0], _I2, 3, 1), "theta"),
+    "theta str, Scenario": (lambda: sosci.Scenario(**_FIXED, theta=("1", 0.0, 0.0, 0.0)), "theta"),
+    "theta int, Scenario": (lambda: sosci.Scenario(**_FIXED, theta=5), "theta"),
+    "eta str, Scenario": (lambda: dataclasses.replace(_SCN, eta="1"), "eta"),
+    "eta None, Scenario": (lambda: dataclasses.replace(_SCN, eta=None), "eta"),
+    "eta True, Scenario": (lambda: dataclasses.replace(_SCN, eta=True), "eta"),
+    "rho str, CovarianceModel": (lambda: dist.CovarianceModel("ar", 4, "0.1"), "rho"),
+    "rho None, CovarianceModel": (lambda: dist.CovarianceModel("block", 4, None, 2), "rho"),
+    "rho nan, time_decay CovarianceModel": (
+        lambda: dist.CovarianceModel("time_decay", 4, math.nan), "rho"),
+    "block_size 0, ar CovarianceModel": (
+        lambda: dist.CovarianceModel("ar", 4, 0.0, block_size=0), "block_size"),
+    "c None, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], None), "c"),
+    "c True, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], True), "c"),
+    "c str, estimate_b_probability": (
+        lambda: sosci.estimate_b_probability([0.0, 0.0], "1", 10, 1), "c"),
+    "a None, c_plus": (lambda: sosci.c_plus(None, 0.05), "a"),
+    "a True, c_plus": (lambda: sosci.c_plus(True, 0.05), "a"),
+    "a_max None, cplus_curve": (lambda: sosci.cplus_curve(0.05, None), "a_max"),
+    "step str, CPlusCurve.build": (lambda: sosci.CPlusCurve.build(0.05, 1.0, "0.5"), "step"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_value_error_naming_them(case):
+    call, name = _BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=rf"(^|\W){name}\W"):
+        call()

@@ -407,8 +407,20 @@ def test_scenario_from_dict_errors():
                        ("dimension", "4")]:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             scenario_from_dict({**base, "covariance": {"kind": "block", key: value}})
-    # integral floats are exact and accepted
+    # real fields take JSON numbers only, and theta is a list of them
+    for key, value in [("eta", None), ("eta", "2"), ("eta", True), ("theta", 5),
+                       ("theta", [0.0, "1", 0.0, 0.0]), ("theta", [0.0, None, 0.0, 0.0])]:
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict({**base, "theta_rule": "fixed" if key == "theta" else "uniform",
+                                key: value})
+    for value in (None, "0.1", False):
+        with pytest.raises(ValueError, match="rho"):
+            scenario_from_dict({**base, "covariance": {"kind": "ar", "rho": value}})
+    # integral floats are exact and accepted, and so are integer reals
     assert scenario_from_dict({**base, "m": 4.0, "reps": 10.0}).m == 4
+    scn = scenario_from_dict({**base, "eta": 2, "theta_rule": "fixed", "theta": [0, 1, 2, 3],
+                              "covariance": {"kind": "ar", "rho": 0}})
+    assert scn.eta == 2.0 and type(scn.eta) is float and scn.theta == (0.0, 1.0, 2.0, 3.0)
 
 
 def test_load_scenario(tmp_path):
