@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import NORMAL, ShiftFamily, _check_mk, _check_unit, std_normal_cdf
+from .dist import NORMAL, ShiftFamily, _check_mk, _check_real_array, _check_unit, std_normal_cdf
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
@@ -139,7 +139,7 @@ def fcr_selection_aware_offsets(m: int, k: int, alpha: float,
 def fcr_selection_aware_interval(y, k: int, alpha: float,
                                  family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
     """Selection-aware intervals for the k largest of m estimates, best-first."""
-    y = np.asarray(y, dtype=float)
+    y = _check_real_array(y, "y")
     offsets = fcr_selection_aware_offsets(y.size, k, alpha, family)
     return _selected_intervals(y, k, *offsets, MethodLabel.FCR_SELECTION_AWARE.value)
 

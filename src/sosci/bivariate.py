@@ -23,12 +23,19 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
-from .dist import _INV_SQRT_2PI, NORMAL, ShiftFamily, _check_mean_pair, _check_real, _check_unit
+from .dist import (
+    _INV_SQRT_2PI,
+    NORMAL,
+    ShiftFamily,
+    _check_mean_pair,
+    _check_real,
+    _check_real_array,
+    _check_unit,
+)
 from .select import select_abs_max, select_top_k
-from .sos import ConfidenceInterval
+from .sos import ConfidenceInterval, OptimizationError
 
 __all__ = [
     "CPlusCurve",
@@ -42,6 +49,9 @@ __all__ = [
 _GL_X, _GL_W = special.roots_legendre(48)  # Gauss-Legendre rule on [-1, 1]
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
+_STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
+_MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
+_CHUNK = 32  # elements per pass of the quadrature rule
 
 
 def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> ConfidenceInterval:
@@ -54,7 +64,7 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     only make the selected estimate more likely to track its own parameter.
     """
     c, _ = method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha, family)
-    y = np.asarray(y, dtype=float)
+    y = _check_real_array(y, "y")
     if y.size != 2:
         raise ValueError(f"needs exactly 2 estimates, got {y.size}")
     (idx,) = select_top_k(y, 1)
@@ -62,32 +72,67 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
 
-def _miss_term(mu_i: float, mu_j: float, c: float) -> float:
-    # Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| } for independent standard
-    # normal errors, by conditioning on Y_i = mu_i + t:
-    #   integral_{|t| > c} phi(t) [Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j)] dt
+def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray):
+    # For each element, the miss term
+    #   Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| }
+    # for independent standard normal errors, and its slopes in mu_i, mu_j
+    # and c.  Conditioning on Y_i = mu_i + t,
+    #   term = integral_{|t| > c} phi(t) h(t) dt,
+    #   h(t) = Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j).
+    # The term is even in mu_i (t -> -t), so it is taken at |mu_i|, whose
+    # |t + mu_i| kink at t = -|mu_i| can only fall in the lower tail.
     # Integrating the two tails, not [-c, c], keeps full relative accuracy
     # when the miss probability is tiny.  Each tail ends where phi has fallen
-    # by e^-40 from phi(c) and is split at the |t + mu_i| kink (a kink outside
-    # the tail leaves one panel empty); the integrand is smooth on each panel,
-    # so a fixed Gauss-Legendre rule is exact to rounding.
-    c = min(c, _C_UNDERFLOW)
-    far = c + 80.0 / (math.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
-    left = min(max(-mu_i, -far), -c)
-    right = min(max(-mu_i, c), far)
-    lo = np.array([-far, left, c, right])
-    hi = np.array([left, -c, right, far])
-    half = 0.5 * (hi - lo)[:, None]
-    t = 0.5 * (hi + lo)[:, None] + half * _GL_X
-    u = np.abs(t + mu_i)
-    f = np.exp(-0.5 * t * t) * (special.ndtr(u - mu_j) - special.ndtr(-u - mu_j))
-    return _INV_SQRT_2PI * float(np.sum(half * _GL_W * f))
+    # by e^-40 from phi(c), and the lower one is split at the kink (a kink
+    # outside it leaves one panel empty); the integrand and its mu slopes are
+    # smooth on each panel, so a fixed Gauss-Legendre rule is exact to
+    # rounding.  The c slope is the integrand at the two tail edges,
+    # -phi(c) [h(c) + h(-c)], and needs no quadrature.
+    sign_i, mu_i = np.sign(mu_i), np.abs(mu_i)
+    c = np.minimum(c, _C_UNDERFLOW)
+    far = c + 80.0 / (np.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
+    left = np.minimum(np.maximum(-mu_i, -far), -c)
+    lo = np.stack([-far, left, c], axis=-1)
+    hi = np.stack([left, -c, far], axis=-1)
+    half = 0.5 * (hi - lo)[..., None]
+    t = 0.5 * (hi + lo)[..., None] + half * _GL_X  # (n, 3 panels, 48 nodes)
+    weight = half * _GL_W * np.exp(-0.5 * t * t)
+    t += mu_i[:, None, None]
+    u = np.abs(t)
+    mu_j3 = mu_j[:, None, None]
+    near = np.exp(-0.5 * (u - mu_j3) ** 2)  # sqrt(2 pi) phi(|t + mu_i| - mu_j)
+    away = np.exp(-0.5 * (u + mu_j3) ** 2)  # sqrt(2 pi) phi(-|t + mu_i| - mu_j)
+
+    def integral(f):
+        # one pairwise sum per element over its 144 contiguous nodes, so an
+        # element's value does not depend on the batch it is evaluated in
+        return _INV_SQRT_2PI * np.sum((weight * f).reshape(len(mu_i), -1), axis=-1)
+
+    def h(edge):
+        v = np.abs(edge + mu_i)
+        return special.ndtr(v - mu_j) - special.ndtr(-v - mu_j)
+
+    term = integral(special.ndtr(u - mu_j3) - special.ndtr(-u - mu_j3))
+    d_mu_i = sign_i * _INV_SQRT_2PI * integral(np.sign(t) * (near + away))
+    d_mu_j = _INV_SQRT_2PI * integral(away - near)
+    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h(c) + h(-c))
+    return term, d_mu_i, d_mu_j, d_c
 
 
-def _miss_probability(mu_0: float, mu_1: float, c: float) -> float:
-    # 1 - b_region_probability: the two coordinates' selection events split
-    # the sample space, so their conditional integrals over all t sum to 1
-    return _miss_term(mu_0, mu_1, c) + _miss_term(mu_1, mu_0, c)
+def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray):
+    # 1 - b_region_probability at means (mu_0, mu_1), with its slopes in mu_0
+    # and c: the two coordinates' selection events split the sample space,
+    # so their conditional integrals over all t sum to 1.  Elements go
+    # through the rule _CHUNK at a time, which bounds its temporaries.
+    out = np.empty((3, len(mu_0)))
+    for lo in range(0, len(mu_0), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        n = len(mu_0[part])
+        term, d_mu_i, d_mu_j, d_c = _tail_rule(np.concatenate([mu_0[part], mu_1[part]]),
+                                               np.concatenate([mu_1[part], mu_0[part]]),
+                                               np.concatenate([c[part], c[part]]))
+        out[:, part] = term[:n] + term[n:], d_mu_i[:n] + d_mu_j[n:], d_c[:n] + d_c[n:]
+    return out
 
 
 def b_region_probability(mu, c: float) -> float:
@@ -101,31 +146,70 @@ def b_region_probability(mu, c: float) -> float:
     mu = _check_mean_pair(mu, c)
     if c == 0.0:  # exactly 0, where 1 - miss would leave rounding error
         return 0.0
-    return min(max(1.0 - _miss_probability(float(mu[0]), float(mu[1]), c), 0.0), 1.0)
+    miss = float(_miss_probability(mu[:1], mu[1:], np.array([float(c)]))[0, 0])
+    return min(max(1.0 - miss, 0.0), 1.0)
 
 
-def _limits(alpha: float) -> tuple[float, float]:
-    # the unadjusted constant (c_plus as a -> infinity) and the
-    # two-coordinate Sidak constant (c_plus at a = 0)
-    return method_offsets(MethodLabel.UNADJUSTED, 2, 1, alpha)[0], sidak_halfwidth(2, alpha)
+def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
+            alpha: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
+    # Solves, for each element, the pair
+    #   log miss(min(|a|, a_max), c) = log alpha   and   a + slope c = w
+    # by Newton steps in (a, c) from the given start.  The second equation
+    # is linear, so a start on it stays on it.  log miss is smooth and close
+    # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
+    # two-coordinate Sidak end of the range, every solve tried (alpha from
+    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps.
+    # An element is frozen once its step is below _STEP_TOL, so each result
+    # is the one a batch of that element alone would give.
+    a, c = a.copy(), c.copy()
+    log_alpha = math.log(alpha)
+    todo = np.arange(len(a))
+    for _ in range(_MAX_STEPS):
+        at, ct, st = a[todo], c[todo], slope[todo]
+        inside = np.abs(at) < a_max  # beyond a_max the constant is held flat
+        miss, miss_a, miss_c = _miss_probability(
+            np.where(inside, np.abs(at), a_max), np.zeros(len(todo)), ct)
+        f = np.log(miss) - log_alpha
+        g = at + st * ct - w[todo]
+        f_a = np.where(inside, np.sign(at) * miss_a / miss, 0.0)
+        f_c = miss_c / miss
+        det = st * f_a - f_c
+        step_a = (f_c * g - st * f) / det
+        step_c = (f - f_a * g) / det
+        a[todo] = at + step_a
+        c[todo] = ct + step_c
+        # a NaN step never counts as converged
+        todo = todo[~(np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL)]
+        if not len(todo):
+            return a, c
+    raise OptimizationError(
+        f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
+
+
+def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
+    # c_plus at each a >= 0: the constraint a = a_i holds from the start
+    start = np.full(len(grid_a), sidak_halfwidth(2, alpha))
+    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha, math.inf)[1]
 
 
 def c_plus(a: float, alpha: float) -> float:
     """Smallest c with Pr{hit at mean (a, 0)} >= 1 - alpha, for a >= 0.
 
-    Bracketed between the unadjusted constant (the a -> infinity limit) and
-    the two-coordinate Sidak constant (the value at a = 0); the probability is
-    increasing in c, so a sign-change root gives the calibration exactly.
+    The miss probability falls in c from 1 at c = 0, so the calibration is
+    its one root: Newton steps on the log miss probability, whose c slope is
+    the integrand at the tail edges, started at the two-coordinate Sidak
+    constant (the value at a = 0, and the largest over a).
     """
     _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
                 "be finite and >= 0 (the curve is even: use |a|)")
     _check_unit(alpha, "alpha")
-    z, s = _limits(alpha)
-    # solved on the miss probability, not on 1 - alpha, so the root keeps its
-    # accuracy at small alpha; the miss is 1 at c = 0, so the lower end is
-    # clamped at 0
-    return float(brentq(lambda c: alpha - _miss_probability(float(a), 0.0, c),
-                        max(z - 0.05, 0.0), s + 0.05, xtol=1e-9))
+    return float(_calibrate(np.array([float(a)]), alpha)[0])
+
+
+def _check_grid(alpha: float, a_max: float, step: float) -> None:
+    _check_unit(alpha, "alpha")
+    if not 0.0 < _check_real(step, "step") <= _check_real(a_max, "a_max"):
+        raise ValueError(f"need 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,18 +228,22 @@ class CPlusCurve:
 
     @classmethod
     def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
-        if not 0.0 < _check_real(step, "step") <= _check_real(a_max, "a_max"):
-            raise ValueError(f"need 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
+        """Solves every knot in one batch; each equals `c_plus` at its a."""
+        _check_grid(alpha, a_max, step)
         n = int(round(a_max / step))
         grid_a = np.linspace(0.0, n * step, n + 1)
-        grid_c = np.array([c_plus(float(a), alpha) for a in grid_a])
         return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
-                   grid_a=grid_a, grid_c=grid_c)
+                   grid_a=grid_a, grid_c=_calibrate(grid_a, alpha))
+
+
+def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:
+    """Cached curve; the arguments are checked before the cache sees them."""
+    _check_grid(alpha, a_max, step)
+    return _cached_curve(alpha, a_max, step)
 
 
 @lru_cache(maxsize=8)
-def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:
-    """Cached curve; building one evaluates ~a_max/step quadrature roots."""
+def _cached_curve(alpha: float, a_max: float, step: float) -> CPlusCurve:
     return CPlusCurve.build(alpha, a_max, step)
 
 
@@ -163,15 +251,13 @@ def _invert_endpoints(w: float, alpha: float, a_max: float) -> tuple[float, floa
     # endpoints for a nonnegative selected value w:
     #   lower = inf{a : a + c(|a|) >= w},  upper = sup{a : a - c(|a|) <= w}
     # c lies in [z, s] and its slope exceeds -1, so a + c(|a|) and a - c(|a|)
-    # are increasing and each endpoint is the one sign change in its bracket
-    z, s = _limits(alpha)
-
-    def c(a: float) -> float:
-        return c_plus(min(abs(a), a_max), alpha)
-
-    lower = brentq(lambda a: a + c(a) - w, w - s - 0.05, w - z + 0.05, xtol=1e-9)
-    upper = brentq(lambda a: a - c(a) - w, w + z - 0.05, w + s + 0.05, xtol=1e-9)
-    return float(lower), float(upper)
+    # are increasing and each endpoint is the one solution of a +/- c = w
+    # with c = c(min(|a|, a_max)); both are solved in one batch, started at
+    # the ends of the Sidak box, where c = s
+    s = sidak_halfwidth(2, alpha)
+    slope = np.array([1.0, -1.0])
+    a, _ = _newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]), alpha, a_max)
+    return float(a[0]), float(a[1])
 
 
 def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> ConfidenceInterval:

@@ -84,6 +84,17 @@ def _check_real(value, name: str, test=math.isfinite, what: str = "be a finite n
     return value
 
 
+def _check_real_array(values, name: str) -> np.ndarray:
+    """`values` as a float array if its dtype is real (int or float), else
+    ValueError: strings, bools and objects are not parsed.  Only the dtype is
+    read, so an array argument costs nothing extra; shape and finiteness are
+    the caller's to check."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _check_unit(value, name: str) -> None:
     # written out, not through _check_real: every quantile call runs it
     try:
@@ -107,7 +118,7 @@ def _check_family(family) -> None:
 
 def _check_mean_pair(mu, c) -> np.ndarray:
     """`mu` as two finite means, after checking that c >= 0 (inf included)."""
-    mu = np.asarray(mu, dtype=float)
+    mu = _check_real_array(mu, "mu")
     if mu.shape != (2,) or not np.all(np.isfinite(mu)):
         raise ValueError("mu must be two finite means")
     _check_real(c, "c", lambda v: v >= 0.0, "be >= 0")
@@ -194,7 +205,7 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor; raises NotPositiveDefiniteError on failure."""
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _check_real_array(sigma, "sigma")
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"sigma must be a square matrix, got shape {sigma.shape}")
     if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
@@ -222,7 +233,7 @@ def draw_replicates(rng: np.random.Generator, theta: np.ndarray, lower: np.ndarr
 
 
 def _sample(theta, sigma: np.ndarray, reps: int, seed, df: int | None) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_real_array(theta, "theta")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     lower = cholesky(sigma)

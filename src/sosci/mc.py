@@ -88,6 +88,8 @@ class Scenario:
     def __post_init__(self):
         for name, least in (("m", 1), ("reps", 1), ("seed", 0), ("t_df", 1)):
             _check_int(getattr(self, name), name, least)
+        if not isinstance(self.covariance, CovarianceModel):
+            raise ValueError(f"covariance must be a CovarianceModel, got {self.covariance!r}")
         if self.covariance.dimension != self.m:
             raise ValueError(
                 f"covariance dimension {self.covariance.dimension} != m {self.m}")
@@ -264,6 +266,8 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     built for).  On the half_normal_half_t5 panel each coordinate takes its
     own family's quantile, and sos_shortest tunes delta on the normal family.
     """
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"scenario must be a Scenario, got {scenario!r}")
     labels = [method] if isinstance(method, str) else method
     if not isinstance(labels, Sequence) or not labels:
         raise ValueError(f"method must be a label or a non-empty sequence, got {method!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import _check_mk
+from .dist import _check_mk, _check_real_array
 
 __all__ = ["select_top_k", "select_abs_max", "top_k_indices", "abs_max_index"]
 
@@ -45,7 +45,7 @@ def abs_max_index(y: np.ndarray) -> np.ndarray:
 
 
 def _check_values(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
+    y = _check_real_array(y, "y")
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a non-empty 1-d array")
     if not np.all(np.isfinite(y)):

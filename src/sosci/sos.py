@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_unit
+from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_real_array, _check_unit
 from .select import select_top_k
 
 __all__ = [
@@ -46,7 +46,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class OptimizationError(Exception):
-    """An interval-length optimization failed to produce a finite value."""
+    """A numerical search failed: an interval-length optimization gave no
+    finite value, or an abs-max calibration did not converge."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     delta_policy is one of "symmetric", "shortest", or "fixed" (which requires
     `delta`).  Every coordinate shares the one error `family`.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_real_array(y, "y")
     m = y.size
     if delta_policy == "symmetric":
         if delta is not None:

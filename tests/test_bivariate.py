@@ -22,7 +22,9 @@ from sosci.dist import (
     std_normal_pdf,
     student_t_family,
 )
+from sosci import bivariate
 from sosci.mc import Scenario, estimate_b_probability
+from sosci.sos import OptimizationError
 
 from _oracles import b_region_quad
 
@@ -126,6 +128,26 @@ def test_b_region_matches_quadrature_oracle():
         assert b_region_probability(mu, np.inf) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_miss_slopes_match_finite_differences():
+    # the Newton solver's slopes of the miss probability at mean (a, 0): the
+    # c slope from the tail edges, the a slope from the rule's nodes.  No
+    # grid point has |a| = c, where the slopes are continuous but the
+    # second derivatives jump, so a central difference is only O(h) there
+    h = 1e-5
+
+    def miss(a, c):
+        return bivariate._miss_probability(np.array([a]), np.zeros(1), np.array([c]))[:, 0]
+
+    for a in (-3.0, -1.0, 0.0, 0.3, 1.0, 2.2, 5.0, 9.0):
+        for c in (0.05, 0.5, 1.5, 2.5, 4.0, 7.0):
+            p, slope_a, slope_c = miss(a, c)
+            assert p == pytest.approx(1.0 - b_region_probability((a, 0.0), c), abs=1e-15)
+            fd_a = (miss(a + h, c)[0] - miss(a - h, c)[0]) / (2 * h)
+            fd_c = (miss(a, c + h)[0] - miss(a, c - h)[0]) / (2 * h)
+            assert abs(slope_a - fd_a) <= 1e-7, (a, c)
+            assert abs(slope_c - fd_c) <= 1e-7, (a, c)
+
+
 def test_b_region_monotone_in_c():
     grid = np.arange(0.2, 3.2, 0.2)
     probs = [b_region_probability((1.0, 0.5), c) for c in grid]
@@ -181,6 +203,20 @@ def test_c_plus_exact_at_small_alpha(alpha):
     assert c_plus(12.0, alpha) == pytest.approx(-special.ndtri(0.5 * alpha), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.05, 0.9, 0.999])
+def test_c_plus_matches_bracketed_root(alpha):
+    # reference: a bracketed root of the same tail-integrated miss
+    # probability, solved far tighter than the Newton step tolerance
+    z = sidak_halfwidth(1, alpha)
+    s = sidak_halfwidth(2, alpha)
+    for a in (0.0, 0.7, 2.2, 5.0, 12.0):
+        def excess(c):
+            return bivariate._miss_probability(np.array([a]), np.zeros(1), np.array([c]))[0, 0] - alpha
+
+        root = brentq(excess, max(z - 0.05, 1e-6), s + 0.05, xtol=1e-14)
+        assert c_plus(a, alpha) == pytest.approx(root, abs=1e-11), a
+
+
 @pytest.mark.parametrize("alpha", [0.97, 0.98, 0.999])
 @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
 def test_c_plus_large_alpha(a, alpha):
@@ -194,8 +230,8 @@ def test_c_plus_large_alpha(a, alpha):
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
 def test_c_plus_between_limits(alpha):
-    # the one brentq bracket [z - 0.05, s + 0.05] of c_plus and of both
-    # abs-max endpoint solves rests on z <= c_plus(a) <= s
+    # the Newton solves of c_plus and of both abs-max endpoints start at the
+    # Sidak end s of the range z <= c_plus(a) <= s
     z = sidak_halfwidth(1, alpha)
     s = sidak_halfwidth(2, alpha)
     for a in np.arange(0.0, 12.01, 0.25):
@@ -223,6 +259,41 @@ def test_curve_matches_pointwise_solver(small_curve):
     for i in (10, 35, 48):  # knots a = 0.5, 1.75, 2.4
         a = float(small_curve.grid_a[i])
         assert small_curve.grid_c[i] == c_plus(a, 0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.9])
+def test_curve_equals_c_plus_at_every_knot(alpha):
+    # the batched build freezes each knot once it converges, so it is the
+    # scalar solve bit for bit
+    curve = CPlusCurve.build(alpha)
+    pointwise = [c_plus(float(a), alpha) for a in curve.grid_a]
+    assert curve.grid_c.tolist() == pointwise
+
+
+def test_calibration_forms_its_start_once_per_call(monkeypatch):
+    # the Sidak start of every Newton solve comes from one quantile call per
+    # public call, not one per knot or per endpoint
+    calls = []
+
+    def counted(m, alpha):
+        calls.append((m, alpha))
+        return sidak_halfwidth(m, alpha)
+
+    monkeypatch.setattr(bivariate, "sidak_halfwidth", counted)
+    CPlusCurve.build(0.05, a_max=2.0, step=0.1)
+    c_plus(1.0, 0.05)
+    abs_max_interval([1.0, 0.0], 0.05)
+    assert calls == [(2, 0.05)] * 3
+
+
+def test_newton_cap_raises_optimization_error(monkeypatch):
+    monkeypatch.setattr(bivariate, "_MAX_STEPS", 2)
+    with pytest.raises(OptimizationError, match="did not converge"):
+        c_plus(1.0, 0.05)
+    with pytest.raises(OptimizationError, match="did not converge"):
+        CPlusCurve.build(0.05, a_max=1.0, step=0.5)
+    with pytest.raises(OptimizationError, match="did not converge"):
+        abs_max_interval([1.0, 0.0], 0.05)
 
 
 def test_cplus_curve_cache():
@@ -284,7 +355,7 @@ def test_abs_max_width_profile():
     assert widths[0.0] < widths[2.23]
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.9])
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
 def test_abs_max_endpoints_solve_exactly(alpha):
     curve = CPlusCurve.build(alpha, a_max=3.0, step=0.5)
     for a_max, given in ((8.0, None), (3.0, curve)):

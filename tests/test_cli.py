@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sosci import cli
+from sosci import bivariate, cli
 from sosci.sos import OptimizationError
 
 
@@ -253,6 +253,19 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_calibration_iteration_cap_exits_3(capsys, monkeypatch):
+    # a Newton solve that hits its step cap is a named numerical failure
+    monkeypatch.setattr(bivariate, "_MAX_STEPS", 2)
+    code, out, err = run_cli(capsys, "cplus-curve", "--alpha", "0.0437", "--a-max", "1",
+                             "--step", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err
+    code, out, err = run_cli(capsys, "intervals", "--method", "abs-max", "--y", "1.2,0.3")
+    assert code == 3
+    assert "did not converge" in err
 
 
 def test_help_exits_0(capsys):

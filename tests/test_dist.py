@@ -308,6 +308,27 @@ _BAD_ARGUMENTS = {
     "a True, c_plus": (lambda: sosci.c_plus(True, 0.05), "a"),
     "a_max None, cplus_curve": (lambda: sosci.cplus_curve(0.05, None), "a_max"),
     "step str, CPlusCurve.build": (lambda: sosci.CPlusCurve.build(0.05, 1.0, "0.5"), "step"),
+    # checked before the curve cache hashes them
+    "alpha list, cplus_curve": (lambda: sosci.cplus_curve([0.05]), "alpha"),
+    "a_max list, cplus_curve": (lambda: sosci.cplus_curve(0.05, [8.0]), "a_max"),
+    "covariance None, Scenario": (
+        lambda: sosci.Scenario(m=2, reps=10, seed=1, covariance=None), "covariance"),
+    "scenario None, run_coverage": (lambda: sosci.run_coverage(None, 1, "sidak"), "scenario"),
+    # array arguments holding strings are not parsed
+    "y str, select_top_k": (lambda: sosci.select_top_k(["3", "1"], 1), "y"),
+    "y str, select_abs_max": (lambda: sosci.select_abs_max(["3", "1"]), "y"),
+    "y bool, select_top_k": (lambda: sosci.select_top_k([True, False], 1), "y"),
+    "y str, k_of_m_intervals": (lambda: sosci.k_of_m_intervals(["3", "1", "2"], 1, 0.05), "y"),
+    "y str, fcr_selection_aware_interval": (
+        lambda: sosci.fcr_selection_aware_interval(["3", "1", "2"], 1, 0.05), "y"),
+    "y str, larger_of_two_interval": (
+        lambda: sosci.larger_of_two_interval(["1", "0"], 0.05), "y"),
+    "y str, abs_max_interval": (lambda: sosci.abs_max_interval(["1", "0"], 0.05), "y"),
+    "mu str, b_region_probability": (lambda: sosci.b_region_probability(["1", "0"], 1.0), "mu"),
+    "theta str, sample_mvn": (lambda: dist.sample_mvn(["1", "0"], _I2, 2, 1), "theta"),
+    "sigma str, cholesky": (lambda: dist.cholesky([["1", "0"], ["0", "1"]]), "sigma"),
+    "sigma object, sample_mvt": (
+        lambda: dist.sample_mvt([0.0, 0.0], np.array([[1, 0], [0, None]]), 5, 2, 1), "sigma"),
 }
 
 
@@ -316,3 +337,13 @@ def test_bad_arguments_raise_value_error_naming_them(case):
     call, name = _BAD_ARGUMENTS[case]
     with pytest.raises(ValueError, match=rf"(^|\W){name}\W"):
         call()
+
+
+def test_real_array_check_reads_only_the_dtype():
+    # a float array passes through as the same object, so a replicate-sized
+    # block is neither copied nor scanned; integer arrays become floats
+    block = np.zeros((4096, 100))
+    assert dist._check_real_array(block, "y") is block
+    ints = dist._check_real_array([3, 1], "y")
+    assert ints.dtype == np.float64 and ints.tolist() == [3.0, 1.0]
+    assert sosci.select_top_k(np.array([3, 1], dtype=np.int32), 1) == (0,)
