@@ -9,6 +9,7 @@ from .baselines import (
     fcr_selection_aware_interval,
     fcr_selection_aware_offsets,
     fcw_constants,
+    k_of_m_intervals,
     method_length,
     method_offsets,
     method_tail_levels,
@@ -55,10 +56,8 @@ from .sos import (
     IntervalSpec,
     OptimizationError,
     interval_length,
-    k_of_m_intervals,
     optimize_delta,
     spec_from_delta,
-    symmetric_delta,
 )
 
 __version__ = "0.1.0"
@@ -75,15 +74,14 @@ __all__ = [
     "select_top_k", "select_abs_max",
     # sos
     "ConfidenceInterval", "IntervalSpec", "OptimizationError",
-    "spec_from_delta", "symmetric_delta", "interval_length",
-    "optimize_delta", "k_of_m_intervals",
+    "spec_from_delta", "interval_length", "optimize_delta",
     # bivariate
     "CPlusCurve", "larger_of_two_interval", "b_region_probability", "c_plus",
     "cplus_curve", "abs_max_interval",
     # baselines
     "MethodLabel", "bonferroni_halfwidth", "sidak_halfwidth", "fcw_constants",
     "fcr_selection_aware_offsets", "fcr_selection_aware_interval",
-    "method_tail_levels", "method_offsets", "method_length",
+    "method_tail_levels", "method_offsets", "method_length", "k_of_m_intervals",
     # mc
     "Scenario", "CoverageReport", "build_covariance", "resolve_theta",
     "run_coverage", "estimate_b_probability", "scenario_from_dict",

@@ -6,6 +6,9 @@ simultaneous intervals, the coverage-of-winners construction (per-coordinate
 offsets (c, d) around the selected estimates, tuned for the rank statistics
 of m independent standard normals), and the selection-aware false-coverage
 variant that widens only the lower side by the selection fraction k/m.
+`method_offsets` turns any of these labels, and the delta family's
+sos_symmetric and sos_shortest rows, into offsets; `k_of_m_intervals` reads
+those rows for its symmetric and shortest policies.
 """
 
 from __future__ import annotations
@@ -17,14 +20,24 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import NORMAL, ShiftFamily, _check_mk, _check_real_array, _check_unit, std_normal_cdf
+from .dist import (
+    NORMAL,
+    ShiftFamily,
+    _check_family,
+    _check_mk,
+    _check_real_array,
+    _check_unit,
+    std_normal_cdf,
+)
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
+    OptimizationError,
     _selected_intervals,
     _spec,
     golden_section_min,
     optimize_delta,
+    spec_from_delta,
 )
 
 __all__ = [
@@ -37,6 +50,7 @@ __all__ = [
     "method_tail_levels",
     "method_offsets",
     "method_length",
+    "k_of_m_intervals",
 ]
 
 
@@ -82,12 +96,21 @@ def _fcw_tail_limit(d: float, m: int, k: int) -> float:
     return (1.0 - b) ** (k - 1) * (1.0 - b ** (m - k + 1))
 
 
+def _fcw_root(f, lo: float, hi: float, m: int, k: int, alpha: float) -> float:
+    # root of an increasing f on [lo, hi]; an end where f is already 0 (as
+    # when 1 - alpha rounds to 1) is no root of the coverage equation
+    if not f(lo) < 0.0 < f(hi):
+        raise OptimizationError(
+            f"no FCW constant attains coverage 1 - alpha at m={m}, k={k}, alpha={alpha!r}")
+    return brentq(f, lo, hi, xtol=1e-12)
+
+
 def _fcw_solve_c(d: float, m: int, k: int, alpha: float) -> float | None:
     target = 1.0 - alpha
     if _fcw_tail_limit(d, m, k) <= target + 1e-9:
         return None
-    hi = 10.0 + d
-    return brentq(lambda c: _fcw_coverage(c, d, m, k) - target, 1e-12, hi, xtol=1e-12)
+    return _fcw_root(lambda c: _fcw_coverage(c, d, m, k) - target, 1e-12, 10.0 + d,
+                     m, k, alpha)
 
 
 def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tuple[float, float]:
@@ -100,20 +123,20 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     """
     _check_mk(m, k)
     _check_unit(alpha, "alpha")
+    if mode not in ("symmetric", "shortest"):
+        raise ValueError(f"unknown mode {mode!r}")
     target = 1.0 - alpha
-    c_sym = brentq(lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0, xtol=1e-12)
+    c_sym = _fcw_root(lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0, m, k, alpha)
     if mode == "symmetric":
         return c_sym, c_sym
-    if mode != "shortest":
-        raise ValueError(f"unknown mode {mode!r}")
 
     if _fcw_tail_limit(0.0, m, k) > target + 1e-9:
         d_lo = 0.0
     else:
         # feasibility margin, kept below alpha so that target + margin < 1
         margin = min(1e-6, alpha / 2.0)
-        d_lo = brentq(lambda d: _fcw_tail_limit(d, m, k) - (target + margin), 0.0, 20.0,
-                      xtol=1e-12)
+        d_lo = _fcw_root(lambda d: _fcw_tail_limit(d, m, k) - (target + margin), 0.0, 20.0,
+                         m, k, alpha)
 
     def total(d: float) -> float:
         c = _fcw_solve_c(d, m, k, alpha)
@@ -125,7 +148,8 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     d_star = min((d_lo, d_star, d_hi), key=total)
     c_star = _fcw_solve_c(d_star, m, k, alpha)
     if c_star is None:
-        raise ValueError(f"no feasible lower offset at d={d_star!r} (alpha too extreme)")
+        raise OptimizationError(
+            f"no feasible lower offset at d={d_star!r} for m={m}, k={k}, alpha={alpha!r}")
     return c_star, d_star
 
 
@@ -147,7 +171,7 @@ def fcr_selection_aware_interval(y, k: int, alpha: float,
 def method_tail_levels(method, m: int, k: int, alpha: float,
                        family: ShiftFamily = NORMAL) -> tuple[float, float]:
     """Per-coordinate tail probabilities (lower, upper) so that the offsets of
-    a quantile-based method are F0^{-1}(1 - p).
+    a quantile-based method are -F0^{-1}(p).
 
     The coverage-of-winners methods are defined through normal-specific
     constants rather than tail levels, so they are rejected here; `family`
@@ -162,7 +186,10 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
         p = alpha / (2.0 * m)
         return p, p
     if method is MethodLabel.SIDAK:
-        p = -math.expm1(math.log1p(-alpha) / m) / 2.0  # no cancellation at small alpha
+        # expm1/log1p: no cancellation at small alpha.  Bernoulli's inequality
+        # puts the level at or above Bonferroni's; the max keeps it there
+        # through rounding, as at m = 1, where the two are equal
+        p = max(-math.expm1(math.log1p(-alpha) / m), alpha / m) / 2.0
         return p, p
     if method is MethodLabel.SOS_SYMMETRIC:
         p = alpha / (m + k)
@@ -194,7 +221,9 @@ def method_offsets(method, m: int, k: int, alpha: float,
     `family` is one ShiftFamily, giving two floats, or one family per
     coordinate, giving two arrays of m offsets.  With a sequence, the tail
     levels (and so the sos_shortest delta) are tuned on the normal family and
-    each coordinate takes its own family's quantile.
+    each coordinate takes its own family's quantile.  An offset is -F0^{-1}(p)
+    at its tail level p, which equals F0^{-1}(1 - p) by the family's symmetry
+    without rounding 1 - p, so no small level loses digits to it.
     """
     method = MethodLabel(method)
     single = isinstance(family, ShiftFamily)
@@ -206,8 +235,8 @@ def method_offsets(method, m: int, k: int, alpha: float,
         c, d = fcw_constants(m, k, alpha, mode)
         return (c, d) if single else (np.full(m, c), np.full(m, d))
     p_lo, p_up = method_tail_levels(method, m, k, alpha, family if single else NORMAL)
-    lower = [f.quantile(1.0 - p_lo) for f in families]
-    upper = [f.quantile(1.0 - p_up) for f in families]
+    lower = [-f.quantile(p_lo) for f in families]
+    upper = [-f.quantile(p_up) for f in families]
     return (lower[0], upper[0]) if single else (np.array(lower), np.array(upper))
 
 
@@ -215,3 +244,28 @@ def method_length(method, m: int, k: int, alpha: float,
                   family: ShiftFamily = NORMAL) -> float:
     lower, upper = method_offsets(method, m, k, alpha, family)
     return lower + upper
+
+
+def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,
+                     delta: float | None = None,
+                     family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
+    """Intervals for the k largest of m estimates, best-first.
+
+    delta_policy "symmetric" and "shortest" are the sos_symmetric and
+    sos_shortest rows of the method table; "fixed" requires `delta`.  Every
+    coordinate shares the one error `family`.
+    """
+    y = _check_real_array(y, "y")
+    m = y.size
+    if delta_policy == "fixed":
+        if delta is None:
+            raise ValueError("delta_policy='fixed' requires delta")
+        spec = spec_from_delta(m, k, alpha, delta, family)
+        return _selected_intervals(y, k, spec.c_lower, spec.c_upper, "sos_fixed")
+    if delta_policy not in ("symmetric", "shortest"):
+        raise ValueError(f"unknown delta_policy {delta_policy!r}")
+    if delta is not None:
+        raise ValueError("delta is only accepted with delta_policy='fixed'")
+    _check_family(family)  # method_offsets would take a sequence, one family per coordinate
+    label = f"sos_{delta_policy}"
+    return _selected_intervals(y, k, *method_offsets(label, m, k, alpha, family), label)

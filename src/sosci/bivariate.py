@@ -49,6 +49,7 @@ __all__ = [
 _GL_X, _GL_W = special.roots_legendre(48)  # Gauss-Legendre rule on [-1, 1]
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
+_A_FLAT = 100.0  # c_plus has the same bits at every a beyond about 13
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _CHUNK = 32  # elements per pass of the quadrature rule
@@ -187,9 +188,11 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
 
 
 def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a >= 0: the constraint a = a_i holds from the start
+    # c_plus at each a >= 0: the constraint a = a_i holds from the start.
+    # a is held at _A_FLAT beyond it, which changes no bit and keeps a huge a
+    # from overflowing the rule's squares
     start = np.full(len(grid_a), sidak_halfwidth(2, alpha))
-    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha, math.inf)[1]
+    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha, _A_FLAT)[1]
 
 
 def c_plus(a: float, alpha: float) -> float:

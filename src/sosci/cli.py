@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .baselines import MethodLabel, method_offsets
+from .baselines import MethodLabel, k_of_m_intervals, method_offsets
 from .bivariate import abs_max_interval, cplus_curve, larger_of_two_interval
 from .dist import CovarianceModel, NotPositiveDefiniteError
 from .mc import Scenario, load_scenario, run_coverage
@@ -26,7 +26,6 @@ from .sos import (
     OptimizationError,
     _selected_intervals,
     interval_length,
-    k_of_m_intervals,
     optimize_delta,
 )
 

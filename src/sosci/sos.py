@@ -16,6 +16,9 @@ only for the k selected ones, so the probability that any selected interval
 misses is at most m * lambda_lower + k * lambda_upper = alpha, for any joint
 dependence between the coordinates.  delta = m / (m + k) makes the two tail
 levels equal; "shortest" tunes delta to minimize the common interval length.
+Both are rows of the method table in `baselines`, which also holds
+`k_of_m_intervals`; this module keeps the delta search and the fixed-delta
+spec.
 """
 
 from __future__ import annotations
@@ -25,18 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_real_array, _check_unit
+from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_unit
 from .select import select_top_k
 
 __all__ = [
     "OptimizationError",
     "ConfidenceInterval",
     "IntervalSpec",
-    "symmetric_delta",
     "spec_from_delta",
     "interval_length",
     "optimize_delta",
-    "k_of_m_intervals",
     "golden_section_min",
 ]
 
@@ -87,12 +88,6 @@ class IntervalSpec:
             raise ValueError("tail levels must lie in (0, 1)")
         if not (math.isfinite(self.c_lower) and math.isfinite(self.c_upper)):
             raise ValueError("offsets must be finite")
-
-
-def symmetric_delta(m: int, k: int) -> float:
-    """The delta that equalizes the two tail levels at alpha / (m + k)."""
-    _check_mk(m, k)
-    return m / (m + k)
 
 
 def spec_from_delta(m: int, k: int, alpha: float, delta: float,
@@ -169,37 +164,6 @@ def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
 
     delta_star = golden_section_min(length, DELTA_EPS, 1.0 - DELTA_EPS, tol)
     return delta_star, length(delta_star)
-
-
-def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,
-                     delta: float | None = None,
-                     family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
-    """Intervals for the k largest of m estimates, best-first.
-
-    delta_policy is one of "symmetric", "shortest", or "fixed" (which requires
-    `delta`).  Every coordinate shares the one error `family`.
-    """
-    y = _check_real_array(y, "y")
-    m = y.size
-    if delta_policy == "symmetric":
-        if delta is not None:
-            raise ValueError("delta is only accepted with delta_policy='fixed'")
-        delta = symmetric_delta(m, k)
-        label = "sos_symmetric"
-    elif delta_policy == "shortest":
-        if delta is not None:
-            raise ValueError("delta is only accepted with delta_policy='fixed'")
-        delta, _ = optimize_delta(m, k, alpha, family)
-        label = "sos_shortest"
-    elif delta_policy == "fixed":
-        if delta is None:
-            raise ValueError("delta_policy='fixed' requires delta")
-        label = "sos_fixed"
-    else:
-        raise ValueError(f"unknown delta_policy {delta_policy!r}")
-
-    spec = spec_from_delta(m, k, alpha, delta, family)
-    return _selected_intervals(y, k, spec.c_lower, spec.c_upper, label)
 
 
 def _selected_intervals(y: np.ndarray, k: int, lower: float, upper: float,

@@ -1,22 +1,28 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from sosci import (
     MethodLabel,
+    OptimizationError,
     bonferroni_halfwidth,
     fcr_selection_aware_offsets,
     fcw_constants,
     interval_length,
+    k_of_m_intervals,
     method_length,
     method_offsets,
     method_tail_levels,
     optimize_delta,
     sidak_halfwidth,
     spec_from_delta,
-    symmetric_delta,
 )
 from sosci.baselines import _fcw_coverage
 from sosci.dist import normal_family, student_t_family
@@ -24,6 +30,13 @@ from sosci.dist import normal_family, student_t_family
 from _oracles import grid_argmin
 
 Z975 = 1.959963985
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_QUANTILE_METHODS = st.sampled_from([MethodLabel.UNADJUSTED, MethodLabel.BONFERRONI,
+                                     MethodLabel.SIDAK, MethodLabel.SOS_SYMMETRIC,
+                                     MethodLabel.FCR_SELECTION_AWARE])
+_M = st.integers(1, 10**15)
+_ALPHA = st.floats(1e-8, 0.999)
 
 
 def test_method_label_values():
@@ -139,6 +152,17 @@ def test_fcw_mode_and_domain_errors():
         fcw_constants(10, 0, 0.05)
 
 
+@pytest.mark.parametrize("m, k, alpha, mode", [
+    (100, 10, 1e-20, "symmetric"),    # 1 - alpha rounds to 1
+    (3, 2, 1e-300, "symmetric"),
+    (3, 1, 0.9999999999, "shortest"),  # c -> 0 already covers
+    (3, 2, 1e-300, "shortest"),
+])
+def test_fcw_unattainable_coverage_is_named_failure(m, k, alpha, mode):
+    with pytest.raises(OptimizationError, match=re.escape(f"m={m}, k={k}, alpha={alpha!r}")):
+        fcw_constants(m, k, alpha, mode)
+
+
 def test_fcr_offsets_frozen():
     lo, hi = fcr_selection_aware_offsets(100, 10, 0.05)
     # oracle: quantiles at 1 - 0.025 * k/m and 1 - 0.025
@@ -252,7 +276,7 @@ def test_method_length_edge_k_behavior():
 
 
 def test_sos_symmetric_length_identity():
-    delta = symmetric_delta(100, 10)
+    delta = 100 / (100 + 10)
     spec = spec_from_delta(100, 10, 0.05, delta)
     assert interval_length(100, 10, 0.05, delta) == pytest.approx(
         spec.c_lower + spec.c_upper, abs=1e-15)
@@ -264,3 +288,48 @@ def test_sos_symmetric_length_identity():
 def test_method_offsets_rejects_non_families(family):
     with pytest.raises(ValueError, match="family"):
         method_offsets(MethodLabel.SIDAK, 10, 2, 0.05, family)
+
+
+@_PROPERTY
+@given(_QUANTILE_METHODS, _M, _ALPHA, st.data())
+def test_table_offsets_are_exact_quantiles(method, m, alpha, data):
+    # an offset is -ndtri at its tail level, with no 1 - p rounded first
+    k = data.draw(st.integers(1, m))
+    levels = method_tail_levels(method, m, k, alpha)
+    offsets = method_offsets(method, m, k, alpha)
+    assert all(math.isfinite(c) for c in offsets)
+    assert offsets == tuple(-float(special.ndtri(p)) for p in levels)
+
+
+@_PROPERTY
+@given(_QUANTILE_METHODS, _M, _M, _ALPHA, st.data())
+def test_table_offsets_non_decreasing_in_m(method, m1, m2, alpha, data):
+    m1, m2 = sorted((m1, m2))
+    k = data.draw(st.integers(1, m1))
+    levels1 = method_tail_levels(method, m1, k, alpha)
+    levels2 = method_tail_levels(method, m2, k, alpha)
+    assert all(p2 <= p1 for p1, p2 in zip(levels1, levels2))
+    # ndtri is accurate to a few ulp but not monotone to the ulp: between
+    # adjacent levels it can step back by up to 3 ulp
+    offsets1 = method_offsets(method, m1, k, alpha)
+    offsets2 = method_offsets(method, m2, k, alpha)
+    assert all(c2 >= c1 - 4.0 * np.spacing(c1) for c1, c2 in zip(offsets1, offsets2))
+
+
+@_PROPERTY
+@given(_M, _ALPHA)
+@example(1, 0.46932566237350243)  # expm1(log1p(-alpha)) rounds below alpha here
+def test_sidak_never_wider_than_bonferroni(m, alpha):
+    assert sidak_halfwidth(m, alpha) <= bonferroni_halfwidth(m, alpha)
+
+
+@_PROPERTY
+@given(arrays(np.float64, st.integers(1, 30), elements=st.floats(-1e6, 1e6)),
+       st.sampled_from(["symmetric", "shortest"]), _ALPHA, st.data())
+def test_k_of_m_endpoints_are_table_offsets(y, policy, alpha, data):
+    k = data.draw(st.integers(1, y.size))
+    label = f"sos_{policy}"
+    lower, upper = method_offsets(label, y.size, k, alpha)
+    intervals = k_of_m_intervals(y, k, alpha, policy)
+    assert [(iv.lo, iv.hi, iv.method) for iv in intervals] == [
+        (float(y[iv.index]) - lower, float(y[iv.index]) + upper, label) for iv in intervals]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ def test_c_plus_exact_at_small_alpha(alpha):
     sidak_tail = 0.5 * alpha / (1.0 + math.sqrt(1.0 - alpha))
     assert c_plus(0.0, alpha) == pytest.approx(-special.ndtri(sidak_tail), abs=1e-9)
     assert c_plus(12.0, alpha) == pytest.approx(-special.ndtri(0.5 * alpha), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-30])
+def test_c_plus_exact_where_one_minus_alpha_rounds(alpha):
+    # the Sidak start is the quantile at level p, not at 1 - p, which rounds to 1 here
+    exact = -special.ndtri(-math.expm1(math.log1p(-alpha) / 2.0) / 2.0)
+    assert c_plus(0.0, alpha) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 0.05, 0.999])
+def test_c_plus_flat_at_huge_a(alpha):
+    # the solve holds a at _A_FLAT beyond it: a genuine solve at 20 or 50
+    # already has the same bits, and a huge a must not overflow the rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = c_plus(bivariate._A_FLAT, alpha)
+        for a in (20.0, 50.0, 1e3, 1e150, 1e300):
+            assert c_plus(a, alpha) == flat, a
 
 
 @pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.05, 0.9, 0.999])

@@ -268,6 +268,36 @@ def test_calibration_iteration_cap_exits_3(capsys, monkeypatch):
     assert "did not converge" in err
 
 
+@pytest.mark.parametrize("y, k, method, alpha", [
+    (",".join(str(i) for i in range(100)), 10, "fcw-symmetric", "1e-20"),
+    ("1,2,3", 2, "fcw-symmetric", "1e-300"),
+    ("1,2,3", 1, "fcw-shortest", "0.9999999999"),
+    ("1,2,3", 2, "fcw-shortest", "1e-300"),
+], ids=["m100-symmetric", "m3-symmetric", "m3-shortest-large-alpha", "m3-shortest-tiny-alpha"])
+def test_unattainable_fcw_coverage_exits_3(capsys, y, k, method, alpha):
+    code, out, err = run_cli(capsys, "intervals", "--y", y, "--k", str(k),
+                             "--method", method, "--alpha", alpha)
+    assert code == 3
+    assert out == ""
+    assert f"m={len(y.split(','))}, k={k}, alpha={float(alpha)!r}" in err
+
+
+def test_cplus_curve_where_one_minus_alpha_rounds(capsys):
+    code, out, _ = run_cli(capsys, "cplus-curve", "--alpha", "1e-17")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 801
+
+
+def test_simulate_abs_max_at_huge_eta(capsys):
+    # RuntimeWarnings are errors in this suite, so an overflow would fail here
+    code, out, _ = run_cli(capsys, "simulate", "--m", "2", "--k", "1", "--methods",
+                           "abs_max", "--eta", "1e300", "--reps", "200")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [r[3] for r in rows] == ["abs_max"]
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "intervals", "--help")[0] == 0

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +22,14 @@ def test_star_import():
     namespace = {}
     exec("from sosci import *", namespace)
     assert set(sosci.__all__) <= set(namespace)
+
+
+def test_bench_tracer_wraps_names_that_exist():
+    # bench/tracer.py wraps sosci's layer boundaries by attribute name, so a
+    # moved function must keep every wrapped name resolving; the subprocess
+    # keeps the wrappers out of this test session
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

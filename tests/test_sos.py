@@ -12,7 +12,6 @@ from sosci import (
     k_of_m_intervals,
     optimize_delta,
     spec_from_delta,
-    symmetric_delta,
 )
 from sosci.dist import normal_family, student_t_family
 from sosci.sos import golden_section_min
@@ -31,12 +30,6 @@ def test_confidence_interval_contract():
         ConfidenceInterval(0, math.nan, 0.0, "x")
 
 
-def test_symmetric_delta():
-    assert symmetric_delta(100, 10) == pytest.approx(100 / 110)
-    assert symmetric_delta(2, 1) == pytest.approx(2 / 3)
-    assert symmetric_delta(7, 7) == 0.5
-
-
 def test_spec_from_delta_splits_alpha():
     spec = spec_from_delta(100, 10, 0.05, 0.4)
     assert spec.lambda_lower == pytest.approx(0.4 * 0.05 / 100)
@@ -46,7 +39,7 @@ def test_spec_from_delta_splits_alpha():
 
 def test_spec_from_delta_symmetric_frozen():
     # oracle: independent bisection quantiles for the (m, k) = (100, 10) split
-    spec = spec_from_delta(100, 10, 0.05, symmetric_delta(100, 10))
+    spec = spec_from_delta(100, 10, 0.05, 100 / (100 + 10))
     assert spec.c_lower == pytest.approx(3.317247362, abs=1e-8)
     assert spec.c_upper == pytest.approx(3.317247362, abs=1e-8)
 
@@ -193,7 +186,7 @@ def test_optimize_delta_k_equals_m_is_half():
 def test_optimize_delta_bounded_by_symmetric():
     for m, k in ((100, 1), (100, 10), (20, 5)):
         _, len_star = optimize_delta(m, k, 0.05)
-        sym_len = interval_length(m, k, 0.05, symmetric_delta(m, k))
+        sym_len = interval_length(m, k, 0.05, m / (m + k))
         assert len_star <= sym_len + 1e-9
 
 
