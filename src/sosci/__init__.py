@@ -5,12 +5,8 @@ coverage engine."""
 
 from .baselines import (
     MethodLabel,
-    bonferroni_halfwidth,
-    fcr_selection_aware_interval,
-    fcr_selection_aware_offsets,
     fcw_constants,
     k_of_m_intervals,
-    method_length,
     method_offsets,
     method_tail_levels,
     sidak_halfwidth,
@@ -29,14 +25,10 @@ from .dist import (
     NotPositiveDefiniteError,
     ShiftFamily,
     cholesky,
-    normal_family,
     sample_mvn,
-    sample_mvt,
     seeded_rng,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
-    student_t_cdf,
     student_t_family,
     student_t_quantile,
 )
@@ -44,7 +36,6 @@ from .mc import (
     CoverageReport,
     Scenario,
     build_covariance,
-    estimate_b_probability,
     load_scenario,
     resolve_theta,
     run_coverage,
@@ -67,9 +58,8 @@ __all__ = [
     "__version__",
     # dist
     "NORMAL", "ShiftFamily", "CovarianceModel", "NotPositiveDefiniteError",
-    "normal_family", "student_t_family", "std_normal_cdf", "std_normal_pdf",
-    "std_normal_quantile", "student_t_cdf", "student_t_quantile",
-    "cholesky", "sample_mvn", "sample_mvt", "seeded_rng",
+    "student_t_family", "std_normal_cdf", "std_normal_quantile",
+    "student_t_quantile", "cholesky", "sample_mvn", "seeded_rng",
     # select
     "select_top_k", "select_abs_max",
     # sos
@@ -79,11 +69,9 @@ __all__ = [
     "CPlusCurve", "larger_of_two_interval", "b_region_probability", "c_plus",
     "cplus_curve", "abs_max_interval",
     # baselines
-    "MethodLabel", "bonferroni_halfwidth", "sidak_halfwidth", "fcw_constants",
-    "fcr_selection_aware_offsets", "fcr_selection_aware_interval",
-    "method_tail_levels", "method_offsets", "method_length", "k_of_m_intervals",
+    "MethodLabel", "sidak_halfwidth", "fcw_constants", "method_tail_levels",
+    "method_offsets", "k_of_m_intervals",
     # mc
     "Scenario", "CoverageReport", "build_covariance", "resolve_theta",
-    "run_coverage", "estimate_b_probability", "scenario_from_dict",
-    "load_scenario",
+    "run_coverage", "scenario_from_dict", "load_scenario",
 ]

@@ -42,14 +42,10 @@ from .sos import (
 
 __all__ = [
     "MethodLabel",
-    "bonferroni_halfwidth",
     "sidak_halfwidth",
     "fcw_constants",
-    "fcr_selection_aware_offsets",
-    "fcr_selection_aware_interval",
     "method_tail_levels",
     "method_offsets",
-    "method_length",
     "k_of_m_intervals",
 ]
 
@@ -68,12 +64,6 @@ class MethodLabel(str, enum.Enum):
 
     def __str__(self) -> str:  # so f-strings print the bare label
         return self.value
-
-
-def bonferroni_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
-    """Half-width of two-sided simultaneous intervals at per-coordinate level
-    alpha / m."""
-    return method_offsets(MethodLabel.BONFERRONI, m, 1, alpha, family)[0]
 
 
 def sidak_halfwidth(m: int, alpha: float, family: ShiftFamily = NORMAL) -> float:
@@ -153,21 +143,6 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     return c_star, d_star
 
 
-def fcr_selection_aware_offsets(m: int, k: int, alpha: float,
-                                family: ShiftFamily = NORMAL) -> tuple[float, float]:
-    """Offsets (lower, upper) of the selection-aware false-coverage interval:
-    lower tail widened to (alpha/2) * (k/m), upper tail kept at alpha/2."""
-    return method_offsets(MethodLabel.FCR_SELECTION_AWARE, m, k, alpha, family)
-
-
-def fcr_selection_aware_interval(y, k: int, alpha: float,
-                                 family: ShiftFamily = NORMAL) -> list[ConfidenceInterval]:
-    """Selection-aware intervals for the k largest of m estimates, best-first."""
-    y = _check_real_array(y, "y")
-    offsets = fcr_selection_aware_offsets(y.size, k, alpha, family)
-    return _selected_intervals(y, k, *offsets, MethodLabel.FCR_SELECTION_AWARE.value)
-
-
 def method_tail_levels(method, m: int, k: int, alpha: float,
                        family: ShiftFamily = NORMAL) -> tuple[float, float]:
     """Per-coordinate tail probabilities (lower, upper) so that the offsets of
@@ -238,12 +213,6 @@ def method_offsets(method, m: int, k: int, alpha: float,
     lower = [-f.quantile(p_lo) for f in families]
     upper = [-f.quantile(p_up) for f in families]
     return (lower[0], upper[0]) if single else (np.array(lower), np.array(upper))
-
-
-def method_length(method, m: int, k: int, alpha: float,
-                  family: ShiftFamily = NORMAL) -> float:
-    lower, upper = method_offsets(method, m, k, alpha, family)
-    return lower + upper
 
 
 def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,

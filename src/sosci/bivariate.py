@@ -26,7 +26,6 @@ from scipy import special
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
 from .dist import (
-    _INV_SQRT_2PI,
     NORMAL,
     ShiftFamily,
     _check_mean_pair,
@@ -46,10 +45,14 @@ __all__ = [
     "abs_max_interval",
 ]
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _GL_X, _GL_W = special.roots_legendre(48)  # Gauss-Legendre rule on [-1, 1]
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
-_A_FLAT = 100.0  # c_plus has the same bits at every a beyond about 13
+# a mean this far out is as good as infinitely far: c_plus has the same bits
+# at every a beyond about 13, and the rule's nodes (within 41 of their mean)
+# never reach the |t + mu_i| kink
+_A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _CHUNK = 32  # elements per pass of the quadrature rule
@@ -147,6 +150,13 @@ def b_region_probability(mu, c: float) -> float:
     mu = _check_mean_pair(mu, c)
     if c == 0.0:  # exactly 0, where 1 - miss would leave rounding error
         return 0.0
+    lo, hi = sorted(np.abs(mu))
+    if hi > _A_FLAT:
+        # the probability depends on |mu_0| and |mu_1| alone: once both
+        # exceed _A_FLAT, on their gap alone, and not on a gap beyond it.
+        # Holding both there keeps the rule's squares finite at any mean
+        lo = min(lo, _A_FLAT)
+        mu = np.array([lo + min(hi - lo, _A_FLAT), lo])
     miss = float(_miss_probability(mu[:1], mu[1:], np.array([float(c)]))[0, 0])
     return min(max(1.0 - miss, 0.0), 1.0)
 

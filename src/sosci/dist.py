@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,22 +22,17 @@ __all__ = [
     "ShiftFamily",
     "CovarianceModel",
     "NORMAL",
-    "normal_family",
     "student_t_family",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
-    "student_t_cdf",
     "student_t_quantile",
     "cholesky",
     "draw_replicates",
     "sample_mvn",
-    "sample_mvt",
     "seeded_rng",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NotPositiveDefiniteError(Exception):
@@ -46,10 +42,6 @@ class NotPositiveDefiniteError(Exception):
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc; relative accuracy holds in both tails."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -107,6 +99,9 @@ def _check_unit(value, name: str) -> None:
 
 def _check_mk(m: int, k: int) -> None:
     m, k = _check_int(m, "m"), _check_int(k, "k")
+    if m > sys.float_info.max:  # tail levels divide alpha by m as a float
+        raise ValueError(f"m must be at most {sys.float_info.max!r}, "
+                         f"got an integer of {m.bit_length()} bits")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
 
@@ -123,11 +118,6 @@ def _check_mean_pair(mu, c) -> np.ndarray:
         raise ValueError("mu must be two finite means")
     _check_real(c, "c", lambda v: v >= 0.0, "be >= 0")
     return mu
-
-
-def student_t_cdf(x: float, df: int) -> float:
-    """Student-t CDF with integer df >= 1."""
-    return float(special.stdtr(_check_int(df, "df", 1), x))
 
 
 def student_t_quantile(p: float, df: int) -> float:
@@ -148,16 +138,12 @@ class ShiftFamily:
     quantile: Callable[[float], float]
 
 
-def normal_family() -> ShiftFamily:
-    return ShiftFamily("normal", std_normal_quantile)
-
-
 def student_t_family(df: int) -> ShiftFamily:
     df = _check_int(df, "df", 1)
     return ShiftFamily(f"student_t({df})", lambda p: student_t_quantile(p, df))
 
 
-NORMAL = normal_family()
+NORMAL = ShiftFamily("normal", std_normal_quantile)
 
 _COV_KINDS = ("ar", "time_decay", "block")
 
@@ -232,7 +218,8 @@ def draw_replicates(rng: np.random.Generator, theta: np.ndarray, lower: np.ndarr
     return theta + (z @ lower.T) / np.sqrt(w / df)[:, None]
 
 
-def _sample(theta, sigma: np.ndarray, reps: int, seed, df: int | None) -> np.ndarray:
+def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np.ndarray:
+    """reps x m draws of N(theta, sigma); rows are independent replicates."""
     theta = _check_real_array(theta, "theta")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
@@ -240,15 +227,4 @@ def _sample(theta, sigma: np.ndarray, reps: int, seed, df: int | None) -> np.nda
     if theta.shape != (lower.shape[0],):
         raise ValueError("theta and sigma dimensions disagree")
     _check_int(reps, "reps", 1)
-    return draw_replicates(seeded_rng(seed), theta, lower, reps, df)
-
-
-def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np.ndarray:
-    """reps x m draws of N(theta, sigma); rows are independent replicates."""
-    return _sample(theta, sigma, reps, seed, None)
-
-
-def sample_mvt(theta: Sequence[float], sigma: np.ndarray, df: int, reps: int, seed) -> np.ndarray:
-    """Multivariate-t draws: one chi-square mixing variable per replicate row
-    (see `draw_replicates`)."""
-    return _sample(theta, sigma, reps, seed, _check_int(df, "df", 1))
+    return draw_replicates(seeded_rng(seed), theta, lower, reps, None)

@@ -34,7 +34,6 @@ from .dist import (
     NORMAL,
     CovarianceModel,
     _check_int,
-    _check_mean_pair,
     _check_mk,
     _check_real,
     _check_unit,
@@ -51,7 +50,6 @@ __all__ = [
     "build_covariance",
     "resolve_theta",
     "run_coverage",
-    "estimate_b_probability",
     "scenario_from_dict",
     "load_scenario",
 ]
@@ -59,7 +57,6 @@ __all__ = [
 _BLOCK = 4096
 _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
 
-_EYE2 = np.eye(2)
 _PANELS = ("all_normal", "half_normal_half_t5")
 _THETA_RULES = ("uniform", "fixed")
 
@@ -318,19 +315,6 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
                                       seed=scenario.seed, sos_misses=sos, lower_events=low,
                                       upper_events=up, missed_intervals=missed))
     return reports[0] if isinstance(method, str) else reports
-
-
-def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
-    """Monte-Carlo check of `b_region_probability`: fraction of N(mu, I_2)
-    draws whose abs-max coordinate lands within c of its own mean."""
-    mu = _check_mean_pair(mu, c)
-    _check_int(reps, "reps", 1)
-    c_both = np.full(2, float(c))
-    misses = 0
-    for block, size in enumerate(_block_sizes(reps)):
-        y = draw_replicates(seeded_rng(seed, _STREAM_REPS, block), mu, _EYE2, size, None)
-        misses += _count_misses(y, mu, abs_max_index(y)[:, None], c_both, c_both)[0]
-    return (reps - misses) / reps
 
 
 _COV_KEYS = {"kind", "dimension", "rho", "block_size"}

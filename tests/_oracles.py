@@ -6,11 +6,22 @@ the Student-t CDF integrates the density directly, and the abs-max region
 probability is adaptive quadrature over math.erfc (the package uses a fixed
 Gauss-Legendre rule over scipy's ndtr).  Expected values frozen into tests
 were produced by these functions.
+
+The one exception is `estimate_b_probability`, a Monte-Carlo check of the
+abs-max region probability.  It reuses the package's sampler, abs-max
+selection and miss counter on purpose: what it checks is the quadrature, by
+an independent route (simulation), and its frozen hit counts pin that
+sampler's draw order and tie rule.
 """
 
 import math
 
+import numpy as np
 from scipy import integrate
+
+from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
+from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
+from sosci.select import abs_max_index
 
 
 def series_normal_cdf(x: float) -> float:
@@ -57,16 +68,18 @@ def bisect_normal_quantile(p: float) -> float:
     return bisect_root(lambda x: series_normal_cdf(x) - p, -12.0, 12.0)
 
 
-def t_density(x: float, df: int) -> float:
-    lg = (math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
-          - 0.5 * math.log(df * math.pi))
-    return math.exp(lg) * (1.0 + x * x / df) ** (-(df + 1) / 2.0)
-
-
 def t_cdf_quad(x: float, df: int) -> float:
-    """CDF by integrating the density from 0 (symmetry pins the constant)."""
-    val, _ = integrate.quad(lambda t: t_density(t, df), 0.0, x, epsabs=1e-12)
-    return 0.5 + val
+    """CDF by integrating the density from 0 (symmetry pins the constant).
+
+    In the angle theta = atan(t / sqrt(df)) the density becomes
+    C cos(theta)^(df - 1), C = Gamma((df + 1) / 2) / (sqrt(pi) Gamma(df / 2)):
+    a bounded integrand on a finite range, so the rule converges even for
+    df = 1 far in the tails, where the density itself decays too slowly.
+    """
+    const = math.exp(math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)) / math.sqrt(math.pi)
+    val, _ = integrate.quad(lambda theta: math.cos(theta) ** (df - 1),
+                            0.0, math.atan(x / math.sqrt(df)), epsabs=1e-12)
+    return 0.5 + const * val
 
 
 def b_region_quad(mu, c: float) -> float:
@@ -92,6 +105,19 @@ def b_region_quad(mu, c: float) -> float:
                                 epsabs=1e-13, epsrel=1e-13, limit=400)
         total += val
     return total
+
+
+def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
+    """Monte-Carlo check of `b_region_probability`: fraction of N(mu, I_2)
+    draws whose abs-max coordinate lands within c of its own mean."""
+    mu = _check_mean_pair(mu, c)
+    _check_int(reps, "reps", 1)
+    c_both = np.full(2, float(c))
+    misses = 0
+    for block, size in enumerate(_block_sizes(reps)):
+        y = draw_replicates(seeded_rng(seed, _STREAM_REPS, block), mu, np.eye(2), size, None)
+        misses += _count_misses(y, mu, abs_max_index(y)[:, None], c_both, c_both)[0]
+    return (reps - misses) / reps
 
 
 def grid_argmin(f, lo: float, hi: float, n: int) -> tuple[float, float]:

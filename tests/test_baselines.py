@@ -12,12 +12,9 @@ from scipy import special
 from sosci import (
     MethodLabel,
     OptimizationError,
-    bonferroni_halfwidth,
-    fcr_selection_aware_offsets,
     fcw_constants,
     interval_length,
     k_of_m_intervals,
-    method_length,
     method_offsets,
     method_tail_levels,
     optimize_delta,
@@ -25,7 +22,7 @@ from sosci import (
     spec_from_delta,
 )
 from sosci.baselines import _fcw_coverage
-from sosci.dist import normal_family, student_t_family
+from sosci.dist import NORMAL, student_t_family
 
 from _oracles import grid_argmin
 
@@ -53,7 +50,7 @@ def test_method_label_values():
     (100, 3.480756404),
 ])
 def test_bonferroni_frozen(m, expected):
-    assert bonferroni_halfwidth(m, 0.05) == pytest.approx(expected, abs=1e-8)
+    assert method_offsets("bonferroni", m, 1, 0.05)[0] == pytest.approx(expected, abs=1e-8)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -67,15 +64,17 @@ def test_sidak_frozen(m, expected):
 
 def test_sidak_below_bonferroni():
     for m in (2, 3, 10, 100, 1000):
-        assert sidak_halfwidth(m, 0.05) < bonferroni_halfwidth(m, 0.05)
+        assert sidak_halfwidth(m, 0.05) < method_offsets("bonferroni", m, 1, 0.05)[0]
     assert sidak_halfwidth(1, 0.05) == pytest.approx(
-        bonferroni_halfwidth(1, 0.05), abs=1e-12)
+        method_offsets("bonferroni", 1, 1, 0.05)[0], abs=1e-12)
 
 
 def test_halfwidths_monotone():
-    for fn in (bonferroni_halfwidth, sidak_halfwidth):
-        assert fn(2, 0.05) < fn(5, 0.05) < fn(50, 0.05)
-        assert fn(10, 0.10) < fn(10, 0.05) < fn(10, 0.01)
+    for method in ("bonferroni", "sidak"):
+        by_m = [method_offsets(method, m, 1, 0.05)[0] for m in (2, 5, 50)]
+        by_alpha = [method_offsets(method, 10, 1, alpha)[0] for alpha in (0.10, 0.05, 0.01)]
+        assert by_m[0] < by_m[1] < by_m[2]
+        assert by_alpha[0] < by_alpha[1] < by_alpha[2]
 
 
 def test_fcw_symmetric_single_selection_of_two():
@@ -164,21 +163,21 @@ def test_fcw_unattainable_coverage_is_named_failure(m, k, alpha, mode):
 
 
 def test_fcr_offsets_frozen():
-    lo, hi = fcr_selection_aware_offsets(100, 10, 0.05)
+    lo, hi = method_offsets("fcr_selection_aware", 100, 10, 0.05)
     # oracle: quantiles at 1 - 0.025 * k/m and 1 - 0.025
     assert lo == pytest.approx(2.807033768, abs=1e-8)
     assert hi == pytest.approx(Z975, abs=1e-8)
 
 
 def test_fcr_full_selection_is_unadjusted():
-    lo, hi = fcr_selection_aware_offsets(7, 7, 0.05)
+    lo, hi = method_offsets("fcr_selection_aware", 7, 7, 0.05)
     assert lo == pytest.approx(Z975, abs=1e-8)
     assert hi == pytest.approx(Z975, abs=1e-8)
 
 
 def test_fcr_shorter_than_sos_shortest_mid_k():
     for m, k in ((100, 10), (100, 50)):
-        lo, hi = fcr_selection_aware_offsets(m, k, 0.05)
+        lo, hi = method_offsets("fcr_selection_aware", m, k, 0.05)
         _, sos_len = optimize_delta(m, k, 0.05)
         assert lo + hi < sos_len
 
@@ -233,7 +232,7 @@ def test_method_offsets_t_family():
 
 
 def test_method_offsets_per_coordinate_families():
-    fams = [normal_family()] * 3 + [student_t_family(5)] * 3
+    fams = [NORMAL] * 3 + [student_t_family(5)] * 3
     lower, upper = method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05, fams)
     assert lower.shape == upper.shape == (6,)
     assert lower[0] == method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05)[0]
@@ -248,7 +247,7 @@ def test_method_length_orders_mid_k():
     # the symmetric plug-in swap places near the extremes, exercised below
     m = 100
     for k in (2, 10, 40, 80, 95):
-        length = {lbl: method_length(lbl, m, k, 0.05) for lbl in MethodLabel}
+        length = {lbl: sum(method_offsets(lbl, m, k, 0.05)) for lbl in MethodLabel}
         assert length[MethodLabel.UNADJUSTED] < length[MethodLabel.FCR_SELECTION_AWARE]
         assert (length[MethodLabel.FCR_SELECTION_AWARE]
                 < length[MethodLabel.FCW_SHORTEST] + 1e-9)
@@ -265,13 +264,13 @@ def test_method_length_edge_k_behavior():
     m = 100
     # k = 1: the selection-aware baseline pays both tails of the full
     # correction on one side and overtakes the width-optimized band
-    len_k1 = {lbl: method_length(lbl, m, 1, 0.05) for lbl in MethodLabel}
+    len_k1 = {lbl: sum(method_offsets(lbl, m, 1, 0.05)) for lbl in MethodLabel}
     assert (len_k1[MethodLabel.FCR_SELECTION_AWARE]
             > len_k1[MethodLabel.FCW_SHORTEST])
     # k = m: the symmetric split equals Bonferroni, which sits above Sidak
-    len_km = {lbl: method_length(lbl, m, m, 0.05) for lbl in MethodLabel}
+    len_km = {lbl: sum(method_offsets(lbl, m, m, 0.05)) for lbl in MethodLabel}
     assert len_km[MethodLabel.SOS_SYMMETRIC] == pytest.approx(
-        2 * bonferroni_halfwidth(m, 0.05), abs=1e-12)
+        2 * method_offsets("bonferroni", m, 1, 0.05)[0], abs=1e-12)
     assert len_km[MethodLabel.SOS_SYMMETRIC] > len_km[MethodLabel.SIDAK]
 
 
@@ -280,7 +279,7 @@ def test_sos_symmetric_length_identity():
     spec = spec_from_delta(100, 10, 0.05, delta)
     assert interval_length(100, 10, 0.05, delta) == pytest.approx(
         spec.c_lower + spec.c_upper, abs=1e-15)
-    assert method_length(MethodLabel.SOS_SYMMETRIC, 100, 10, 0.05) == pytest.approx(
+    assert sum(method_offsets(MethodLabel.SOS_SYMMETRIC, 100, 10, 0.05)) == pytest.approx(
         interval_length(100, 10, 0.05, delta), abs=1e-12)
 
 
@@ -320,7 +319,7 @@ def test_table_offsets_non_decreasing_in_m(method, m1, m2, alpha, data):
 @given(_M, _ALPHA)
 @example(1, 0.46932566237350243)  # expm1(log1p(-alpha)) rounds below alpha here
 def test_sidak_never_wider_than_bonferroni(m, alpha):
-    assert sidak_halfwidth(m, alpha) <= bonferroni_halfwidth(m, alpha)
+    assert sidak_halfwidth(m, alpha) <= method_offsets("bonferroni", m, 1, alpha)[0]
 
 
 @_PROPERTY

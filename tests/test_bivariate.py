@@ -20,14 +20,13 @@ from sosci.dist import (
     CovarianceModel,
     sample_mvn,
     std_normal_cdf,
-    std_normal_pdf,
     student_t_family,
 )
 from sosci import bivariate
-from sosci.mc import Scenario, estimate_b_probability
+from sosci.mc import Scenario
 from sosci.sos import OptimizationError
 
-from _oracles import b_region_quad
+from _oracles import b_region_quad, estimate_b_probability
 
 Z975 = 1.959963985
 SIDAK2 = 2.236476645  # oracle: bisection solve of (1-(1-0.05)^(1/2))/2 tail
@@ -108,6 +107,16 @@ def test_b_region_edge_cases():
     with pytest.raises(ValueError, match="c must"):
         b_region_probability((1.0, 2.0), np.nan)
     assert b_region_probability((1.0, 2.0), np.inf) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [(1e160, 0.0), (0.0, 1e160), (1e308, -1e308),
+                                (1e160, 1e160), (-1e300, 1e300)])
+def test_b_region_at_huge_means(mu):
+    # the selected coordinate tracks its own mean, alone or (equal |mu|) as
+    # the larger of two, so the probability is the unadjusted coverage;
+    # RuntimeWarnings are errors in this suite, so an overflow would fail here
+    assert b_region_probability(mu, 2.0) == pytest.approx(2.0 * std_normal_cdf(2.0) - 1.0,
+                                                          abs=1e-14)
 
 
 def _oracle_grid():
@@ -434,7 +443,7 @@ def test_larger_of_two_coverage_common_shock():
     def marginal_cdf(c):
         # E[Phi(c - Z)] = (1/2) * integral of Phi over [c-1, c+1]
         def phi_antideriv(x):
-            return x * std_normal_cdf(x) + std_normal_pdf(x)
+            return x * std_normal_cdf(x) + math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return 0.5 * (phi_antideriv(c + 1.0) - phi_antideriv(c - 1.0))
 
     c = brentq(lambda x: marginal_cdf(x) - 0.975, 0.0, 10.0, xtol=1e-12)

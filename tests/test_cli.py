@@ -301,3 +301,25 @@ def test_simulate_abs_max_at_huge_eta(capsys):
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "intervals", "--help")[0] == 0
+
+
+_HUGE_M = str(10**399)  # 400 digits: an integer with no finite float value
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--m", _HUGE_M, "--k-range", "1"),
+    ("delta-scan", "--m", _HUGE_M, "--k", "1"),
+], ids=["compare", "delta-scan"])
+def test_m_beyond_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "m must be at most" in err
+
+
+def test_compare_at_m_1e300_is_a_numerical_failure(capsys):
+    # a finite float m passes the check and stops in the delta search
+    code, out, err = run_cli(capsys, "compare", "--m", str(10**300), "--k-range", "1")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from scipy import stats
 import sosci
 from sosci import dist
 
-from _oracles import bisect_normal_quantile, series_normal_cdf, t_cdf_quad
+from _oracles import (
+    bisect_normal_quantile,
+    estimate_b_probability,
+    series_normal_cdf,
+    t_cdf_quad,
+)
 
 
 def test_cdf_center_and_symmetry():
@@ -62,10 +68,12 @@ def test_quantile_domain(p):
 
 
 def test_t_cdf_symmetry_and_center():
-    assert dist.student_t_cdf(0.0, 5) == 0.5
-    for x in (0.3, 1.0, 2.7, 6.0):
-        assert dist.student_t_cdf(-x, 5) + dist.student_t_cdf(x, 5) == pytest.approx(
-            1.0, abs=1e-12)
+    # F0(-x) = 1 - F0(x), which the method table's offsets -F0^{-1}(p) rely
+    # on, read through the quantile: F0^{-1}(1/2) = 0 and F0^{-1}(1 - p) = -F0^{-1}(p)
+    assert dist.student_t_quantile(0.5, 5) == 0.0
+    for p in (1e-6, 0.01, 0.2, 0.4):
+        assert dist.student_t_quantile(p, 5) + dist.student_t_quantile(1.0 - p, 5) == \
+            pytest.approx(0.0, abs=1e-9)
 
 
 def test_t_quantile_frozen_point():
@@ -75,29 +83,30 @@ def test_t_quantile_frozen_point():
 
 
 def test_t_cdf_against_quadrature_oracle():
+    # the quantile inverts the oracle's CDF at points given in x
     for df in (1, 5, 30):
         for x in (-3.0, -0.7, 0.4, 2.2):
-            assert dist.student_t_cdf(x, df) == pytest.approx(
-                t_cdf_quad(x, df), abs=1e-10)
+            assert dist.student_t_quantile(t_cdf_quad(x, df), df) == pytest.approx(
+                x, abs=1e-10)
 
 
 def test_t_round_trip():
     for df in (1, 2, 5, 50):
         for p in (1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6):
             x = dist.student_t_quantile(p, df)
-            assert abs(dist.student_t_cdf(x, df) - p) <= 1e-8
+            assert abs(t_cdf_quad(x, df) - p) <= 1e-8
 
 
 @pytest.mark.parametrize("df", [0, -1, 2.5])
 def test_t_df_domain(df):
     with pytest.raises(ValueError):
-        dist.student_t_cdf(0.0, df)
-    with pytest.raises(ValueError):
         dist.student_t_quantile(0.5, df)
+    with pytest.raises(ValueError):
+        dist.student_t_family(df)
 
 
 def test_families():
-    fam = dist.normal_family()
+    fam = dist.NORMAL
     assert fam.name == "normal"
     assert fam.quantile(0.975) == dist.std_normal_quantile(0.975)
     t5 = dist.student_t_family(5)
@@ -153,14 +162,19 @@ def test_sample_mvn_matches_univariate_ks():
     assert stats.ks_2samp(y, z).statistic < 0.01
 
 
+def _sample_mvt(theta, sigma, df, reps, seed):
+    # the coverage engine's t-panel draws: one chi-square mixing variable per row
+    return dist.draw_replicates(dist.seeded_rng(seed), theta, dist.cholesky(sigma), reps, df)
+
+
 def test_sample_mvt_large_df_is_normal():
-    y = dist.sample_mvt(np.zeros(2), np.eye(2), 10**6, 50000, 17)[:, 0]
+    y = _sample_mvt(np.zeros(2), np.eye(2), 10**6, 50000, 17)[:, 0]
     assert stats.kstest(y, "norm").statistic < 0.01
 
 
 def test_sample_mvt_replay_and_shift():
-    y = dist.sample_mvt(np.array([2.0, 0.0]), np.eye(2), 5, 50000, 19)
-    again = dist.sample_mvt(np.array([2.0, 0.0]), np.eye(2), 5, 50000, 19)
+    y = _sample_mvt(np.array([2.0, 0.0]), np.eye(2), 5, 50000, 19)
+    again = _sample_mvt(np.array([2.0, 0.0]), np.eye(2), 5, 50000, 19)
     assert y.tobytes() == again.tobytes()
     assert np.median(y[:, 0]) == pytest.approx(2.0, abs=0.05)
     assert np.median(y[:, 1]) == pytest.approx(0.0, abs=0.05)
@@ -171,7 +185,7 @@ def test_sample_mvt_single_mixing_variable_per_row():
     # together: the ratio of two coordinates of t-draws with identical theta
     # stays the same as for the underlying normals
     sigma = np.eye(2)
-    t_draws = dist.sample_mvt(np.zeros(2), sigma, 1, 2000, 23)
+    t_draws = _sample_mvt(np.zeros(2), sigma, 1, 2000, 23)
     n_draws = dist.sample_mvn(np.zeros(2), sigma, 2000, 23)
     ratio = t_draws[:, 0] / t_draws[:, 1]
     ratio_n = n_draws[:, 0] / n_draws[:, 1]
@@ -203,8 +217,9 @@ def test_covariance_model_validation():
 
 
 _ONE_INTEGER = {
-    # entry point -> call with n as its m or k
-    "bonferroni_halfwidth m": lambda n: sosci.bonferroni_halfwidth(n, 0.05),
+    # case -> call with n as its m or k; the Bonferroni half-width is the
+    # bonferroni row of method_offsets at k = 1
+    "bonferroni_halfwidth m": lambda n: sosci.method_offsets("bonferroni", n, 1, 0.05)[0],
     "sidak_halfwidth m": lambda n: sosci.sidak_halfwidth(n, 0.05),
     "spec_from_delta m": lambda n: sosci.spec_from_delta(n, 1, 0.05, 0.5),
     "method_offsets k": lambda n: sosci.method_offsets("sos_shortest", 10, n, 0.05),
@@ -226,6 +241,14 @@ def test_m_and_k_must_be_integers(name, bad):
 @pytest.mark.parametrize("name", sorted(_ONE_INTEGER))
 def test_m_and_k_accept_numpy_integers(name):
     assert _ONE_INTEGER[name](np.int64(2)) == _ONE_INTEGER[name](2)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _ONE_INTEGER if n.endswith(" m")))
+def test_m_beyond_float_range_raises(name):
+    # tail levels divide alpha by m as a float, which no 400-digit m has
+    with pytest.raises(ValueError, match="m must be at most"):
+        _ONE_INTEGER[name](10**399)
+    dist._check_mk(int(sys.float_info.max), 1)  # the largest float is still an m
 
 
 @pytest.mark.parametrize("bad", [1.5, True])
@@ -260,8 +283,7 @@ _BAD_ARGUMENTS = {
     "p None, std_normal_quantile": (lambda: dist.std_normal_quantile(None), "p"),
     "p str, student_t_quantile": (lambda: dist.student_t_quantile("0.5", 5), "p"),
     "df True, student_t_family": (lambda: dist.student_t_family(True), "df"),
-    "df None, student_t_cdf": (lambda: dist.student_t_cdf(0.0, None), "df"),
-    "df True, sample_mvt": (lambda: dist.sample_mvt(np.zeros(2), _I2, True, 3, 1), "df"),
+    "df None, student_t_quantile": (lambda: dist.student_t_quantile(0.5, None), "df"),
     "family None, spec_from_delta": (
         lambda: sosci.spec_from_delta(10, 2, 0.05, 0.5, None), "family"),
     "family None, interval_length": (
@@ -278,10 +300,10 @@ _BAD_ARGUMENTS = {
     "seed 1.5, build_covariance": (
         lambda: sosci.build_covariance(dist.CovarianceModel("time_decay", 3), 1.5), "seed"),
     "seed 1.5, estimate_b_probability": (
-        lambda: sosci.estimate_b_probability([0.0, 0.0], 1.0, 10, 1.5), "seed"),
+        lambda: estimate_b_probability([0.0, 0.0], 1.0, 10, 1.5), "seed"),
     "reps True, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, True, 1), "reps"),
     "reps 2.5, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 2.5, 1), "reps"),
-    "reps None, sample_mvt": (lambda: dist.sample_mvt(np.zeros(2), _I2, 5, None, 1), "reps"),
+    "reps None, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, None, 1), "reps"),
     "n_jobs 2.5, run_coverage": (
         lambda: sosci.run_coverage(_SCN, 2, "sidak", n_jobs=2.5), "n_jobs"),
     "n_jobs True, run_coverage": (
@@ -303,7 +325,7 @@ _BAD_ARGUMENTS = {
     "c None, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], None), "c"),
     "c True, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], True), "c"),
     "c str, estimate_b_probability": (
-        lambda: sosci.estimate_b_probability([0.0, 0.0], "1", 10, 1), "c"),
+        lambda: estimate_b_probability([0.0, 0.0], "1", 10, 1), "c"),
     "a None, c_plus": (lambda: sosci.c_plus(None, 0.05), "a"),
     "a True, c_plus": (lambda: sosci.c_plus(True, 0.05), "a"),
     "a_max None, cplus_curve": (lambda: sosci.cplus_curve(0.05, None), "a_max"),
@@ -319,16 +341,14 @@ _BAD_ARGUMENTS = {
     "y str, select_abs_max": (lambda: sosci.select_abs_max(["3", "1"]), "y"),
     "y bool, select_top_k": (lambda: sosci.select_top_k([True, False], 1), "y"),
     "y str, k_of_m_intervals": (lambda: sosci.k_of_m_intervals(["3", "1", "2"], 1, 0.05), "y"),
-    "y str, fcr_selection_aware_interval": (
-        lambda: sosci.fcr_selection_aware_interval(["3", "1", "2"], 1, 0.05), "y"),
     "y str, larger_of_two_interval": (
         lambda: sosci.larger_of_two_interval(["1", "0"], 0.05), "y"),
     "y str, abs_max_interval": (lambda: sosci.abs_max_interval(["1", "0"], 0.05), "y"),
     "mu str, b_region_probability": (lambda: sosci.b_region_probability(["1", "0"], 1.0), "mu"),
     "theta str, sample_mvn": (lambda: dist.sample_mvn(["1", "0"], _I2, 2, 1), "theta"),
     "sigma str, cholesky": (lambda: dist.cholesky([["1", "0"], ["0", "1"]]), "sigma"),
-    "sigma object, sample_mvt": (
-        lambda: dist.sample_mvt([0.0, 0.0], np.array([[1, 0], [0, None]]), 5, 2, 1), "sigma"),
+    "sigma object, sample_mvn": (
+        lambda: dist.sample_mvn([0.0, 0.0], np.array([[1, 0], [0, None]]), 2, 1), "sigma"),
 }
 
 

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,18 @@ def test_bench_tracer_wraps_names_that_exist():
     proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_public_api_lists_every_export():
+    # README's "Public API" section is one bullet per module: `module`: `name`, ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for module, names in re.findall(r"^- `(\w+)`:(.*(?:\n  .*)*)", section, flags=re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = module
+    assert sorted(set(sosci.__all__) - set(listed)) == []
+    assert sorted(set(listed) - set(sosci.__all__)) == []
+    for name, module in listed.items():
+        owner = sosci if module == "sosci" else importlib.import_module(f"sosci.{module}")
+        assert name in vars(owner), (name, module)

@@ -9,7 +9,6 @@ from sosci import (
     CoverageReport,
     Scenario,
     build_covariance,
-    estimate_b_probability,
     load_scenario,
     resolve_theta,
     run_coverage,
@@ -17,6 +16,8 @@ from sosci import (
 )
 from sosci import mc
 from sosci.dist import cholesky, draw_replicates, seeded_rng
+
+from _oracles import estimate_b_probability
 
 
 def iid_scenario(m=20, reps=5000, seed=11, **kw):

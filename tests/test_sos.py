@@ -7,13 +7,13 @@ from sosci import (
     ConfidenceInterval,
     IntervalSpec,
     OptimizationError,
-    bonferroni_halfwidth,
     interval_length,
     k_of_m_intervals,
+    method_offsets,
     optimize_delta,
     spec_from_delta,
 )
-from sosci.dist import normal_family, student_t_family
+from sosci.dist import NORMAL, student_t_family
 from sosci.sos import golden_section_min
 
 from _oracles import grid_argmin
@@ -53,7 +53,8 @@ def test_spec_from_delta_half_frozen():
 def test_spec_from_delta_k_equals_m_symmetric_is_bonferroni():
     for m in (2, 5, 100):
         spec = spec_from_delta(m, m, 0.05, 0.5)
-        assert spec.c_lower == pytest.approx(bonferroni_halfwidth(m, 0.05), abs=1e-12)
+        assert spec.c_lower == pytest.approx(method_offsets("bonferroni", m, 1, 0.05)[0],
+                                             abs=1e-12)
         assert spec.c_upper == pytest.approx(spec.c_lower, abs=1e-12)
 
 
@@ -128,7 +129,7 @@ def test_k_of_m_fixed_requires_delta_and_rejects_otherwise():
 def test_k_of_m_heterogeneous_families():
     # one family serves every coordinate; per-coordinate families are a
     # method_offsets case (the mixed panel)
-    fams = [normal_family()] * 3 + [student_t_family(5)] * 3
+    fams = [NORMAL] * 3 + [student_t_family(5)] * 3
     y = [3.0, 0.1, 0.2, 2.5, 0.0, -0.3]
     for policy in ("symmetric", "shortest"):
         with pytest.raises(ValueError):
@@ -180,7 +181,7 @@ def test_optimize_delta_matches_grid():
 def test_optimize_delta_k_equals_m_is_half():
     d, length = optimize_delta(100, 100, 0.05)
     assert d == pytest.approx(0.5, abs=1e-4)
-    assert length == pytest.approx(2 * bonferroni_halfwidth(100, 0.05), abs=1e-6)
+    assert length == pytest.approx(2 * method_offsets("bonferroni", 100, 1, 0.05)[0], abs=1e-6)
 
 
 def test_optimize_delta_bounded_by_symmetric():
