@@ -44,11 +44,9 @@ from .mc import (
 from .select import select_abs_max, select_top_k
 from .sos import (
     ConfidenceInterval,
-    IntervalSpec,
     OptimizationError,
     interval_length,
     optimize_delta,
-    spec_from_delta,
 )
 
 __version__ = "0.1.0"
@@ -63,8 +61,7 @@ __all__ = [
     # select
     "select_top_k", "select_abs_max",
     # sos
-    "ConfidenceInterval", "IntervalSpec", "OptimizationError",
-    "spec_from_delta", "interval_length", "optimize_delta",
+    "ConfidenceInterval", "OptimizationError", "interval_length", "optimize_delta",
     # bivariate
     "CPlusCurve", "larger_of_two_interval", "b_region_probability", "c_plus",
     "cplus_curve", "abs_max_interval",

@@ -33,11 +33,11 @@ from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by thi
 from .sos import (
     ConfidenceInterval,
     OptimizationError,
+    _checked_offsets,
+    _delta_levels,
     _selected_intervals,
-    _spec,
     golden_section_min,
     optimize_delta,
-    spec_from_delta,
 )
 
 __all__ = [
@@ -171,8 +171,7 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
         return p, p
     if method is MethodLabel.SOS_SHORTEST:
         delta, _ = optimize_delta(m, k, alpha, family)
-        spec = _spec(m, k, alpha, delta, family)
-        return spec.lambda_lower, spec.lambda_upper
+        return _delta_levels(m, k, alpha, delta)
     if method is MethodLabel.FCR_SELECTION_AWARE:
         return 0.5 * alpha * k / m, 0.5 * alpha
     raise ValueError(f"{method.value} is not a quantile-level method")
@@ -229,8 +228,8 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
     if delta_policy == "fixed":
         if delta is None:
             raise ValueError("delta_policy='fixed' requires delta")
-        spec = spec_from_delta(m, k, alpha, delta, family)
-        return _selected_intervals(y, k, spec.c_lower, spec.c_upper, "sos_fixed")
+        return _selected_intervals(y, k, *_checked_offsets(m, k, alpha, delta, family),
+                                   "sos_fixed")
     if delta_policy not in ("symmetric", "shortest"):
         raise ValueError(f"unknown delta_policy {delta_policy!r}")
     if delta is not None:

@@ -294,7 +294,9 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
         if not math.isclose(curve.alpha, alpha, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"curve was built for alpha={curve.alpha}, got {alpha}")
         a_max = curve.a_max
-    lo, hi = _invert_endpoints(abs(w), alpha, a_max)
+    # beyond _A_FLAT the constant has the bits it has at _A_FLAT, and a huge
+    # a_max would overflow the rule's squares
+    lo, hi = _invert_endpoints(abs(w), alpha, min(a_max, _A_FLAT))
     if w < 0.0:
         lo, hi = -hi, -lo
     return ConfidenceInterval(idx, lo, hi, "abs_max")

@@ -143,9 +143,14 @@ def cmd_intervals(args) -> OutputTable:
     m, k, alpha = len(y), args.k, args.alpha
     if args.method in ("larger-of-two", "abs-max") and k != 1:
         raise ValueError(f"--method {args.method} selects one estimate, so --k must be 1, got {k}")
+    if args.method != "sos":
+        for flag, value in (("--delta-policy", args.delta_policy), ("--delta", args.delta)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --method sos, got --method {args.method}")
 
     if args.method == "sos":
-        intervals = k_of_m_intervals(y, k, alpha, args.delta_policy, delta=args.delta)
+        intervals = k_of_m_intervals(y, k, alpha, args.delta_policy or "symmetric",
+                                     delta=args.delta)
         label = intervals[0].method
     elif args.method == "larger-of-two":
         intervals = [larger_of_two_interval(y, alpha)]
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="number of selected estimates")
     p.add_argument("--method", choices=_INTERVAL_METHODS, default="sos")
     p.add_argument("--delta-policy", choices=("symmetric", "shortest", "fixed"),
-                   default="symmetric")
+                   default=None, help="--method sos only; default symmetric")
     p.add_argument("--delta", type=float, default=None,
                    help="budget split for --delta-policy fixed")
     add_common(p)

@@ -17,8 +17,8 @@ misses is at most m * lambda_lower + k * lambda_upper = alpha, for any joint
 dependence between the coordinates.  delta = m / (m + k) makes the two tail
 levels equal; "shortest" tunes delta to minimize the common interval length.
 Both are rows of the method table in `baselines`, which also holds
-`k_of_m_intervals`; this module keeps the delta search and the fixed-delta
-spec.
+`k_of_m_intervals`; this module keeps the split itself, its offsets at a
+fixed delta and the delta search.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .select import select_top_k
 __all__ = [
     "OptimizationError",
     "ConfidenceInterval",
-    "IntervalSpec",
-    "spec_from_delta",
     "interval_length",
     "optimize_delta",
     "golden_section_min",
@@ -74,48 +72,32 @@ class ConfidenceInterval:
         return self.lo <= value <= self.hi
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
-    """Resolved tail levels and offsets for one (m, k, alpha, delta, family)."""
-
-    lambda_lower: float
-    lambda_upper: float
-    c_lower: float
-    c_upper: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_lower < 1.0 and 0.0 < self.lambda_upper < 1.0):
-            raise ValueError("tail levels must lie in (0, 1)")
-        if not (math.isfinite(self.c_lower) and math.isfinite(self.c_upper)):
-            raise ValueError("offsets must be finite")
+def _delta_levels(m: int, k: int, alpha: float, delta: float) -> tuple[float, float]:
+    # the split of alpha: lower tail for all m coordinates, upper for the k selected
+    return delta * alpha / m, (1.0 - delta) * alpha / k
 
 
-def spec_from_delta(m: int, k: int, alpha: float, delta: float,
-                    family: ShiftFamily = NORMAL) -> IntervalSpec:
+def _delta_offsets(m: int, k: int, alpha: float, delta: float,
+                   family: ShiftFamily) -> tuple[float, float]:
+    # unchecked: the delta search calls this at every step
+    lam_lo, lam_up = _delta_levels(m, k, alpha, delta)
+    return family.quantile(1.0 - lam_lo), -family.quantile(lam_up)
+
+
+def _checked_offsets(m: int, k: int, alpha: float, delta: float,
+                     family: ShiftFamily) -> tuple[float, float]:
+    # a caller-given delta: interval_length and the fixed policy
     _check_mk(m, k)
     _check_unit(alpha, "alpha")
     _check_unit(delta, "delta")
     _check_family(family)
-    return _spec(m, k, alpha, delta, family)
-
-
-def _spec(m: int, k: int, alpha: float, delta: float, family: ShiftFamily) -> IntervalSpec:
-    # unchecked: the delta search calls this at every step
-    lam_lo = delta * alpha / m
-    lam_up = (1.0 - delta) * alpha / k
-    return IntervalSpec(
-        lambda_lower=lam_lo,
-        lambda_upper=lam_up,
-        c_lower=family.quantile(1.0 - lam_lo),
-        c_upper=-family.quantile(lam_up),
-    )
+    return _delta_offsets(m, k, alpha, delta, family)
 
 
 def interval_length(m: int, k: int, alpha: float, delta: float,
                     family: ShiftFamily = NORMAL) -> float:
     """Common length of the delta-family intervals (same across ranks)."""
-    spec = spec_from_delta(m, k, alpha, delta, family)
-    return spec.c_lower + spec.c_upper
+    return sum(_checked_offsets(m, k, alpha, delta, family))
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -151,8 +133,7 @@ def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
 
     def length(delta: float) -> float:
         try:
-            spec = _spec(m, k, alpha, delta, family)
-            val = spec.c_lower + spec.c_upper
+            val = sum(_delta_offsets(m, k, alpha, delta, family))
         except ValueError as exc:
             # tail level underflowed the quantile domain
             raise OptimizationError(

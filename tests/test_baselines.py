@@ -19,10 +19,10 @@ from sosci import (
     method_tail_levels,
     optimize_delta,
     sidak_halfwidth,
-    spec_from_delta,
 )
 from sosci.baselines import _fcw_coverage
 from sosci.dist import NORMAL, student_t_family
+from sosci.sos import _delta_offsets
 
 from _oracles import grid_argmin
 
@@ -276,9 +276,8 @@ def test_method_length_edge_k_behavior():
 
 def test_sos_symmetric_length_identity():
     delta = 100 / (100 + 10)
-    spec = spec_from_delta(100, 10, 0.05, delta)
     assert interval_length(100, 10, 0.05, delta) == pytest.approx(
-        spec.c_lower + spec.c_upper, abs=1e-15)
+        sum(_delta_offsets(100, 10, 0.05, delta, NORMAL)), abs=1e-15)
     assert sum(method_offsets(MethodLabel.SOS_SYMMETRIC, 100, 10, 0.05)) == pytest.approx(
         interval_length(100, 10, 0.05, delta), abs=1e-12)
 
@@ -287,6 +286,39 @@ def test_sos_symmetric_length_identity():
 def test_method_offsets_rejects_non_families(family):
     with pytest.raises(ValueError, match="family"):
         method_offsets(MethodLabel.SIDAK, 10, 2, 0.05, family)
+
+
+_SPLIT_M = st.integers(1, 10**6)
+_SPLIT_ALPHA = st.floats(1e-8, 0.5)
+
+
+@_PROPERTY
+@given(_SPLIT_M, _SPLIT_ALPHA, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.data())
+def test_fixed_policy_spans_interval_length(m, alpha, delta, data):
+    # every estimate is 0, so -lo and hi are the two offsets, bit for bit
+    k = data.draw(st.integers(1, min(m, 100)))
+    y = np.zeros(m)
+    try:
+        length = interval_length(m, k, alpha, delta)
+    except ValueError:  # 1 - delta*alpha/m rounds to 1: both routes refuse it
+        with pytest.raises(ValueError):
+            k_of_m_intervals(y, k, alpha, "fixed", delta=delta)
+        return
+    intervals = k_of_m_intervals(y, k, alpha, "fixed", delta=delta)
+    assert len(intervals) == k
+    for iv in intervals:
+        lower, upper = -iv.lo, iv.hi
+        assert lower + upper == length
+
+
+@_PROPERTY
+@given(_SPLIT_M, _SPLIT_ALPHA, st.data())
+def test_sos_shortest_levels_are_the_delta_split(m, alpha, data):
+    k = data.draw(st.integers(1, m))
+    delta, _ = optimize_delta(m, k, alpha)
+    assert method_tail_levels("sos_shortest", m, k, alpha) == (
+        delta * alpha / m, (1.0 - delta) * alpha / k)
 
 
 @_PROPERTY

@@ -402,6 +402,16 @@ def test_abs_max_endpoints_solve_exactly(alpha):
                 assert abs(hi - c(hi) - abs(w_sel)) <= 1e-8, (a_max, y)
 
 
+def test_abs_max_interval_at_huge_curve_a_max():
+    # the inversion holds a at _A_FLAT beyond it, as c_plus does, so a huge
+    # a_max must not overflow the rule; c_plus (about 2) vanishes beside 1e200
+    curve = CPlusCurve.build(0.05, 1e200, 1e199)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ci = abs_max_interval([1e200, 0.0], 0.05, curve=curve)
+    assert (ci.index, ci.lo, ci.hi) == (0, 1e200, 1e200)
+
+
 def test_abs_max_alpha_mismatch(small_curve):
     with pytest.raises(ValueError):
         abs_max_interval([1.0, 0.0], 0.01, curve=small_curve)

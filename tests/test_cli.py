@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -217,12 +220,23 @@ def test_delta_scan_explicit_deltas(capsys):
     ("simulate", "--m", "2", "--k", "2", "--reps", "10", "--methods", "abs_max"),
     ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--sigma-model", "time-decay",
      "--rho", "nan"),
+    ("intervals", "--y", "3,2,1", "--method", "bonferroni", "--delta", "0.3"),  # sos only
+    ("intervals", "--y", "3,2,1", "--method", "sidak", "--delta-policy", "symmetric"),
+    ("intervals", "--y", "1,2", "--method", "abs-max", "--delta-policy", "fixed",
+     "--delta", "0.3"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_delta_flags_need_method_sos(capsys):
+    for flag in (("--delta", "0.3"), ("--delta-policy", "symmetric")):
+        code, out, err = run_cli(capsys, "intervals", "--y", "3,2,1",
+                                 "--method", "bonferroni", *flag)
+        assert (code, out) == (2, "") and f"{flag[0]} applies only to --method sos" in err
 
 
 def test_bad_flag_exits_2(capsys):
@@ -323,3 +337,20 @@ def test_compare_at_m_1e300_is_a_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_offsets_sweep_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
+    # bench/expected.json holds the sha256 of each CLI op's stdout at the
+    # recorded seed; the benchmark's replay fails on any moved byte
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    recorded = json.loads((bench / "expected.json").read_text(encoding="utf-8"))["offsets_sweep"]
+    wl = workloads.offsets_sweep(recorded["seed"], tmp_path)
+    digests = []
+    for _, _, argv in wl.ops:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert len(digests) == 18
+    assert digests == recorded["ops"]

@@ -218,10 +218,11 @@ def test_covariance_model_validation():
 
 _ONE_INTEGER = {
     # case -> call with n as its m or k; the Bonferroni half-width is the
-    # bonferroni row of method_offsets at k = 1
+    # bonferroni row of method_offsets at k = 1, and the fixed-delta split
+    # once behind spec_from_delta is checked by interval_length
     "bonferroni_halfwidth m": lambda n: sosci.method_offsets("bonferroni", n, 1, 0.05)[0],
     "sidak_halfwidth m": lambda n: sosci.sidak_halfwidth(n, 0.05),
-    "spec_from_delta m": lambda n: sosci.spec_from_delta(n, 1, 0.05, 0.5),
+    "spec_from_delta m": lambda n: sosci.interval_length(n, 1, 0.05, 0.5),
     "method_offsets k": lambda n: sosci.method_offsets("sos_shortest", 10, n, 0.05),
     "fcw_constants k": lambda n: sosci.fcw_constants(10, n, 0.05),
     "select_top_k k": lambda n: sosci.select_top_k([1.0, 2.0, 3.0], n),
@@ -268,7 +269,8 @@ _FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 4, 0.0), "reps": 50, 
           "theta_rule": "fixed"}
 
 _BAD_ARGUMENTS = {
-    # case -> (call, the argument its message must name)
+    # case -> (call, the argument its message must name); the spec_from_delta
+    # cases check the fixed-delta split at interval_length and the fixed policy
     "alpha None, k_of_m_intervals": (lambda: sosci.k_of_m_intervals([1.0, 2.0], 1, None), "alpha"),
     "alpha str, method_offsets": (lambda: sosci.method_offsets("sidak", 10, 2, "0.5"), "alpha"),
     "alpha None, fcw_constants": (lambda: sosci.fcw_constants(10, 2, None), "alpha"),
@@ -276,7 +278,7 @@ _BAD_ARGUMENTS = {
     "alpha str, c_plus": (lambda: sosci.c_plus(0.0, "0.05"), "alpha"),
     "alpha None, abs_max_interval": (lambda: sosci.abs_max_interval([1.0, 2.0], None), "alpha"),
     "alpha None, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, "sidak", None), "alpha"),
-    "delta None, spec_from_delta": (lambda: sosci.spec_from_delta(10, 2, 0.05, None), "delta"),
+    "delta None, spec_from_delta": (lambda: sosci.interval_length(10, 2, 0.05, None), "delta"),
     "delta str, interval_length": (lambda: sosci.interval_length(10, 2, 0.05, "0.5"), "delta"),
     "delta str, k_of_m_intervals": (
         lambda: sosci.k_of_m_intervals([1.0, 2.0], 1, 0.05, "fixed", delta="0.5"), "delta"),
@@ -285,7 +287,8 @@ _BAD_ARGUMENTS = {
     "df True, student_t_family": (lambda: dist.student_t_family(True), "df"),
     "df None, student_t_quantile": (lambda: dist.student_t_quantile(0.5, None), "df"),
     "family None, spec_from_delta": (
-        lambda: sosci.spec_from_delta(10, 2, 0.05, 0.5, None), "family"),
+        lambda: sosci.k_of_m_intervals([1.0, 2.0], 1, 0.05, "fixed", delta=0.5, family=None),
+        "family"),
     "family None, interval_length": (
         lambda: sosci.interval_length(10, 2, 0.05, 0.5, None), "family"),
     "family None, optimize_delta": (lambda: sosci.optimize_delta(10, 2, 0.05, None), "family"),

@@ -5,16 +5,14 @@ import pytest
 
 from sosci import (
     ConfidenceInterval,
-    IntervalSpec,
     OptimizationError,
     interval_length,
     k_of_m_intervals,
     method_offsets,
     optimize_delta,
-    spec_from_delta,
 )
 from sosci.dist import NORMAL, student_t_family
-from sosci.sos import golden_section_min
+from sosci.sos import _delta_levels, _delta_offsets, golden_section_min
 
 from _oracles import grid_argmin
 
@@ -30,52 +28,49 @@ def test_confidence_interval_contract():
         ConfidenceInterval(0, math.nan, 0.0, "x")
 
 
+# the fixed-delta split, once the public spec_from_delta: its tail levels
+# (_delta_levels), its offsets (_delta_offsets) and, at interval_length, its
+# argument checks
+
 def test_spec_from_delta_splits_alpha():
-    spec = spec_from_delta(100, 10, 0.05, 0.4)
-    assert spec.lambda_lower == pytest.approx(0.4 * 0.05 / 100)
-    assert spec.lambda_upper == pytest.approx(0.6 * 0.05 / 10)
-    assert 100 * spec.lambda_lower + 10 * spec.lambda_upper == pytest.approx(0.05)
+    lam_lo, lam_up = _delta_levels(100, 10, 0.05, 0.4)
+    assert lam_lo == pytest.approx(0.4 * 0.05 / 100)
+    assert lam_up == pytest.approx(0.6 * 0.05 / 10)
+    assert 100 * lam_lo + 10 * lam_up == pytest.approx(0.05)
 
 
 def test_spec_from_delta_symmetric_frozen():
     # oracle: independent bisection quantiles for the (m, k) = (100, 10) split
-    spec = spec_from_delta(100, 10, 0.05, 100 / (100 + 10))
-    assert spec.c_lower == pytest.approx(3.317247362, abs=1e-8)
-    assert spec.c_upper == pytest.approx(3.317247362, abs=1e-8)
+    c_lower, c_upper = _delta_offsets(100, 10, 0.05, 100 / (100 + 10), NORMAL)
+    assert c_lower == pytest.approx(3.317247362, abs=1e-8)
+    assert c_upper == pytest.approx(3.317247362, abs=1e-8)
 
 
 def test_spec_from_delta_half_frozen():
-    spec = spec_from_delta(100, 10, 0.05, 0.5)
-    assert spec.c_lower == pytest.approx(3.480756404, abs=1e-8)
-    assert spec.c_upper == pytest.approx(2.807033768, abs=1e-8)
+    c_lower, c_upper = _delta_offsets(100, 10, 0.05, 0.5, NORMAL)
+    assert c_lower == pytest.approx(3.480756404, abs=1e-8)
+    assert c_upper == pytest.approx(2.807033768, abs=1e-8)
 
 
 def test_spec_from_delta_k_equals_m_symmetric_is_bonferroni():
     for m in (2, 5, 100):
-        spec = spec_from_delta(m, m, 0.05, 0.5)
-        assert spec.c_lower == pytest.approx(method_offsets("bonferroni", m, 1, 0.05)[0],
-                                             abs=1e-12)
-        assert spec.c_upper == pytest.approx(spec.c_lower, abs=1e-12)
+        c_lower, c_upper = _delta_offsets(m, m, 0.05, 0.5, NORMAL)
+        assert c_lower == pytest.approx(method_offsets("bonferroni", m, 1, 0.05)[0],
+                                        abs=1e-12)
+        assert c_upper == pytest.approx(c_lower, abs=1e-12)
 
 
 def test_spec_from_delta_domain():
     with pytest.raises(ValueError):
-        spec_from_delta(100, 10, 0.05, 0.0)
+        interval_length(100, 10, 0.05, 0.0)
     with pytest.raises(ValueError):
-        spec_from_delta(100, 10, 0.05, 1.0)
+        interval_length(100, 10, 0.05, 1.0)
     with pytest.raises(ValueError):
-        spec_from_delta(100, 10, 1.5, 0.5)
+        interval_length(100, 10, 1.5, 0.5)
     with pytest.raises(ValueError):
-        spec_from_delta(10, 11, 0.05, 0.5)
+        interval_length(10, 11, 0.05, 0.5)
     with pytest.raises(ValueError):
-        spec_from_delta(0, 0, 0.05, 0.5)
-
-
-def test_interval_spec_validation():
-    with pytest.raises(ValueError):
-        IntervalSpec(0.0, 0.01, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        IntervalSpec(0.01, 0.01, math.inf, 2.0)
+        interval_length(0, 0, 0.05, 0.5)
 
 
 def test_k_of_m_symmetric_two_of_two():
@@ -143,9 +138,8 @@ def test_k_of_m_length_grows_with_k():
 
 
 def test_interval_length_helper():
-    spec = spec_from_delta(10, 2, 0.05, 0.5)
     assert interval_length(10, 2, 0.05, 0.5) == pytest.approx(
-        spec.c_lower + spec.c_upper, abs=1e-15)
+        sum(_delta_offsets(10, 2, 0.05, 0.5, NORMAL)), abs=1e-15)
 
 
 def test_golden_section_on_quadratic():
