@@ -18,7 +18,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dist import (
     NORMAL,
@@ -86,21 +85,81 @@ def _fcw_tail_limit(d: float, m: int, k: int) -> float:
     return (1.0 - b) ** (k - 1) * (1.0 - b ** (m - k + 1))
 
 
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps, the default rtol of scipy's brentq
+_BRENT_STEPS = 100
+
+
+def _brent(f, lo: float, hi: float, flo: float, fhi: float, xtol: float) -> float:
+    """Root of f on [lo, hi], given flo = f(lo) and fhi = f(hi), nonzero and
+    of opposite signs.
+
+    A step-for-step port of scipy's Zeros/brentq.c at scipy's default rtol and
+    step cap: from the same bracket it takes the same iterates and so returns
+    the same root to the bit.
+    """
+    xpre, xcur, fpre, fcur = lo, hi, flo, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # C's division by 0 gives inf or nan, and either one bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise OptimizationError(f"root solve met a NaN function value at x={xcur!r}")
+    raise OptimizationError(f"root solve did not converge in {_BRENT_STEPS} steps")
+
+
 def _fcw_root(f, lo: float, hi: float, m: int, k: int, alpha: float) -> float:
     # root of an increasing f on [lo, hi]; an end where f is already 0 (as
     # when 1 - alpha rounds to 1) is no root of the coverage equation
-    if not f(lo) < 0.0 < f(hi):
+    flo, fhi = f(lo), f(hi)
+    if not flo < 0.0 < fhi:
         raise OptimizationError(
             f"no FCW constant attains coverage 1 - alpha at m={m}, k={k}, alpha={alpha!r}")
-    return brentq(f, lo, hi, xtol=1e-12)
+    return _brent(f, lo, hi, flo, fhi, 1e-12)
 
 
 def _fcw_solve_c(d: float, m: int, k: int, alpha: float) -> float | None:
     target = 1.0 - alpha
-    if _fcw_tail_limit(d, m, k) <= target + 1e-9:
+    # feasibility margin, kept below d_lo's so that d_lo stays feasible
+    if _fcw_tail_limit(d, m, k) <= target + min(1e-9, alpha / 4.0):
         return None
-    return _fcw_root(lambda c: _fcw_coverage(c, d, m, k) - target, 1e-12, 10.0 + d,
-                     m, k, alpha)
+    # _fcw_coverage(c, d, m, k) - target, with the d terms formed once
+    b = std_normal_cdf(-d)
+    bn = b ** (m - k + 1)
+
+    def excess(c: float) -> float:
+        a = std_normal_cdf(c)
+        return (a - b) ** (k - 1) * (a ** (m - k + 1) - bn) - target
+
+    return _fcw_root(excess, 1e-12, 10.0 + d, m, k, alpha)
 
 
 def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tuple[float, float]:
@@ -128,15 +187,15 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
         d_lo = _fcw_root(lambda d: _fcw_tail_limit(d, m, k) - (target + margin), 0.0, 20.0,
                          m, k, alpha)
 
-    def total(d: float) -> float:
-        c = _fcw_solve_c(d, m, k, alpha)
+    def total(d: float, c: float | None) -> float:
         return math.inf if c is None else c + d
 
     d_hi = c_sym + 0.5
-    d_star = golden_section_min(total, d_lo, d_hi, tol=1e-9)
+    d_star = golden_section_min(lambda d: total(d, _fcw_solve_c(d, m, k, alpha)),
+                                d_lo, d_hi, tol=1e-9)
     # the optimum can sit on the boundary (d = d_lo); keep the best candidate
-    d_star = min((d_lo, d_star, d_hi), key=total)
-    c_star = _fcw_solve_c(d_star, m, k, alpha)
+    d_star, c_star = min(((d, _fcw_solve_c(d, m, k, alpha)) for d in (d_lo, d_star, d_hi)),
+                         key=lambda dc: total(*dc))
     if c_star is None:
         raise OptimizationError(
             f"no feasible lower offset at d={d_star!r} for m={m}, k={k}, alpha={alpha!r}")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
+from scipy.optimize import brentq  # the reference for _brent; sosci never imports it
 
 from sosci import (
     MethodLabel,
@@ -20,7 +21,7 @@ from sosci import (
     optimize_delta,
     sidak_halfwidth,
 )
-from sosci.baselines import _fcw_coverage
+from sosci.baselines import _brent, _fcw_coverage, _fcw_solve_c, _fcw_tail_limit
 from sosci.dist import NORMAL, student_t_family
 from sosci.sos import _delta_offsets
 
@@ -127,6 +128,118 @@ def test_fcw_shortest_tiny_alpha(alpha):
     assert c + d <= c_sym + d_sym + 1e-9
 
 
+@pytest.mark.parametrize("m, k, alpha", [(100, 10, 1e-10), (3, 2, 1e-10), (5, 5, 1e-12)])
+def test_fcw_shortest_below_an_absolute_margin(m, k, alpha):
+    # alpha below 1e-9: an absolute margin of 1e-9 would exceed alpha itself
+    c, d = fcw_constants(m, k, alpha, mode="shortest")
+    assert np.isfinite(c) and np.isfinite(d) and d >= 0.0
+    assert _fcw_coverage(c, d, m, k) == pytest.approx(1.0 - alpha, abs=1e-13)
+    c_sym, d_sym = fcw_constants(m, k, alpha, mode="symmetric")
+    assert c + d <= c_sym + d_sym + 1e-9
+
+
+# float.hex of (c_sym, c_shortest, d_shortest), recorded from scipy.optimize.brentq
+# solves; the first row is the benchmark's seed-1 `intervals --method fcw-shortest` op
+_FCW_HEX = [
+    (340, 7, 0.0979, "0x1.b782ace169ef6p+1", "0x1.d5473526706d8p+1", "0x1.2915d70dd4d2cp+1"),
+    (100, 10, 0.05, "0x1.a7604ad040069p+1", "0x1.c079465ba6de5p+1", "0x1.5dbdc9cd92e5ep+1"),
+    (100, 1, 0.05, "0x1.a446b2b7b87c4p+1", "0x1.a446b2b7b881ap+1", "0x0.0p+0"),
+    (2, 1, 0.05, "0x1.f5c0331eeff88p+0", "0x1.19b81b96176a2p+1", "0x1.09813282b935ap+0"),
+    (50, 50, 0.01, "0x1.dbdffeb513bddp+1", "0x1.dbdfff012b13ap+1", "0x1.dbdffe68fc7aap+1"),
+    (612, 451, 0.1957, "0x1.c44a7f3133371p+1", "0x1.c9700d0d3cecep+1", "0x1.be4a84dfdba2cp+1"),
+    (1000, 3, 1e-06, "0x1.7fe162cca483ep+2", "0x1.8700931c03dfap+2", "0x1.41af1beecc882p+2"),
+    (20, 5, 0.5, "0x1.e7ea52dd8d0e0p+0", "0x1.17ef03aca525fp+1", "0x1.501c8c1af0a62p+0"),
+    (3, 2, 1e-08, "0x1.7638118170c70p+2", "0x1.7a838a43f6f4cp+2", "0x1.6ec44301aba55p+2"),
+]
+
+
+@pytest.mark.parametrize("m, k, alpha, c_sym, c, d", _FCW_HEX)
+def test_fcw_constants_frozen_bits(m, k, alpha, c_sym, c, d):
+    assert [x.hex() for x in fcw_constants(m, k, alpha, "symmetric")] == [c_sym, c_sym]
+    assert [x.hex() for x in fcw_constants(m, k, alpha, "shortest")] == [c, d]
+
+
+def _same_root(f, lo, hi, xtol=1e-12):
+    # the same iterates, so the same root or the same step-cap failure
+    flo, fhi = f(lo), f(hi)
+    assert flo < 0.0 < fhi
+    seen = []
+
+    def logged(x):
+        seen.append(x)
+        return f(x)
+
+    try:
+        expected = brentq(logged, lo, hi, xtol=xtol).hex()
+    except RuntimeError:
+        expected = None
+    scipy_iterates, seen[:] = seen[2:], []
+    if expected is None:
+        with pytest.raises(OptimizationError, match="100 steps"):
+            _brent(logged, lo, hi, flo, fhi, xtol)
+    else:
+        assert _brent(logged, lo, hi, flo, fhi, xtol).hex() == expected
+    assert [x.hex() for x in seen] == [x.hex() for x in scipy_iterates]
+
+
+@_PROPERTY
+@given(m=st.integers(1, 1000), k_frac=st.floats(0.0, 1.0), alpha=st.floats(1e-8, 0.9),
+       d=st.floats(0.0, 8.0))
+def test_brent_matches_scipy_on_fcw_objectives(m, k_frac, alpha, d):
+    k = max(1, round(k_frac * m))
+    target = 1.0 - alpha
+    objectives = [
+        (lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0),
+        (lambda c: _fcw_coverage(c, d, m, k) - target, 1e-12, 10.0 + d),
+        (lambda x: _fcw_tail_limit(x, m, k) - (target + min(1e-6, alpha / 2.0)), 0.0, 20.0),
+    ]
+    for f, lo, hi in objectives:
+        if f(lo) < 0.0 < f(hi):
+            _same_root(f, lo, hi)
+    # _fcw_solve_c's own objective has _fcw_coverage's bits
+    c = _fcw_solve_c(d, m, k, alpha)
+    if c is not None:
+        assert c.hex() == brentq(lambda x: _fcw_coverage(x, d, m, k) - target,
+                                 1e-12, 10.0 + d, xtol=1e-12).hex()
+
+
+# increasing test functions: smooth ones take interpolation and extrapolation
+# steps, the kinked, flat and stepped ones force bisection
+_SHAPES = {
+    "linear": lambda x: x,
+    "cubic": lambda x: x ** 3,
+    "exp": lambda x: math.expm1(x),
+    "atan": lambda x: math.atan(50.0 * x),
+    "root": lambda x: math.copysign(abs(x) ** 0.1, x),
+    "flat": lambda x: math.copysign(x * x * x * x * x * x * x, x),
+    "step": lambda x: 1.0 if x >= 0.0 else -1.0,
+}
+
+
+@_PROPERTY
+# an extrapolation step within delta of 3 |sbis|, where the step test's "- delta" decides
+@example(shape="exp", root=2.5382221045492583, left=25.466497220980283,
+         right=19.55521981443354, scale=1.0, xtol=1.0)
+@given(shape=st.sampled_from(sorted(_SHAPES)), root=st.floats(-3.0, 3.0),
+       left=st.floats(1e-3, 50.0), right=st.floats(1e-3, 50.0),
+       scale=st.sampled_from([1.0, 1e-160, 1e160]), xtol=st.sampled_from([1e-12, 1e-3, 0.3, 1.0]))
+def test_brent_matches_scipy_on_monotone_functions(shape, root, left, right, scale, xtol):
+    # a coarse xtol widens the step tests' margins, so their edges get hit too
+    g = _SHAPES[shape]
+    _same_root(lambda x: scale * g(x - root), root - left, root + right, xtol)
+
+
+def test_brent_nan_is_a_named_failure():
+    with pytest.raises(OptimizationError, match="NaN"):
+        _brent(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12)
+
+
+def test_brent_step_cap_is_a_named_failure():
+    # bisection from a 1e300-wide bracket needs about 1000 halvings
+    with pytest.raises(OptimizationError, match="100 steps"):
+        _brent(_SHAPES["step"], -1e300, 1e300, -1.0, 1.0, 1e-12)
+
+
 def test_fcw_shortest_beats_symmetric_and_grid():
     for m, k in ((100, 10), (100, 1), (20, 5)):
         c_sym, d_sym = fcw_constants(m, k, 0.05, mode="symmetric")
@@ -134,7 +247,6 @@ def test_fcw_shortest_beats_symmetric_and_grid():
         assert c_opt + d_opt <= c_sym + d_sym + 1e-9
 
         def width_at(d):
-            from sosci.baselines import _fcw_solve_c
             c = _fcw_solve_c(d, m, k, 0.05)
             return np.inf if c is None else c + d
 

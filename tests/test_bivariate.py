@@ -72,6 +72,12 @@ def test_larger_of_two_errors():
         larger_of_two_interval([1.0, 2.0], 1.5)
 
 
+def test_gauss_legendre_literals_are_scipys_rule():
+    x, w = special.roots_legendre(48)
+    assert bivariate._GL_X.tobytes() == x.tobytes()
+    assert bivariate._GL_W.tobytes() == w.tobytes()
+
+
 def test_b_region_zero_mean_factorizes():
     # oracle: at mu = (0, 0) the region probability is (2*Phi(c) - 1)^2
     assert b_region_probability((0.0, 0.0), SIDAK2) == pytest.approx(0.95, abs=1e-4)

@@ -36,6 +36,19 @@ def test_bench_tracer_wraps_names_that_exist():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_heavy_scipy_module():
+    # sosci uses scipy.special alone; a fresh interpreter shows what an import pulls in
+    code = ("import sys, sosci, sosci.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.integrate') "
+            "if m in sys.modules))")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_readme_public_api_lists_every_export():
     # README's "Public API" section is one bullet per module: `module`: `name`, ...
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
