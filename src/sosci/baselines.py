@@ -148,8 +148,12 @@ def _fcw_root(f, lo: float, hi: float, m: int, k: int, alpha: float) -> float:
 
 def _fcw_solve_c(d: float, m: int, k: int, alpha: float) -> float | None:
     target = 1.0 - alpha
-    # feasibility margin, kept below d_lo's so that d_lo stays feasible
-    if _fcw_tail_limit(d, m, k) <= target + min(1e-9, alpha / 4.0):
+    # feasibility margin, kept below d_lo's so that d_lo stays feasible.  It
+    # drops below 1e-9 with alpha only while the coverage, which rounds Phi(c)
+    # near 1 and raises it to powers summing to m, resolves 1 - alpha to 1e-3
+    # of alpha; past that, 1e-9 exceeds alpha and every d is refused
+    resolves = m * math.ulp(1.0) / 2.0 <= alpha / 1000.0
+    if _fcw_tail_limit(d, m, k) <= target + (min(1e-9, alpha / 4.0) if resolves else 1e-9):
         return None
     # _fcw_coverage(c, d, m, k) - target, with the d terms formed once
     b = std_normal_cdf(-d)

@@ -22,7 +22,7 @@ from sosci import (
     sidak_halfwidth,
 )
 from sosci.baselines import _brent, _fcw_coverage, _fcw_solve_c, _fcw_tail_limit
-from sosci.dist import NORMAL, student_t_family
+from sosci.dist import NORMAL, std_normal_cdf, student_t_family
 from sosci.sos import _delta_offsets
 
 from _oracles import grid_argmin
@@ -118,22 +118,27 @@ def test_fcw_shortest_boundary_case():
     assert c == pytest.approx(3.283407535, abs=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [1e-5, 1e-6, 1e-7, 1e-8])
-def test_fcw_shortest_tiny_alpha(alpha):
+def _fcw_miss(c, d, m, k):
+    # 1 - coverage formed from the tails Phi(-c) and Phi(-d), so it keeps its
+    # digits where the solver's Phi(c) near 1 has lost them
+    t, b = std_normal_cdf(-c), std_normal_cdf(-d)
+    n = m - k + 1
+    return -math.expm1((k - 1) * math.log1p(-(t + b)) + n * math.log1p(-t)
+                       + math.log1p(-(b / (1.0 - t)) ** n))
+
+
+@pytest.mark.parametrize("m, k, alpha", [
+    *(pytest.param(100, 10, alpha, id=repr(alpha)) for alpha in (1e-5, 1e-6, 1e-7, 1e-8)),
+    # below 1e-9, where an absolute feasibility margin of 1e-9 would exceed alpha
+    (100, 10, 1e-10), (3, 2, 1e-10), (5, 5, 1e-12),
+])
+def test_fcw_shortest_tiny_alpha(m, k, alpha):
     # the feasibility margin must stay below alpha itself
-    c, d = fcw_constants(100, 10, alpha, mode="shortest")
-    assert np.isfinite(c) and np.isfinite(d) and d >= 0.0
-    assert _fcw_coverage(c, d, 100, 10) == pytest.approx(1.0 - alpha, abs=1e-13)
-    c_sym, d_sym = fcw_constants(100, 10, alpha, mode="symmetric")
-    assert c + d <= c_sym + d_sym + 1e-9
-
-
-@pytest.mark.parametrize("m, k, alpha", [(100, 10, 1e-10), (3, 2, 1e-10), (5, 5, 1e-12)])
-def test_fcw_shortest_below_an_absolute_margin(m, k, alpha):
-    # alpha below 1e-9: an absolute margin of 1e-9 would exceed alpha itself
     c, d = fcw_constants(m, k, alpha, mode="shortest")
     assert np.isfinite(c) and np.isfinite(d) and d >= 0.0
-    assert _fcw_coverage(c, d, m, k) == pytest.approx(1.0 - alpha, abs=1e-13)
+    assert _fcw_coverage(c, d, m, k) == pytest.approx(1.0 - alpha, abs=min(1e-13, alpha * 1e-3))
+    # the miss is alpha to 4 significant digits
+    assert _fcw_miss(c, d, m, k) == pytest.approx(alpha, rel=5e-4, abs=0)
     c_sym, d_sym = fcw_constants(m, k, alpha, mode="symmetric")
     assert c + d <= c_sym + d_sym + 1e-9
 
@@ -268,6 +273,12 @@ def test_fcw_mode_and_domain_errors():
     (3, 2, 1e-300, "symmetric"),
     (3, 1, 0.9999999999, "shortest"),  # c -> 0 already covers
     (3, 2, 1e-300, "shortest"),
+    # Phi(c) near 1 cannot resolve 1 - alpha to 1e-3 of alpha: the solve
+    # would return constants whose exact miss is 1.1 to 6 times alpha
+    (1000, 10, 1e-14, "shortest"),
+    (2, 1, 1e-15, "shortest"),
+    (10, 3, 1e-14, "shortest"),
+    (1000, 1000, 1e-12, "shortest"),
 ])
 def test_fcw_unattainable_coverage_is_named_failure(m, k, alpha, mode):
     with pytest.raises(OptimizationError, match=re.escape(f"m={m}, k={k}, alpha={alpha!r}")):
