@@ -34,8 +34,8 @@ from .sos import (
     OptimizationError,
     _checked_offsets,
     _delta_levels,
+    _golden_section_min,
     _selected_intervals,
-    golden_section_min,
     optimize_delta,
 )
 
@@ -77,12 +77,6 @@ def _fcw_coverage(c: float, d: float, m: int, k: int) -> float:
     a = std_normal_cdf(c)
     b = std_normal_cdf(-d)
     return (a - b) ** (k - 1) * (a ** (m - k + 1) - b ** (m - k + 1))
-
-
-def _fcw_tail_limit(d: float, m: int, k: int) -> float:
-    # coverage as c -> infinity; an inner solve for c is feasible only above 1 - alpha
-    b = std_normal_cdf(-d)
-    return (1.0 - b) ** (k - 1) * (1.0 - b ** (m - k + 1))
 
 
 _BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps, the default rtol of scipy's brentq
@@ -146,16 +140,9 @@ def _fcw_root(f, lo: float, hi: float, m: int, k: int, alpha: float) -> float:
     return _brent(f, lo, hi, flo, fhi, 1e-12)
 
 
-def _fcw_solve_c(d: float, m: int, k: int, alpha: float) -> float | None:
+def _fcw_solve_c(d: float, m: int, k: int, alpha: float) -> float:
+    # _fcw_coverage(c, d, m, k) - (1 - alpha), with the d terms formed once
     target = 1.0 - alpha
-    # feasibility margin, kept below d_lo's so that d_lo stays feasible.  It
-    # drops below 1e-9 with alpha only while the coverage, which rounds Phi(c)
-    # near 1 and raises it to powers summing to m, resolves 1 - alpha to 1e-3
-    # of alpha; past that, 1e-9 exceeds alpha and every d is refused
-    resolves = m * math.ulp(1.0) / 2.0 <= alpha / 1000.0
-    if _fcw_tail_limit(d, m, k) <= target + (min(1e-9, alpha / 4.0) if resolves else 1e-9):
-        return None
-    # _fcw_coverage(c, d, m, k) - target, with the d terms formed once
     b = std_normal_cdf(-d)
     bn = b ** (m - k + 1)
 
@@ -178,31 +165,36 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     _check_unit(alpha, "alpha")
     if mode not in ("symmetric", "shortest"):
         raise ValueError(f"unknown mode {mode!r}")
+    # the coverage rounds Phi(c) near 1 and raises it to powers summing to m,
+    # so it resolves 1 - alpha to about 1e-3 of alpha only while
+    # m * 2^-53 <= alpha / 1000; past that a solve can return constants whose
+    # miss is several times alpha
+    if m * math.ulp(1.0) / 2.0 > alpha / 1000.0:
+        raise OptimizationError(
+            f"FCW coverage in double precision cannot resolve 1 - alpha "
+            f"at m={m}, k={k}, alpha={alpha!r}")
     target = 1.0 - alpha
     c_sym = _fcw_root(lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0, m, k, alpha)
     if mode == "symmetric":
         return c_sym, c_sym
 
-    if _fcw_tail_limit(0.0, m, k) > target + 1e-9:
+    # d_lo, where the coverage as c -> infinity clears 1 - alpha by a margin;
+    # each margin stays below alpha so that target + margin < 1
+    if _fcw_coverage(math.inf, 0.0, m, k) > target + min(1e-9, alpha / 4.0):
         d_lo = 0.0
     else:
-        # feasibility margin, kept below alpha so that target + margin < 1
-        margin = min(1e-6, alpha / 2.0)
-        d_lo = _fcw_root(lambda d: _fcw_tail_limit(d, m, k) - (target + margin), 0.0, 20.0,
-                         m, k, alpha)
-
-    def total(d: float, c: float | None) -> float:
-        return math.inf if c is None else c + d
-
+        d_lo = _fcw_root(
+            lambda d: _fcw_coverage(math.inf, d, m, k) - (target + min(1e-6, alpha / 2.0)),
+            0.0, 20.0, m, k, alpha)
     d_hi = c_sym + 0.5
-    d_star = golden_section_min(lambda d: total(d, _fcw_solve_c(d, m, k, alpha)),
-                                d_lo, d_hi, tol=1e-9)
-    # the optimum can sit on the boundary (d = d_lo); keep the best candidate
-    d_star, c_star = min(((d, _fcw_solve_c(d, m, k, alpha)) for d in (d_lo, d_star, d_hi)),
-                         key=lambda dc: total(*dc))
-    if c_star is None:
-        raise OptimizationError(
-            f"no feasible lower offset at d={d_star!r} for m={m}, k={k}, alpha={alpha!r}")
+    d_star = _golden_section_min(lambda d: _fcw_solve_c(d, m, k, alpha) + d, d_lo, d_hi, tol=1e-9)
+    # the optimum can sit on the boundary, so d_lo is a candidate too, unless its
+    # root stopped on a flat step of the coverage at or below 1 - alpha: the steps
+    # of (1 - Phi(-d))^(k-1), about k * 2^-53, outgrow the 1e-6 margin past k ~ 1e10
+    feasible = _fcw_coverage(math.inf, d_lo, m, k) > target
+    ends = (d_lo, d_star, d_hi) if feasible else (d_star, d_hi)
+    c_star, d_star = min(((_fcw_solve_c(d, m, k, alpha), d) for d in ends),
+                         key=lambda cd: cd[0] + cd[1])
     return c_star, d_star
 
 

@@ -26,6 +26,7 @@ from scipy import special
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
 from .dist import (
+    _MAX_GRID,
     NORMAL,
     ShiftFamily,
     _check_mean_pair,
@@ -256,10 +257,16 @@ def c_plus(a: float, alpha: float) -> float:
     return float(_calibrate(np.array([float(a)]), alpha)[0])
 
 
-def _check_grid(alpha: float, a_max: float, step: float) -> None:
+def _check_grid(alpha: float, a_max: float, step: float) -> int:
+    # the number of steps from 0 to a_max; its knots are counted before any is allocated
     _check_unit(alpha, "alpha")
     if not 0.0 < _check_real(step, "step") <= _check_real(a_max, "a_max"):
         raise ValueError(f"need 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
+    steps = a_max / step  # inf once the ratio overflows
+    if not (math.isfinite(steps) and round(steps) < _MAX_GRID):
+        raise ValueError(f"a grid from 0 to a_max={a_max!r} by step={step!r} "
+                         f"has more than {_MAX_GRID} knots")
+    return round(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +286,7 @@ class CPlusCurve:
     @classmethod
     def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
         """Solves every knot in one batch; each equals `c_plus` at its a."""
-        _check_grid(alpha, a_max, step)
-        n = int(round(a_max / step))
+        n = _check_grid(alpha, a_max, step)
         grid_a = np.linspace(0.0, n * step, n + 1)
         return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
                    grid_a=grid_a, grid_c=_calibrate(grid_a, alpha))

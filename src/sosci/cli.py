@@ -18,7 +18,7 @@ import sys
 
 from .baselines import MethodLabel, k_of_m_intervals, method_offsets
 from .bivariate import abs_max_interval, cplus_curve, larger_of_two_interval
-from .dist import CovarianceModel, NotPositiveDefiniteError
+from .dist import _MAX_GRID, CovarianceModel, NotPositiveDefiniteError
 from .mc import Scenario, load_scenario, run_coverage
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
@@ -75,26 +75,30 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_ks(text: str, m: int) -> list[int]:
+    # a start:stop[:step] range is checked against 1..m and _MAX_GRID before it is expanded
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise ValueError(f"bad {what} range {text!r}; use start:stop[:step]")
+            raise ValueError(f"bad k range {text!r}; use start:stop[:step]")
         try:
             nums = [int(p) for p in parts]
         except ValueError:
-            raise ValueError(f"bad {what} range {text!r}") from None
+            raise ValueError(f"bad k range {text!r}") from None
         start, stop = nums[0], nums[1]
         step = nums[2] if len(nums) == 3 else 1
-        if step < 1 or stop < start:
-            raise ValueError(f"bad {what} range {text!r}")
-        return list(range(start, stop + 1, step))
+        if step < 1 or not 1 <= start <= stop <= m:
+            raise ValueError(f"bad k range {text!r}; need 1 <= start <= stop <= m={m}")
+        ks = range(start, stop + 1, step)
+        if len(ks) > _MAX_GRID:
+            raise ValueError(f"k range {text!r} has {len(ks)} values, more than {_MAX_GRID}")
+        return list(ks)
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"could not parse {what} list {text!r}") from None
+        raise ValueError(f"could not parse k list {text!r}") from None
     if not values:
-        raise ValueError(f"empty {what} list")
+        raise ValueError("empty k list")
     return values
 
 
@@ -170,7 +174,7 @@ def cmd_intervals(args) -> OutputTable:
 
 def cmd_compare(args) -> OutputTable:
     m, alpha = args.m, args.alpha
-    ks = _parse_int_list(args.k_range, "k")
+    ks = _parse_ks(args.k_range, m)
     rows = []
     for k in ks:
         for label in MethodLabel:
@@ -193,13 +197,13 @@ def cmd_cplus_curve(args) -> OutputTable:
 
 def cmd_delta_scan(args) -> OutputTable:
     m, alpha = args.m, args.alpha
-    ks = _parse_int_list(args.k, "k")
+    ks = _parse_ks(args.k, m)
     if args.deltas is not None:
         deltas = _parse_float_list(args.deltas, "delta")
     else:
         n = args.grid
-        if n < 1:
-            raise ValueError("--grid must be >= 1")
+        if not 1 <= n <= _MAX_GRID:
+            raise ValueError(f"--grid must lie in 1..{_MAX_GRID}, got {n}")
         deltas = [j / (n + 1) for j in range(1, n + 1)]
     rows = []
     for k in ks:

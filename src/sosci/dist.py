@@ -52,6 +52,9 @@ def std_normal_quantile(p: float) -> float:
 
 # Argument checks: public entry points check each argument once, before any work.
 
+_MAX_GRID = 10**6  # the most points a grid argument may expand to, checked before allocating
+
+
 def _check_int(value, name: str, least: int | None = None) -> int:
     """`value` as an int >= `least`; bools and fractions raise ValueError."""
     try:

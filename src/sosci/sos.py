@@ -36,7 +36,6 @@ __all__ = [
     "ConfidenceInterval",
     "interval_length",
     "optimize_delta",
-    "golden_section_min",
 ]
 
 DELTA_EPS = 1e-6  # search clip: delta -> {0, 1} drives one offset to infinity
@@ -100,7 +99,7 @@ def interval_length(m: int, k: int, alpha: float, delta: float,
     return sum(_checked_offsets(m, k, alpha, delta, family))
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> float:
+def _golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Golden-section minimizer on [a, b] for a unimodal f; returns the
     midpoint of the final bracket."""
     if not a < b:
@@ -120,8 +119,8 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
-                   tol: float = 1e-10) -> tuple[float, float]:
+def optimize_delta(m: int, k: int, alpha: float,
+                   family: ShiftFamily = NORMAL) -> tuple[float, float]:
     """delta minimizing the interval length, and the minimal length.
 
     The length is convex in delta for the families used here, so a
@@ -143,7 +142,7 @@ def optimize_delta(m: int, k: int, alpha: float, family: ShiftFamily = NORMAL,
                 f"non-finite interval length at delta={delta!r} (alpha too extreme)")
         return val
 
-    delta_star = golden_section_min(length, DELTA_EPS, 1.0 - DELTA_EPS, tol)
+    delta_star = _golden_section_min(length, DELTA_EPS, 1.0 - DELTA_EPS)
     return delta_star, length(delta_star)
 
 

@@ -21,7 +21,7 @@ from sosci import (
     optimize_delta,
     sidak_halfwidth,
 )
-from sosci.baselines import _brent, _fcw_coverage, _fcw_solve_c, _fcw_tail_limit
+from sosci.baselines import _brent, _fcw_coverage, _fcw_solve_c
 from sosci.dist import NORMAL, std_normal_cdf, student_t_family
 from sosci.sos import _delta_offsets
 
@@ -130,7 +130,7 @@ def _fcw_miss(c, d, m, k):
 @pytest.mark.parametrize("m, k, alpha", [
     *(pytest.param(100, 10, alpha, id=repr(alpha)) for alpha in (1e-5, 1e-6, 1e-7, 1e-8)),
     # below 1e-9, where an absolute feasibility margin of 1e-9 would exceed alpha
-    (100, 10, 1e-10), (3, 2, 1e-10), (5, 5, 1e-12),
+    (100, 10, 1e-10), (3, 2, 1e-10), (5, 5, 1e-12), (35, 1, 1e-10),
 ])
 def test_fcw_shortest_tiny_alpha(m, k, alpha):
     # the feasibility margin must stay below alpha itself
@@ -140,6 +140,7 @@ def test_fcw_shortest_tiny_alpha(m, k, alpha):
     # the miss is alpha to 4 significant digits
     assert _fcw_miss(c, d, m, k) == pytest.approx(alpha, rel=5e-4, abs=0)
     c_sym, d_sym = fcw_constants(m, k, alpha, mode="symmetric")
+    assert _fcw_miss(c_sym, d_sym, m, k) == pytest.approx(alpha, rel=5e-4, abs=0)
     assert c + d <= c_sym + d_sym + 1e-9
 
 
@@ -162,6 +163,23 @@ _FCW_HEX = [
 def test_fcw_constants_frozen_bits(m, k, alpha, c_sym, c, d):
     assert [x.hex() for x in fcw_constants(m, k, alpha, "symmetric")] == [c_sym, c_sym]
     assert [x.hex() for x in fcw_constants(m, k, alpha, "shortest")] == [c, d]
+
+
+@pytest.mark.parametrize("m, k, alpha, c, d", [
+    (330086570680, 295683716418, 0.058147250146795566, "0x1.d7318e11263e2p+2",
+     "0x1.d62a3d5db0dc1p+2"),
+    (147392017632, 147392017632, 0.16163229579950358, "0x1.c6cb5555a975fp+2",
+     "0x1.c6bffe4da9d92p+2"),
+    (798365562621, 253388861588, 0.49691514393746167, "0x1.c9dac21764b6cp+2",
+     "0x1.bf4d381c0f7dap+2"),
+])
+def test_fcw_shortest_at_huge_k_skips_an_infeasible_d_lo(m, k, alpha, c, d):
+    # the steps of (1 - Phi(-d))^(k-1) outgrow d_lo's 1e-6 margin here, and its
+    # root stops on a flat step below 1 - alpha; the other candidates still give
+    # the pair recorded from scipy.optimize.brentq solves, with a miss of alpha
+    pair = fcw_constants(m, k, alpha, "shortest")
+    assert [x.hex() for x in pair] == [c, d]
+    assert _fcw_miss(*pair, m, k) == pytest.approx(alpha, rel=1e-3, abs=0)
 
 
 def _same_root(f, lo, hi, xtol=1e-12):
@@ -196,16 +214,21 @@ def test_brent_matches_scipy_on_fcw_objectives(m, k_frac, alpha, d):
     objectives = [
         (lambda c: _fcw_coverage(c, c, m, k) - target, 1e-12, 12.0),
         (lambda c: _fcw_coverage(c, d, m, k) - target, 1e-12, 10.0 + d),
-        (lambda x: _fcw_tail_limit(x, m, k) - (target + min(1e-6, alpha / 2.0)), 0.0, 20.0),
+        (lambda x: _fcw_coverage(math.inf, x, m, k) - (target + min(1e-6, alpha / 2.0)),
+         0.0, 20.0),
     ]
     for f, lo, hi in objectives:
         if f(lo) < 0.0 < f(hi):
             _same_root(f, lo, hi)
-    # _fcw_solve_c's own objective has _fcw_coverage's bits
-    c = _fcw_solve_c(d, m, k, alpha)
-    if c is not None:
-        assert c.hex() == brentq(lambda x: _fcw_coverage(x, d, m, k) - target,
-                                 1e-12, 10.0 + d, xtol=1e-12).hex()
+    # _fcw_solve_c's own objective has _fcw_coverage's bits; where its bracket
+    # holds no sign change (c -> 0 already covers, or even c -> infinity leaves
+    # the coverage at or below 1 - alpha), it is a named failure
+    f, lo, hi = objectives[1]
+    if f(lo) < 0.0 < f(hi):
+        assert _fcw_solve_c(d, m, k, alpha).hex() == brentq(f, lo, hi, xtol=1e-12).hex()
+    else:
+        with pytest.raises(OptimizationError, match=re.escape(f"m={m}, k={k}, alpha={alpha!r}")):
+            _fcw_solve_c(d, m, k, alpha)
 
 
 # increasing test functions: smooth ones take interpolation and extrapolation
@@ -252,8 +275,10 @@ def test_fcw_shortest_beats_symmetric_and_grid():
         assert c_opt + d_opt <= c_sym + d_sym + 1e-9
 
         def width_at(d):
-            c = _fcw_solve_c(d, m, k, 0.05)
-            return np.inf if c is None else c + d
+            try:
+                return _fcw_solve_c(d, m, k, 0.05) + d
+            except OptimizationError:  # no c attains the coverage at this d
+                return np.inf
 
         _, grid_best = grid_argmin(width_at, 0.0, c_sym + 0.5, 4000)
         assert c_opt + d_opt <= grid_best + 1e-6
@@ -279,10 +304,33 @@ def test_fcw_mode_and_domain_errors():
     (2, 1, 1e-15, "shortest"),
     (10, 3, 1e-14, "shortest"),
     (1000, 1000, 1e-12, "shortest"),
+    (1000, 10, 1e-14, "symmetric"),
+    (100, 10, 1e-15, "symmetric"),
+    (1000, 1000, 1e-13, "symmetric"),
+    (1000, 500, 1e-12, "symmetric"),
+    (10**15, 10, 0.05, "symmetric"),
+    (10**15, 10, 0.05, "shortest"),
 ])
 def test_fcw_unattainable_coverage_is_named_failure(m, k, alpha, mode):
     with pytest.raises(OptimizationError, match=re.escape(f"m={m}, k={k}, alpha={alpha!r}")):
         fcw_constants(m, k, alpha, mode)
+
+
+@_PROPERTY
+@given(m_exp=st.floats(0.0, 15.0), k_frac=st.floats(0.0, 1.0),
+       alpha_exp=st.floats(-15.0, math.log10(0.9)))
+def test_fcw_returns_only_a_miss_of_alpha(m_exp, k_frac, alpha_exp):
+    # m and alpha log-uniform: wherever the resolvability guard lets a solve
+    # through, in either mode, the exact miss is alpha to 1e-3 of alpha
+    m, alpha = int(10.0 ** m_exp), 10.0 ** alpha_exp
+    k = max(1, round(k_frac * m))
+    for mode in ("symmetric", "shortest"):
+        try:
+            c, d = fcw_constants(m, k, alpha, mode)
+        except OptimizationError:
+            continue
+        assert m * 2.0 ** -53 <= alpha / 1000.0
+        assert _fcw_miss(c, d, m, k) == pytest.approx(alpha, rel=1e-3, abs=0), mode
 
 
 def test_fcr_offsets_frozen():

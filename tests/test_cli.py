@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,42 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+# grids whose expansion would take more memory than any machine has
+_OVERSIZED = [
+    ("compare", "--m", "100", "--k-range", f"1:{10**15}"),
+    ("compare", "--m", str(10**15), "--k-range", f"1:{10**15}"),
+    ("delta-scan", "--m", "100", "--k", f"1:{10**15}"),
+    ("delta-scan", "--m", "100", "--k", "1", "--grid", str(10**12)),
+    ("cplus-curve", "--a-max", "1e300", "--step", "1e-300"),
+    ("cplus-curve", "--a-max", "1e12", "--step", "1e-3"),
+]
+
+
+def test_oversized_grids_exit_2_before_allocating():
+    # each command runs in a child whose address space is capped at 1 GiB, so
+    # a grid expanded before its size is checked fails at once with a
+    # MemoryError instead of filling the machine's memory
+    pytest.importorskip("resource")  # RLIMIT_AS is POSIX-only
+    code = ("import json, resource, sys\n"
+            "from sosci import cli\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "print(json.dumps([cli.main(list(argv)) for argv in json.loads(sys.argv[1])]))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(_OVERSIZED)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2] * len(_OVERSIZED), proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == len(_OVERSIZED), proc.stderr
+    assert all(line.startswith("sosci: error: ") for line in errors), proc.stderr
+    assert "need 1 <= start <= stop <= m=100" in errors[0]
+    assert f"more than {10**6}" in errors[1]
+    assert "need 1 <= start <= stop <= m=100" in errors[2]
+    assert f"--grid must lie in 1..{10**6}" in errors[3]
+    assert all(f"more than {10**6} knots" in line for line in errors[4:]), proc.stderr
 
 
 def test_delta_flags_need_method_sos(capsys):

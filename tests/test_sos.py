@@ -12,7 +12,7 @@ from sosci import (
     optimize_delta,
 )
 from sosci.dist import NORMAL, student_t_family
-from sosci.sos import _delta_levels, _delta_offsets, golden_section_min
+from sosci.sos import _delta_levels, _delta_offsets, _golden_section_min
 
 from _oracles import grid_argmin
 
@@ -143,10 +143,10 @@ def test_interval_length_helper():
 
 
 def test_golden_section_on_quadratic():
-    x = golden_section_min(lambda t: (t - 0.3) ** 2 + 1.0, -2.0, 2.0)
+    x = _golden_section_min(lambda t: (t - 0.3) ** 2 + 1.0, -2.0, 2.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     with pytest.raises(ValueError):
-        golden_section_min(lambda t: t, 1.0, 1.0)
+        _golden_section_min(lambda t: t, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("m,k,expected_delta,expected_length", [
