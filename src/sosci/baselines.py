@@ -165,11 +165,11 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     _check_unit(alpha, "alpha")
     if mode not in ("symmetric", "shortest"):
         raise ValueError(f"unknown mode {mode!r}")
-    # the coverage rounds Phi(c) near 1 and raises it to powers summing to m,
-    # so it resolves 1 - alpha to about 1e-3 of alpha only while
-    # m * 2^-53 <= alpha / 1000; past that a solve can return constants whose
-    # miss is several times alpha
-    if m * math.ulp(1.0) / 2.0 > alpha / 1000.0:
+    # the coverage rounds Phi(c) near 1 (one unit) and raises it to powers
+    # summing to m (m units), so it resolves 1 - alpha to about 1e-3 of alpha
+    # only while (m + 1) * 2^-53 <= alpha / 1000; past that a solve can return
+    # constants whose miss is several times alpha
+    if (m + 1) * math.ulp(1.0) / 2.0 > alpha / 1000.0:
         raise OptimizationError(
             f"FCW coverage in double precision cannot resolve 1 - alpha "
             f"at m={m}, k={k}, alpha={alpha!r}")

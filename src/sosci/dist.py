@@ -206,19 +206,28 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
 
 
 def draw_replicates(rng: np.random.Generator, theta: np.ndarray, lower: np.ndarray,
-                    size: int, df: int | None) -> np.ndarray:
+                    size: int, df: int | None, *, out: np.ndarray | None = None,
+                    normals: np.ndarray | None = None) -> np.ndarray:
     """size x m draws of theta + L z from `rng`, with L the lower Cholesky factor.
 
     With df None the rows are N(theta, L L^T).  With an integer df each row is
     divided by sqrt(W / df) for one chi-square(df) W per row, so marginals are
     t(df) scaled by the row norms of L.  Draw order (z block, then W) is fixed
     for replay stability.
+
+    `out` (size x m, which may be a column slice of a wider block) receives
+    the draws and `normals` (size x m, C-contiguous) holds z, in numpy's `out=`
+    style; each is allocated when left out.  The bits do not depend on which
+    buffers are passed.
     """
-    z = rng.standard_normal((size, theta.size))
-    if df is None:
-        return theta + z @ lower.T
-    w = rng.chisquare(df, size)
-    return theta + (z @ lower.T) / np.sqrt(w / df)[:, None]
+    if normals is None:
+        normals = np.empty((size, theta.size))
+    rng.standard_normal(out=normals)
+    out = np.matmul(normals, lower.T, out=out)
+    if df is not None:
+        out /= np.sqrt(rng.chisquare(df, size) / df)[:, None]
+    out += theta
+    return out
 
 
 def sample_mvn(theta: Sequence[float], sigma: np.ndarray, reps: int, seed) -> np.ndarray:

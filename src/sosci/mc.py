@@ -11,6 +11,11 @@ selection rule is applied to it once, and each method counts its misses on
 the selected sets, so a multi-method run reports the same counts as one run
 per method at the cost of one.
 
+Each thread draws its blocks into two float buffers that it keeps across
+blocks and calls, so a block reuses memory that is already mapped.  A thread
+keeps them after a call only while they hold at most 64 MiB together; the
+counts never depend on them.
+
 Three dedicated streams are derived from one scenario seed: the covariance
 realization (for models with random parameters), the parameter draw, and the
 replicate blocks.  Everything downstream is a pure function of the scenario.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,6 +62,7 @@ __all__ = [
 
 _BLOCK = 4096
 _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
+_KEEP_BYTES = 64 << 20  # block buffers a thread keeps between calls: m <= 1024 at 4096 rows
 
 _PANELS = ("all_normal", "half_normal_half_t5")
 _THETA_RULES = ("uniform", "fixed")
@@ -197,12 +204,35 @@ class CoverageReport:
 
 
 def _panel_parts(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray) -> list[tuple]:
-    # (theta, lower Cholesky factor, t df or None) for each independent half
+    # (columns, theta, lower Cholesky factor, t df or None) for each independent half
     if scenario.panel == "all_normal":
-        return [(theta, cholesky(sigma), None)]
-    half = scenario.m // 2
-    return [(theta[:half], cholesky(sigma[:half, :half]), None),
-            (theta[half:], cholesky(sigma[half:, half:]), scenario.t_df)]
+        halves = [(slice(None), None)]
+    else:
+        half = scenario.m // 2
+        halves = [(slice(None, half), None), (slice(half, None), scenario.t_df)]
+    return [(cols, theta[cols], cholesky(sigma[cols, cols]), df) for cols, df in halves]
+
+
+class _BlockBuffers(threading.local):
+    """Each thread's flat float buffers for one replicate block: `y` for the
+    draws and `z` for their normals, grown to the largest block asked for."""
+
+    def __init__(self):
+        self.y = self.z = np.empty(0)
+
+    def get(self, size: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        # y as a size x m view; z flat, for each panel half to reshape
+        n = size * m
+        if self.y.size < n:
+            self.y, self.z = np.empty(n), np.empty(n)
+        return self.y[:n].reshape(size, m), self.z
+
+    def trim(self) -> None:
+        if self.y.nbytes + self.z.nbytes > _KEEP_BYTES:
+            self.y = self.z = np.empty(0)
+
+
+_BUFFERS = _BlockBuffers()
 
 
 def _block_sizes(reps: int) -> list[int]:
@@ -276,7 +306,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     scales = np.sqrt(np.diag(sigma))
     parts = _panel_parts(scenario, sigma, theta)
     families = []
-    for th, _, df in parts:
+    for _, th, _, df in parts:
         families += [NORMAL if df is None else student_t_family(df)] * th.size
 
     rules = {}  # selection rule name -> function of a block
@@ -295,18 +325,23 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     def run_block(args) -> list[tuple[int, int, int, int]]:
         block, size = args
         rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
-        ys = [draw_replicates(rng, th, lower, size, df) for th, lower, df in parts]
-        y = ys[0] if len(ys) == 1 else np.hstack(ys)
+        y, z = _BUFFERS.get(size, scenario.m)
+        for cols, th, lower, df in parts:
+            draw_replicates(rng, th, lower, size, df, out=y[:, cols],
+                            normals=z[:size * th.size].reshape(size, th.size))
         chosen = {name: rule(y) for name, rule in rules.items()}
         return [_count_misses(y, theta, chosen[name], c_lo, c_up)
                 for _, name, c_lo, c_up in scored]
 
     jobs = list(enumerate(_block_sizes(scenario.reps)))
-    if n_jobs == 1:
-        results = [run_block(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run_block, jobs))
+    try:
+        if n_jobs == 1:
+            results = [run_block(j) for j in jobs]
+        else:  # each worker's buffers go when its thread exits
+            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                results = list(pool.map(run_block, jobs))
+    finally:
+        _BUFFERS.trim()
 
     reports = []
     for (label, *_), per_block in zip(scored, zip(*results)):

@@ -310,6 +310,10 @@ def test_fcw_mode_and_domain_errors():
     (1000, 500, 1e-12, "symmetric"),
     (10**15, 10, 0.05, "symmetric"),
     (10**15, 10, 0.05, "shortest"),
+    # at m = 1 the rounding of Phi(c) itself is as large as the m units the
+    # powers add: the solve returned a miss of 0.99875 alpha
+    (1, 1, 1.146287684495901e-13, "symmetric"),
+    (1, 1, 1.146287684495901e-13, "shortest"),
 ])
 def test_fcw_unattainable_coverage_is_named_failure(m, k, alpha, mode):
     with pytest.raises(OptimizationError, match=re.escape(f"m={m}, k={k}, alpha={alpha!r}")):
@@ -329,7 +333,7 @@ def test_fcw_returns_only_a_miss_of_alpha(m_exp, k_frac, alpha_exp):
             c, d = fcw_constants(m, k, alpha, mode)
         except OptimizationError:
             continue
-        assert m * 2.0 ** -53 <= alpha / 1000.0
+        assert (m + 1) * 2.0 ** -53 <= alpha / 1000.0
         assert _fcw_miss(c, d, m, k) == pytest.approx(alpha, rel=1e-3, abs=0), mode
 
 

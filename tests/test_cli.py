@@ -378,18 +378,33 @@ def test_compare_at_m_1e300_is_a_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
-def test_offsets_sweep_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
-    # bench/expected.json holds the sha256 of each CLI op's stdout at the
-    # recorded seed; the benchmark's replay fails on any moved byte
+def replay_recorded(name, capsys, monkeypatch, tmp_path):
+    """(stdout sha256 per CLI op of workload `name`, the recorded digests).
+
+    bench/expected.json holds the sha256 of each CLI op's stdout at the
+    recorded seed; the benchmark's replay fails on any moved byte.
+    """
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     workloads = importlib.import_module("workloads")
-    recorded = json.loads((bench / "expected.json").read_text(encoding="utf-8"))["offsets_sweep"]
-    wl = workloads.offsets_sweep(recorded["seed"], tmp_path)
+    recorded = json.loads((bench / "expected.json").read_text(encoding="utf-8"))[name]
+    wl = workloads.WORKLOADS[name](recorded["seed"], tmp_path)
     digests = []
     for _, _, argv in wl.ops:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    return digests, recorded["ops"]
+
+
+def test_offsets_sweep_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
+    digests, recorded = replay_recorded("offsets_sweep", capsys, monkeypatch, tmp_path)
     assert len(digests) == 18
-    assert digests == recorded["ops"]
+    assert digests == recorded
+
+
+def test_coverage_grid_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
+    # 16 simulate ops, one 4096-rep block each: a moved count moves a digest
+    digests, recorded = replay_recorded("coverage_grid", capsys, monkeypatch, tmp_path)
+    assert len(digests) == 16
+    assert digests == recorded

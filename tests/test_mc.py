@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,76 @@ def test_mixed_panel_marginals():
     assert stats.kstest(y[:, 0], "norm").statistic < 0.01
     assert stats.kstest(y[:, 9], "t", args=(5,)).statistic < 0.01
     assert stats.kstest(y[:, 9], "norm").statistic > 0.02  # tails are heavier
+
+
+@pytest.mark.parametrize("size", [1, 1808, 4096])
+def test_draw_replicates_into_buffers_matches_allocating_call(size):
+    # the engine's mixed-panel block: a normal half, then a t half, each drawn
+    # into a column slice of one block from flat normals longer than needed
+    # (1808 is the remainder block of 10000 reps)
+    half = 6
+    lower = cholesky(build_covariance(CovarianceModel("ar", half, 0.6), seed=0))
+    theta = np.linspace(-1.0, 1.0, half)
+    y = np.full((size, 2 * half), np.nan)
+    normals = np.full(4096 * 2 * half, np.nan)[:size * half].reshape(size, half)
+    rng_alloc, rng_into = seeded_rng(3, 3, size), seeded_rng(3, 3, size)
+    for cols, df in ((slice(None, half), None), (slice(half, None), 5)):
+        expected = draw_replicates(rng_alloc, theta, lower, size, df)
+        got = draw_replicates(rng_into, theta, lower, size, df, out=y[:, cols],
+                              normals=normals)
+        assert np.shares_memory(got, y)
+        assert got.tobytes() == expected.tobytes()
+    assert not np.isnan(y).any()
+
+
+@pytest.mark.parametrize("n_jobs", [1, 4])
+def test_run_coverage_repeats_after_the_block_buffers_grow(n_jobs):
+    # a block drawn into buffers another thread is using would move a count;
+    # a short switch interval makes the threads interleave often
+    scenario, k, methods = _LIST_CASES["mixed_panel"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first = [r.to_dict() for r in run_coverage(scenario, k, methods, n_jobs=n_jobs)]
+        again = [r.to_dict() for r in run_coverage(scenario, k, methods, n_jobs=n_jobs)]
+        run_coverage(iid_scenario(m=300, reps=5000, seed=8, eta=1.0), 5, "sidak",
+                     n_jobs=n_jobs)
+        grown = [r.to_dict() for r in run_coverage(scenario, k, methods, n_jobs=n_jobs)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert first == again == grown
+
+
+def test_run_coverage_drops_block_buffers_above_the_cap(monkeypatch):
+    scn = iid_scenario(m=20, reps=5000, seed=9, eta=2.0)
+    first = run_coverage(scn, 3, "sidak").to_dict()
+    kept = mc._BUFFERS.y.nbytes + mc._BUFFERS.z.nbytes
+    assert kept >= 2 * 4096 * 20 * 8  # this thread kept its block buffers
+    monkeypatch.setattr(mc, "_KEEP_BYTES", kept - 1)
+    assert run_coverage(scn, 3, "sidak").to_dict() == first
+    assert mc._BUFFERS.y.size == mc._BUFFERS.z.size == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_run_coverage_reuses_block_memory():
+    # a 4096 x 100 block whose arrays are allocated afresh takes about 2,400
+    # minor faults on every call; once warm, the kept buffers take none.  A
+    # fresh interpreter keeps earlier tests' heap from hiding the faults.
+    code = ("import resource\n"
+            "from sosci import CovarianceModel, Scenario, run_coverage\n"
+            "scn = Scenario(m=100, covariance=CovarianceModel('ar', 100, 0.3), reps=4096,\n"
+            "               seed=5, eta=10.0)\n"
+            "methods = ['sos_symmetric', 'sos_shortest']\n"
+            "for _ in range(2):  # warm the buffers and the allocator's heap\n"
+            "    run_coverage(scn, 10, methods)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_coverage(scn, 10, methods)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 def test_estimate_b_probability():
