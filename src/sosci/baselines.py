@@ -264,6 +264,9 @@ def method_offsets(method, m: int, k: int, alpha: float,
         c, d = fcw_constants(m, k, alpha, mode)
         return (c, d) if single else (np.full(m, c), np.full(m, d))
     p_lo, p_up = method_tail_levels(method, m, k, alpha, family if single else NORMAL)
+    if p_lo == 0.0 or p_up == 0.0:
+        raise OptimizationError(
+            f"{method.value} tail levels underflow to 0 at m={m}, k={k}, alpha={alpha!r}")
     lower = [-f.quantile(p_lo) for f in families]
     upper = [-f.quantile(p_up) for f in families]
     return (lower[0], upper[0]) if single else (np.array(lower), np.array(upper))

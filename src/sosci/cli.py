@@ -16,10 +16,11 @@ import io
 import json
 import sys
 
+from . import __version__
 from .baselines import MethodLabel, k_of_m_intervals, method_offsets
 from .bivariate import abs_max_interval, cplus_curve, larger_of_two_interval
-from .dist import _MAX_GRID, CovarianceModel, NotPositiveDefiniteError
-from .mc import Scenario, load_scenario, run_coverage
+from .dist import _MAX_GRID, NotPositiveDefiniteError
+from .mc import Scenario, load_scenario, run_coverage, scenario_from_dict
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
@@ -59,7 +60,7 @@ class OutputTable:
             return value
 
         payload = {
-            "meta": self.meta,
+            "meta": {**self.meta, "version": __version__},
             "rows": [dict(zip(self.header, map(native, row))) for row in self.rows],
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -218,13 +219,11 @@ def cmd_delta_scan(args) -> OutputTable:
 def _scenarios_from_args(args) -> list[Scenario]:
     if args.config is not None:
         return [load_scenario(args.config)]
-    etas = _parse_float_list(args.eta, "eta")
-    model = CovarianceModel(kind=args.sigma_model.replace("-", "_"),
-                            dimension=args.m, rho=args.rho,
-                            block_size=args.block_size)
-    base = Scenario(m=args.m, covariance=model, reps=args.reps, seed=args.seed,
-                    eta=etas[0], theta_rule="uniform", panel=args.panel)
-    return [dataclasses.replace(base, eta=eta) for eta in etas]
+    covariance = {"kind": args.sigma_model.replace("-", "_"), "rho": args.rho,
+                  "block_size": args.block_size}
+    return [scenario_from_dict({"m": args.m, "covariance": covariance, "reps": args.reps,
+                                "seed": args.seed, "eta": eta, "panel": args.panel})
+            for eta in _parse_float_list(args.eta, "eta")]
 
 
 def cmd_simulate(args) -> OutputTable:
@@ -238,7 +237,8 @@ def cmd_simulate(args) -> OutputTable:
                          scenario.eta, report.method, report.sos_rate,
                          report.se, report.reps, report.seed))
     meta = {"command": "simulate", "k": int(args.k), "alpha": args.alpha,
-            "panel": scenarios[0].panel}
+            "panel": scenarios[0].panel, "methods": methods,
+            "scenarios": [dataclasses.asdict(scenario) for scenario in scenarios]}
     return OutputTable(
         ("sigma_model", "rho", "eta", "method", "sos_rate", "se", "reps", "seed"),
         rows, meta)

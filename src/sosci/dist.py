@@ -53,10 +53,15 @@ def std_normal_quantile(p: float) -> float:
 # Argument checks: public entry points check each argument once, before any work.
 
 _MAX_GRID = 10**6  # the most points a grid argument may expand to, checked before allocating
+# the largest simulated m: the covariance build peaks at about five m x m
+# float arrays, 640 MiB at m = 4096
+_MAX_DIM = 4096
+_MAX_JOBS = 64  # the most worker threads a coverage run may start
 
 
-def _check_int(value, name: str, least: int | None = None) -> int:
-    """`value` as an int >= `least`; bools and fractions raise ValueError."""
+def _check_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int in [`least`, `most`] (either bound may be None);
+    bools and fractions raise ValueError."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -65,6 +70,8 @@ def _check_int(value, name: str, least: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and number < least:
         raise ValueError(f"{name} must be >= {least}, got {number}")
+    if most is not None and number > most:
+        raise ValueError(f"{name} must be at most {most}, got {number}")
     return number
 
 

@@ -28,7 +28,7 @@ import math
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .baselines import MethodLabel, method_offsets
 from .baselines import fcw_constants, method_tail_levels  # noqa: F401
 from .bivariate import c_plus
 from .dist import (
+    _MAX_DIM,
+    _MAX_GRID,
+    _MAX_JOBS,
     NORMAL,
     CovarianceModel,
     _check_int,
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_MAX_REPS = _MAX_GRID * _BLOCK  # reps expand to a list of blocks, capped like a grid
 _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
 _KEEP_BYTES = 64 << 20  # block buffers a thread keeps between calls: m <= 1024 at 4096 rows
 
@@ -90,8 +94,9 @@ class Scenario:
     t_df: int = 5
 
     def __post_init__(self):
-        for name, least in (("m", 1), ("reps", 1), ("seed", 0), ("t_df", 1)):
-            _check_int(getattr(self, name), name, least)
+        for name, least, most in (("m", 1, _MAX_DIM), ("reps", 1, _MAX_REPS),
+                                  ("seed", 0, None), ("t_df", 1, None)):
+            _check_int(getattr(self, name), name, least, most)
         if not isinstance(self.covariance, CovarianceModel):
             raise ValueError(f"covariance must be a CovarianceModel, got {self.covariance!r}")
         if self.covariance.dimension != self.m:
@@ -185,22 +190,8 @@ class CoverageReport:
         return math.sqrt(p * (1.0 - p) / self.reps)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "alpha": self.alpha,
-            "reps": self.reps,
-            "seed": self.seed,
-            "sos_misses": self.sos_misses,
-            "lower_events": self.lower_events,
-            "upper_events": self.upper_events,
-            "missed_intervals": self.missed_intervals,
-            "sos_rate": self.sos_rate,
-            "fcr_rate": self.fcr_rate,
-            "lower_miss_rate": self.lower_miss_rate,
-            "upper_miss_rate": self.upper_miss_rate,
-            "se": self.se,
-        }
+        rates = ("sos_rate", "fcr_rate", "lower_miss_rate", "upper_miss_rate", "se")
+        return {**asdict(self), **{name: getattr(self, name) for name in rates}}
 
 
 def _panel_parts(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray) -> list[tuple]:
@@ -300,7 +291,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
         raise ValueError(f"method must be a label or a non-empty sequence, got {method!r}")
     _check_mk(scenario.m, k)
     _check_unit(alpha, "alpha")
-    _check_int(n_jobs, "n_jobs", 1)
+    _check_int(n_jobs, "n_jobs", 1, _MAX_JOBS)
     sigma = build_covariance(scenario.covariance, scenario.seed)
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
@@ -352,58 +343,9 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     return reports[0] if isinstance(method, str) else reports
 
 
-_COV_KEYS = {"kind", "dimension", "rho", "block_size"}
-_SCENARIO_KEYS = {"m", "covariance", "reps", "seed", "eta", "theta_rule",
-                  "theta", "panel", "t_df"}
-
-
-def scenario_from_dict(cfg: dict) -> Scenario:
-    """Build a Scenario from a plain dict (the simulate config file format).
-
-    Required: m, reps, seed, covariance {kind, rho?, block_size?, dimension?}.
-    Optional: eta, theta_rule, theta, panel, t_df.  Unknown keys are errors so
-    that typos do not silently change a study.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError("scenario config must be a JSON object")
-    unknown = set(cfg) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    missing = {"m", "covariance", "reps", "seed"} - set(cfg)
-    if missing:
-        raise ValueError(f"missing scenario keys: {sorted(missing)}")
-    cov_cfg = cfg["covariance"]
-    if not isinstance(cov_cfg, dict) or "kind" not in cov_cfg:
-        raise ValueError("covariance must be an object with a 'kind'")
-    unknown = set(cov_cfg) - _COV_KEYS
-    if unknown:
-        raise ValueError(f"unknown covariance keys: {sorted(unknown)}")
-    model = CovarianceModel(
-        kind=cov_cfg["kind"],
-        dimension=_integer(cov_cfg, "dimension", _integer(cfg, "m")),
-        rho=_real(cov_cfg.get("rho", 0.0), "rho"),
-        block_size=_integer(cov_cfg, "block_size", 10),
-    )
-    theta = cfg.get("theta")
-    if isinstance(theta, list):  # anything else is left for Scenario to reject
-        theta = tuple(_real(t, "theta") for t in theta)
-    return Scenario(
-        m=_integer(cfg, "m"),
-        covariance=model,
-        reps=_integer(cfg, "reps"),
-        seed=_integer(cfg, "seed"),
-        eta=_real(cfg.get("eta", 0.0), "eta"),
-        theta_rule=str(cfg.get("theta_rule", "uniform")),
-        theta=theta,
-        panel=str(cfg.get("panel", "all_normal")),
-        t_df=_integer(cfg, "t_df", 5),
-    )
-
-
-def _integer(cfg: dict, key: str, default=None) -> int:
+def _integer(value, key: str) -> int:
     # JSON numbers arrive as int or float; bools, strings and fractions are
     # rejected rather than truncated
-    value = cfg.get(key, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return _check_int(value, key)
@@ -412,6 +354,46 @@ def _integer(cfg: dict, key: str, default=None) -> int:
 def _real(value, key: str) -> float:
     # a JSON number (int or float) as a float; bools, strings and null raise
     return float(_check_real(value, key))
+
+
+def _reals(value, key: str):
+    # a JSON list as a tuple of floats; anything else is left for the class to reject
+    return tuple(_real(v, key) for v in value) if isinstance(value, list) else value
+
+
+# a config value's converter, by its field's (postponed, so string) annotation
+_CONVERTERS = {"int": _integer, "float": _real, "tuple[float, ...] | None": _reals}
+
+
+def _config_fields(cls, cfg, what: str, **defaults) -> dict:
+    # the keyword arguments of dataclass `cls` that `cfg` holds, over `defaults`,
+    # converted; unknown keys are errors so that typos do not silently change a study
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} config must be a JSON object")
+    cfg = {**defaults, **cfg}
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = {name for name, f in known.items() if f.default is MISSING} - set(cfg)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+    return {key: _CONVERTERS.get(known[key].type, lambda v, _: v)(value, key)
+            for key, value in cfg.items()}
+
+
+def scenario_from_dict(cfg: dict) -> Scenario:
+    """Build a Scenario from a plain dict (the simulate config file format).
+
+    The keys are the fields of Scenario, with `covariance` an object of
+    CovarianceModel's fields whose `dimension` defaults to m; a field left
+    out takes its dataclass default.  Integer fields take integral JSON
+    numbers, real fields any JSON number, and `theta` a list of them.
+    """
+    values = _config_fields(Scenario, cfg, "scenario")
+    values["covariance"] = CovarianceModel(**_config_fields(
+        CovarianceModel, values["covariance"], "covariance", dimension=values["m"]))
+    return Scenario(**values)
 
 
 def load_scenario(path) -> Scenario:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sosci
 from sosci import bivariate, cli
 from sosci.sos import OptimizationError
 
@@ -59,6 +61,14 @@ def test_intervals_fcr_indices(capsys):
     _, rows = csv_rows(out)
     assert [r[0] for r in rows] == ["1", "4"]
     assert rows[0][4] == "fcr_selection_aware"
+
+
+def test_intervals_abs_max_matches_the_library(capsys):
+    code, out, err = run_cli(capsys, "intervals", "--y", "1.2,-0.3", "--method", "abs-max")
+    assert code == 0 and err == ""
+    _, rows = csv_rows(out)
+    iv = bivariate.abs_max_interval([1.2, -0.3], 0.05)
+    assert rows == [[str(iv.index + 1), "1.2", f"{iv.lo:.6g}", f"{iv.hi:.6g}", "abs_max"]]
 
 
 def test_intervals_from_csv_file(tmp_path, capsys):
@@ -133,6 +143,43 @@ def test_simulate_config_file(tmp_path, capsys):
                     encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
     assert code == 2 and "rho" in err
+
+
+def test_simulate_json_meta_records_the_inputs(tmp_path, capsys):
+    # the version, the methods and the resolved scenario, but no n_jobs and
+    # no paths, so a replay is byte-identical at any --n-jobs
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"m": 10, "covariance": {"kind": "block", "rho": 0.3,
+                                                        "block_size": 5},
+                                "reps": 5000, "seed": 7, "panel": "half_normal_half_t5"}),
+                    encoding="utf-8")
+    args = ("simulate", "--config", str(path), "--k", "2", "--methods", "sidak,sos_symmetric",
+            "--format", "json")
+    code, out, _ = run_cli(capsys, *args, "--n-jobs", "1")
+    assert code == 0
+    out_path = tmp_path / "table.json"
+    assert cli.main([*args, "--n-jobs", "3", "--out", str(out_path)]) == 0
+    assert out_path.read_bytes().decode("utf-8") == out
+    meta = json.loads(out)["meta"]
+    assert meta["version"] == sosci.__version__
+    assert meta["methods"] == ["sidak", "sos_symmetric"]
+    scenario = dataclasses.asdict(sosci.load_scenario(path))
+    assert meta["scenarios"] == [json.loads(json.dumps(scenario))]
+    assert "n_jobs" not in out and str(tmp_path) not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("intervals", "--y", "1,2"),
+    ("compare", "--m", "3", "--k-range", "1"),
+    ("cplus-curve", "--a-max", "0.5", "--step", "0.5"),
+    ("delta-scan", "--m", "3", "--k", "1", "--grid", "1"),
+    ("simulate", "--m", "2", "--k", "1", "--reps", "10", "--eta", "0,1"),
+], ids=lambda argv: argv[0])
+def test_json_meta_names_the_command_and_version(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert (meta["command"], meta["version"]) == (argv[0], sosci.__version__)
 
 
 def test_simulate_rejects_unknown_method(capsys):
@@ -214,6 +261,10 @@ def test_delta_scan_explicit_deltas(capsys):
     ("cplus-curve", "--a-max", "nan"),
     ("compare", "--m", "5", "--k-range", "4:2"),
     ("compare", "--m", "5", "--k-range", "1:3:0"),
+    ("compare", "--m", "5", "--k-range", "1:2:3:4"),
+    ("compare", "--m", "5", "--k-range", "a:2"),
+    ("compare", "--m", "5", "--k-range", "1,x"),
+    ("compare", "--m", "5", "--k-range", ","),
     ("delta-scan", "--m", "10", "--k", "2", "--deltas", "0.0,0.5"),
     ("delta-scan", "--m", "10", "--k", "2", "--grid", "0"),
     ("simulate", "--sigma-model", "block", "--m", "15", "--k", "1",
@@ -227,6 +278,7 @@ def test_delta_scan_explicit_deltas(capsys):
     ("intervals", "--y", "3,2,1", "--method", "sidak", "--delta-policy", "symmetric"),
     ("intervals", "--y", "1,2", "--method", "abs-max", "--delta-policy", "fixed",
      "--delta", "0.3"),
+    ("simulate", "--m", "4", "--k", "1", "--reps", "10", "--n-jobs", "65"),  # thread cap
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -243,6 +295,8 @@ _OVERSIZED = [
     ("delta-scan", "--m", "100", "--k", "1", "--grid", str(10**12)),
     ("cplus-curve", "--a-max", "1e300", "--step", "1e-300"),
     ("cplus-curve", "--a-max", "1e12", "--step", "1e-3"),
+    ("simulate", "--m", "200000", "--reps", "1", "--k", "1"),         # m x m covariance
+    ("simulate", "--m", "4", "--k", "2", "--reps", "10000000000000"),  # a job per block
 ]
 
 
@@ -268,7 +322,9 @@ def test_oversized_grids_exit_2_before_allocating():
     assert f"more than {10**6}" in errors[1]
     assert "need 1 <= start <= stop <= m=100" in errors[2]
     assert f"--grid must lie in 1..{10**6}" in errors[3]
-    assert all(f"more than {10**6} knots" in line for line in errors[4:]), proc.stderr
+    assert all(f"more than {10**6} knots" in line for line in errors[4:6]), proc.stderr
+    assert "m must be at most 4096, got 200000" in errors[6]
+    assert f"reps must be at most {4096 * 10**6}, got {10**13}" in errors[7]
 
 
 def test_delta_flags_need_method_sos(capsys):
@@ -288,6 +344,17 @@ def test_bad_input_header(tmp_path, capsys):
     path.write_text("value\n1.0\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "intervals", "--input", str(path))
     assert code == 2 and "header" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y\n1.0,2.0\n", ":2: expected one value per row"),
+    ("y\n", ": no estimates found"),
+], ids=["two-values", "header-only"])
+def test_bad_input_rows(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "intervals", "--input", str(path))
+    assert (code, out) == (2, "") and message in err
 
 
 def test_bad_input_cell(tmp_path, capsys):
@@ -335,6 +402,18 @@ def test_unattainable_fcw_coverage_exits_3(capsys, y, k, method, alpha):
     assert f"m={len(y.split(','))}, k={k}, alpha={float(alpha)!r}" in err
 
 
+@pytest.mark.parametrize("method, label", [
+    ("sos", "sos_symmetric"), ("unadjusted", "unadjusted"), ("bonferroni", "bonferroni"),
+    ("sidak", "sidak"), ("fcr-selection-aware", "fcr_selection_aware"),
+])
+def test_underflowed_tail_levels_exit_3(capsys, method, label):
+    # alpha / (m + k) and its kin round to 0: a named failure, not a bad p
+    code, out, err = run_cli(capsys, "intervals", "--y", "1,2", "--k", "1",
+                             "--method", method, "--alpha", "5e-324")
+    assert (code, out) == (3, "")
+    assert f"{label} tail levels underflow to 0 at m=2, k=1, alpha=5e-324" in err
+
+
 def test_cplus_curve_where_one_minus_alpha_rounds(capsys):
     code, out, _ = run_cli(capsys, "cplus-curve", "--alpha", "1e-17")
     assert code == 0
@@ -349,6 +428,18 @@ def test_simulate_abs_max_at_huge_eta(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert [r[3] for r in rows] == ["abs_max"]
+
+
+def test_module_runs_as_a_script(capsys):
+    # python -m sosci.cli prints what main prints and exits with its code
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv in (("compare", "--m", "3", "--k-range", "1:2"), ("compare", "--m", "0")):
+        proc = subprocess.run([sys.executable, "-m", "sosci.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode("utf-8"), err.encode("utf-8"))
 
 
 def test_help_exits_0(capsys):

@@ -314,6 +314,12 @@ _BAD_ARGUMENTS = {
     "method int, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, 5), "method"),
     "method None, run_coverage": (lambda: sosci.run_coverage(_SCN, 2, None), "method"),
     "theta nan, sample_mvn": (lambda: dist.sample_mvn([math.nan, 0.0], _I2, 3, 1), "theta"),
+    "theta length 3, sample_mvn": (lambda: dist.sample_mvn(np.zeros(3), _I2, 3, 1), "theta"),
+    "m 4097, Scenario": (
+        lambda: sosci.Scenario(m=4097, covariance=dist.CovarianceModel("ar", 4097), reps=1,
+                               seed=1), "m"),
+    "reps 4096e6 + 1, Scenario": (lambda: dataclasses.replace(_SCN, reps=4096 * 10**6 + 1),
+                                  "reps"),
     "theta str, Scenario": (lambda: sosci.Scenario(**_FIXED, theta=("1", 0.0, 0.0, 0.0)), "theta"),
     "theta int, Scenario": (lambda: sosci.Scenario(**_FIXED, theta=5), "theta"),
     "eta str, Scenario": (lambda: dataclasses.replace(_SCN, eta="1"), "eta"),

@@ -198,6 +198,23 @@ def test_run_coverage_argument_errors():
         run_coverage(scn, k=1, method="sidak", n_jobs=0)
 
 
+def test_run_coverage_caps_n_jobs_before_building_anything(monkeypatch):
+    # the cap is checked before the covariance and the thread pool are built
+    class PoolBuilt(Exception):
+        pass
+
+    def pool(*args, **kwargs):
+        raise PoolBuilt
+
+    scn = iid_scenario(m=6, reps=100, seed=1)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", pool)
+    with pytest.raises(PoolBuilt):
+        run_coverage(scn, k=1, method="sidak", n_jobs=64)
+    monkeypatch.setattr(mc, "build_covariance", pool)
+    with pytest.raises(ValueError, match="n_jobs must be at most 64, got 65"):
+        run_coverage(scn, k=1, method="sidak", n_jobs=65)
+
+
 def test_run_coverage_abs_max_requirements():
     with pytest.raises(ValueError):
         run_coverage(iid_scenario(m=3, reps=100, seed=1), k=1, method="abs_max")
