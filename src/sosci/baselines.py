@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
-
-import numpy as np
 
 from .dist import (
     NORMAL,
@@ -206,70 +203,53 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
     The coverage-of-winners methods are defined through normal-specific
     constants rather than tail levels, so they are rejected here; `family`
     only enters for sos_shortest, whose optimal delta depends on the shape.
+    A level that underflows to 0 raises OptimizationError.
     """
     method = MethodLabel(method)
     _check_mk(m, k)
     _check_unit(alpha, "alpha")
     if method is MethodLabel.UNADJUSTED:
-        return alpha / 2.0, alpha / 2.0
-    if method is MethodLabel.BONFERRONI:
-        p = alpha / (2.0 * m)
-        return p, p
-    if method is MethodLabel.SIDAK:
+        levels = alpha / 2.0, alpha / 2.0
+    elif method is MethodLabel.BONFERRONI:
+        levels = (alpha / (2.0 * m),) * 2
+    elif method is MethodLabel.SIDAK:
         # expm1/log1p: no cancellation at small alpha.  Bernoulli's inequality
         # puts the level at or above Bonferroni's; the max keeps it there
         # through rounding, as at m = 1, where the two are equal
-        p = max(-math.expm1(math.log1p(-alpha) / m), alpha / m) / 2.0
-        return p, p
-    if method is MethodLabel.SOS_SYMMETRIC:
-        p = alpha / (m + k)
-        return p, p
-    if method is MethodLabel.SOS_SHORTEST:
+        levels = (max(-math.expm1(math.log1p(-alpha) / m), alpha / m) / 2.0,) * 2
+    elif method is MethodLabel.SOS_SYMMETRIC:
+        levels = (alpha / (m + k),) * 2
+    elif method is MethodLabel.SOS_SHORTEST:
         delta, _ = optimize_delta(m, k, alpha, family)
-        return _delta_levels(m, k, alpha, delta)
-    if method is MethodLabel.FCR_SELECTION_AWARE:
-        return 0.5 * alpha * k / m, 0.5 * alpha
-    raise ValueError(f"{method.value} is not a quantile-level method")
-
-
-def _resolve_families(family, m: int) -> list[ShiftFamily]:
-    # the mixed panel's one family per coordinate
-    if not (isinstance(family, Sequence)
-            and all(isinstance(f, ShiftFamily) for f in family)):
-        raise ValueError(f"family must be a ShiftFamily or a sequence of them, got {family!r}")
-    if len(family) != m:
-        raise ValueError(f"need one family per coordinate: got {len(family)} for m={m}")
-    return list(family)
+        levels = _delta_levels(m, k, alpha, delta)
+    elif method is MethodLabel.FCR_SELECTION_AWARE:
+        levels = 0.5 * alpha * k / m, 0.5 * alpha
+    else:
+        raise ValueError(f"{method.value} is defined for normal estimates only")
+    if 0.0 in levels:
+        raise OptimizationError(
+            f"{method.value} tail levels underflow to 0 at m={m}, k={k}, alpha={alpha!r}")
+    return levels
 
 
 def method_offsets(method, m: int, k: int, alpha: float,
-                   family: ShiftFamily | Sequence[ShiftFamily] = NORMAL):
+                   family: ShiftFamily = NORMAL) -> tuple[float, float]:
     """Offsets (lower, upper) such that each selected interval is
-    [y - lower, y + upper].
+    [y - lower, y + upper] for estimates with errors from `family`.
 
-    `family` is one ShiftFamily, giving two floats, or one family per
-    coordinate, giving two arrays of m offsets.  With a sequence, the tail
-    levels (and so the sos_shortest delta) are tuned on the normal family and
-    each coordinate takes its own family's quantile.  An offset is -F0^{-1}(p)
-    at its tail level p, which equals F0^{-1}(1 - p) by the family's symmetry
-    without rounding 1 - p, so no small level loses digits to it.
+    An offset is -F0^{-1}(p) at its tail level p, which equals F0^{-1}(1 - p)
+    by the family's symmetry without rounding 1 - p, so no small level loses
+    digits to it.
     """
     method = MethodLabel(method)
-    single = isinstance(family, ShiftFamily)
-    families = [family] if single else _resolve_families(family, m)
+    _check_family(family)
     if method in (MethodLabel.FCW_SYMMETRIC, MethodLabel.FCW_SHORTEST):
-        if any(f.name != "normal" for f in families):
+        if family.name != "normal":
             raise ValueError(f"{method.value} is defined for normal estimates only")
         mode = "symmetric" if method is MethodLabel.FCW_SYMMETRIC else "shortest"
-        c, d = fcw_constants(m, k, alpha, mode)
-        return (c, d) if single else (np.full(m, c), np.full(m, d))
-    p_lo, p_up = method_tail_levels(method, m, k, alpha, family if single else NORMAL)
-    if p_lo == 0.0 or p_up == 0.0:
-        raise OptimizationError(
-            f"{method.value} tail levels underflow to 0 at m={m}, k={k}, alpha={alpha!r}")
-    lower = [-f.quantile(p_lo) for f in families]
-    upper = [-f.quantile(p_up) for f in families]
-    return (lower[0], upper[0]) if single else (np.array(lower), np.array(upper))
+        return fcw_constants(m, k, alpha, mode)
+    p_lo, p_up = method_tail_levels(method, m, k, alpha, family)
+    return -family.quantile(p_lo), -family.quantile(p_up)
 
 
 def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,
@@ -292,6 +272,5 @@ def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *
         raise ValueError(f"unknown delta_policy {delta_policy!r}")
     if delta is not None:
         raise ValueError("delta is only accepted with delta_policy='fixed'")
-    _check_family(family)  # method_offsets would take a sequence, one family per coordinate
     label = f"sos_{delta_policy}"
     return _selected_intervals(y, k, *method_offsets(label, m, k, alpha, family), label)

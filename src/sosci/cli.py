@@ -328,14 +328,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        table = args.func(args)
+        _write(args.func(args), args.format, args.out)  # an --out that cannot be opened is exit 2
     except (NotPositiveDefiniteError, OptimizationError) as exc:
         print(f"sosci: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"sosci: error: {exc}", file=sys.stderr)
         return 2
-    _write(table, args.format, args.out)
     return 0
 
 

@@ -32,9 +32,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .baselines import MethodLabel, method_offsets
-# bench/tracer.py wraps these by their names in this module
-from .baselines import fcw_constants, method_tail_levels  # noqa: F401
+from .baselines import MethodLabel, method_offsets, method_tail_levels
+from .baselines import fcw_constants  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .bivariate import c_plus
 from .dist import (
     _MAX_DIM,
@@ -121,7 +120,7 @@ class Scenario:
 def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
     """Realize a covariance matrix; random ingredients come from the model
     stream of `seed`, so the same seed always gives the same matrix."""
-    m = model.dimension
+    m = _check_int(model.dimension, "dimension", 1, _MAX_DIM)
     idx = np.arange(m)
     dist_ij = np.abs(np.subtract.outer(idx, idx))
     if model.kind == "ar":
@@ -281,8 +280,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
 
     A label is a MethodLabel value or "abs_max" (the latter needs k == 1,
     m == 2 and covariance s^2 * I, the setting the abs-max construction is
-    built for).  On the half_normal_half_t5 panel each coordinate takes its
-    own family's quantile, and sos_shortest tunes delta on the normal family.
+    built for).  On the half_normal_half_t5 panel every coordinate shares the
+    tail levels tuned on the normal family (so sos_shortest's one delta) and
+    each half takes its own family's quantile at them; the FCW methods, which
+    have no tail levels, are rejected there.
     """
     if not isinstance(scenario, Scenario):
         raise ValueError(f"scenario must be a Scenario, got {scenario!r}")
@@ -296,9 +297,6 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
     parts = _panel_parts(scenario, sigma, theta)
-    families = []
-    for _, th, _, df in parts:
-        families += [NORMAL if df is None else student_t_family(df)] * th.size
 
     rules = {}  # selection rule name -> function of a block
     scored = []  # (report label, rule name, c_lo, c_up) per requested method
@@ -309,7 +307,16 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
             scored.append(("abs_max", "abs_max", c_at_theta, c_at_theta))
         else:
             label = MethodLabel(label).value
-            c_lo, c_up = method_offsets(label, scenario.m, k, alpha, families)
+            if scenario.panel == "all_normal":
+                c_lo, c_up = method_offsets(label, scenario.m, k, alpha)
+            else:
+                # every coordinate takes the same tail levels (one delta, tuned
+                # on the normal family): the union bound behind SoS control, m
+                # lower and k upper tails summing to alpha, holds for any error
+                # law per coordinate only while all m share one split
+                halves = NORMAL, student_t_family(scenario.t_df)
+                c_lo, c_up = (np.repeat([-f.quantile(p) for f in halves], scenario.m // 2)
+                              for p in method_tail_levels(label, scenario.m, k, alpha))
             rules["top_k"] = lambda y: top_k_indices(y, k)
             scored.append((label, "top_k", scales * c_lo, scales * c_up))
 

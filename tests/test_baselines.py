@@ -389,6 +389,13 @@ def test_method_tail_levels_fcw_rejected():
         method_tail_levels("not_a_method", 100, 10, 0.05)
 
 
+def test_method_tail_levels_underflow_is_a_numerical_failure():
+    # alpha / 2 rounds to 0: no quantile exists at that level
+    with pytest.raises(OptimizationError,
+                       match="bonferroni tail levels underflow to 0 at m=1, k=1, alpha=5e-324"):
+        method_tail_levels("bonferroni", 1, 1, 5e-324)
+
+
 def test_method_offsets_normal_consistency():
     for label in MethodLabel:
         lo, hi = method_offsets(label, 100, 10, 0.05)
@@ -404,17 +411,6 @@ def test_method_offsets_t_family():
     assert lo == pytest.approx(2.570581836, abs=1e-6)
     with pytest.raises(ValueError):
         method_offsets(MethodLabel.FCW_SYMMETRIC, 100, 10, 0.05, family=t5)
-
-
-def test_method_offsets_per_coordinate_families():
-    fams = [NORMAL] * 3 + [student_t_family(5)] * 3
-    lower, upper = method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05, fams)
-    assert lower.shape == upper.shape == (6,)
-    assert lower[0] == method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05)[0]
-    # the t interval is wider than the normal one at the same levels
-    assert lower[3] > lower[0] and upper[3] > upper[0]
-    with pytest.raises(ValueError):
-        method_offsets(MethodLabel.SOS_SYMMETRIC, 6, 2, 0.05, fams[:5])
 
 
 def test_method_length_orders_mid_k():
@@ -457,7 +453,7 @@ def test_sos_symmetric_length_identity():
         interval_length(100, 10, 0.05, delta), abs=1e-12)
 
 
-@pytest.mark.parametrize("family", [None, "normal", [None] * 10])
+@pytest.mark.parametrize("family", [None, "normal", [None] * 10, [NORMAL] * 10])
 def test_method_offsets_rejects_non_families(family):
     with pytest.raises(ValueError, match="family"):
         method_offsets(MethodLabel.SIDAK, 10, 2, 0.05, family)

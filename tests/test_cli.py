@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sosci
 from sosci import bivariate, cli
@@ -327,6 +330,86 @@ def test_oversized_grids_exit_2_before_allocating():
     assert f"reps must be at most {4096 * 10**6}, got {10**13}" in errors[7]
 
 
+# runs each argv it reads (one JSON list a line) through cli.main under a
+# 1 GiB address-space cap and answers with [rc, stdout, stderr]; an escaping
+# exception comes back as rc None with its traceback
+_FUZZ_CHILD = """\
+import contextlib, io, json, resource, sys, traceback
+from sosci import cli
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for line in sys.stdin:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(json.loads(line))
+        except Exception:  # MemoryError included
+            rc = None
+            traceback.print_exc()
+    print(json.dumps([rc, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+_EDGES = ("0", "-1", "nan", "inf", "5e-324", "1e308", "0.9999999999999999", str(2**70),
+          "", "5:1", ",")
+# small sizes that the drawn flags then override
+_FUZZ_BASE = {
+    "intervals": ("--y", "1,2,3"),
+    "compare": ("--m", "5", "--k-range", "1:5"),
+    "cplus-curve": ("--step", "0.5"),
+    "delta-scan": ("--m", "10", "--k", "1,2", "--grid", "3"),
+    "simulate": ("--m", "4", "--k", "2", "--reps", "200"),
+}
+
+
+def _fuzz_argvs():
+    # per subcommand: its base, then up to four of its flags, each with an
+    # edge value or one of the flag's own choices
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_FUZZ_BASE)
+    by_command = []
+    for name, parser in sub.choices.items():
+        flags = [st.tuples(st.just(a.option_strings[-1]),
+                           st.sampled_from(_EDGES + tuple(a.choices or ())))
+                 for a in parser._actions if a.option_strings and a.dest != "help"]
+        by_command.append(st.lists(st.one_of(flags), max_size=4).map(
+            lambda pairs, name=name: [name, *_FUZZ_BASE[name],
+                                      *(token for pair in pairs for token in pair)]))
+    return st.one_of(by_command)
+
+
+@pytest.fixture(scope="module")
+def fuzz_child(tmp_path_factory):
+    # one child serves every example; it runs in a scratch directory, since
+    # --out writes a file and --input or --config may read one back
+    pytest.importorskip("resource")  # RLIMIT_AS is POSIX-only
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", _FUZZ_CHILD], env=env, text=True,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            cwd=tmp_path_factory.mktemp("fuzz"))
+
+    def run(argv):
+        assert proc.poll() is None, "the child died on an earlier argv"
+        proc.stdin.write(json.dumps(argv) + "\n")
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        assert line, f"the child died on {argv}"
+        return json.loads(line)
+
+    yield run
+    proc.stdin.close()
+    proc.wait(timeout=60)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_fuzz_argvs())
+def test_fuzzed_argvs_exit_cleanly(fuzz_child, argv):
+    rc, out, err = fuzz_child(argv)
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert rc == 0 or out == ""
+
+
 def test_delta_flags_need_method_sos(capsys):
     for flag in (("--delta", "0.3"), ("--delta-policy", "symmetric")):
         code, out, err = run_cli(capsys, "intervals", "--y", "3,2,1",
@@ -412,6 +495,18 @@ def test_underflowed_tail_levels_exit_3(capsys, method, label):
                              "--method", method, "--alpha", "5e-324")
     assert (code, out) == (3, "")
     assert f"{label} tail levels underflow to 0 at m=2, k=1, alpha=5e-324" in err
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (("--alpha", "5e-324"), 3, "sos_symmetric tail levels underflow to 0"),
+    (("--methods", "fcw_symmetric"), 2, "fcw_symmetric is defined for normal estimates only"),
+], ids=["underflow", "fcw"])
+def test_mixed_panel_tail_level_failures(capsys, flags, code, message):
+    # the mixed panel's shared tail levels fail as the one-family offsets do
+    rc, out, err = run_cli(capsys, "simulate", "--panel", "half_normal_half_t5", "--m", "4",
+                           "--k", "2", "--reps", "10", *flags)
+    assert (rc, out) == (code, "")
+    assert message in err
 
 
 def test_cplus_curve_where_one_minus_alpha_rounds(capsys):

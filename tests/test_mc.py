@@ -14,12 +14,14 @@ from sosci import (
     Scenario,
     build_covariance,
     load_scenario,
+    method_offsets,
+    method_tail_levels,
     resolve_theta,
     run_coverage,
     scenario_from_dict,
 )
 from sosci import mc
-from sosci.dist import cholesky, draw_replicates, seeded_rng
+from sosci.dist import cholesky, draw_replicates, seeded_rng, student_t_family
 
 from _oracles import estimate_b_probability
 
@@ -61,6 +63,24 @@ def test_build_covariance_time_decay():
     assert corr[0, 2] == pytest.approx(0.5 * 2.0 ** -5, abs=1e-12)
     assert np.array_equal(sigma, build_covariance(model, seed=5))
     assert not np.array_equal(sigma, build_covariance(model, seed=6))
+
+
+def test_build_covariance_caps_dimension_before_allocating():
+    # the child's address space is capped at 1 GiB, so an m x m build begun
+    # before the cap is checked dies with a MemoryError (298 GiB at m = 200000)
+    pytest.importorskip("resource")  # RLIMIT_AS is POSIX-only
+    code = ("import resource\n"
+            "from sosci import CovarianceModel, build_covariance\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "try:\n"
+            "    build_covariance(CovarianceModel('ar', 200000, 0.5), 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "dimension must be at most 4096, got 200000\n"
 
 
 def test_build_covariance_block():
@@ -275,6 +295,29 @@ def test_run_coverage_fcw_rejects_mixed_panel():
     scn = iid_scenario(m=10, reps=100, seed=1, panel="half_normal_half_t5")
     with pytest.raises(ValueError):
         run_coverage(scn, k=2, method="fcw_symmetric")
+
+
+@pytest.mark.parametrize("label", ["sos_symmetric", "sos_shortest"])
+def test_mixed_panel_halves_share_tail_levels(monkeypatch, label):
+    # the engine's per-coordinate offsets, read where it counts misses; unit
+    # variances make them the offsets themselves, bit for bit
+    seen = []
+    count = mc._count_misses
+
+    def spy(y, theta, order, c_lo, c_up):
+        seen.append((c_lo, c_up))
+        return count(y, theta, order, c_lo, c_up)
+
+    monkeypatch.setattr(mc, "_count_misses", spy)
+    m, k, alpha, half = 10, 2, 0.05, 5
+    run_coverage(iid_scenario(m=m, reps=10, panel="half_normal_half_t5"), k, label, alpha)
+    [(c_lo, c_up)] = seen
+    normal = method_offsets(label, m, k, alpha)
+    t5 = [-student_t_family(5).quantile(p) for p in method_tail_levels(label, m, k, alpha)]
+    assert c_lo.tolist() == [normal[0]] * half + [t5[0]] * half
+    assert c_up.tolist() == [normal[1]] * half + [t5[1]] * half
+    # the t half is wider than the normal half at the same levels
+    assert c_lo[half] > c_lo[0] and c_up[half] > c_up[0]
 
 
 def test_run_coverage_mixed_panel_runs_and_replays():
