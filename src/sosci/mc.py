@@ -7,9 +7,10 @@ execution order: running blocks across a thread pool (`n_jobs > 1`) gives
 exactly the sequential answer.
 
 One pass serves every method asked for: each block is drawn once, each
-selection rule is applied to it once, and each method counts its misses on
-the selected sets, so a multi-method run reports the same counts as one run
-per method at the cost of one.
+selection rule is applied to it once and gathers the selected estimates and
+parameters once, and each method counts its misses on those, so a
+multi-method run reports the same counts as one run per method at the cost
+of one.
 
 Each thread draws its blocks into two float buffers that it keeps across
 blocks and calls, so a block reuses memory that is already mapped.  A thread
@@ -50,7 +51,7 @@ from .dist import (
     seeded_rng,
     student_t_family,
 )
-from .select import abs_max_index, top_k_indices
+from .select import selected_entries
 
 __all__ = [
     "Scenario",
@@ -232,14 +233,13 @@ def _block_sizes(reps: int) -> list[int]:
     return sizes
 
 
-def _count_misses(y: np.ndarray, theta: np.ndarray, order: np.ndarray,
+def _count_misses(y_sel: np.ndarray, th_sel: np.ndarray, cols: np.ndarray,
                   c_lo: np.ndarray, c_up: np.ndarray) -> tuple[int, int, int, int]:
-    # order[r] lists the coordinates selected in replicate r; interval i is
+    # row r of the (reps, k) arrays holds replicate r's selected estimates,
+    # their parameters and their coordinates; interval i is
     # [y_i - c_lo[i], y_i + c_up[i]]
-    y_sel = np.take_along_axis(y, order, axis=1)
-    th_sel = theta[order]
-    low_miss = (y_sel - c_lo[order]) > th_sel
-    up_miss = (y_sel + c_up[order]) < th_sel
+    low_miss = (y_sel - c_lo[cols]) > th_sel
+    up_miss = (y_sel + c_up[cols]) < th_sel
     any_low = low_miss.any(axis=1)
     any_up = up_miss.any(axis=1)
     return (
@@ -298,12 +298,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     scales = np.sqrt(np.diag(sigma))
     parts = _panel_parts(scenario, sigma, theta)
 
-    rules = {}  # selection rule name -> function of a block
     scored = []  # (report label, rule name, c_lo, c_up) per requested method
     for label in labels:
         if label == "abs_max":
             c_at_theta = _abs_max_offsets(scenario, sigma, theta, k, alpha)
-            rules["abs_max"] = lambda y: abs_max_index(y)[:, None]
             scored.append(("abs_max", "abs_max", c_at_theta, c_at_theta))
         else:
             label = MethodLabel(label).value
@@ -317,19 +315,21 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
                 halves = NORMAL, student_t_family(scenario.t_df)
                 c_lo, c_up = (np.repeat([-f.quantile(p) for f in halves], scenario.m // 2)
                               for p in method_tail_levels(label, scenario.m, k, alpha))
-            rules["top_k"] = lambda y: top_k_indices(y, k)
             scored.append((label, "top_k", scales * c_lo, scales * c_up))
+    rules = dict.fromkeys(rule for _, rule, _, _ in scored)
 
     def run_block(args) -> list[tuple[int, int, int, int]]:
         block, size = args
         rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
         y, z = _BUFFERS.get(size, scenario.m)
-        for cols, th, lower, df in parts:
-            draw_replicates(rng, th, lower, size, df, out=y[:, cols],
+        for half, th, lower, df in parts:
+            draw_replicates(rng, th, lower, size, df, out=y[:, half],
                             normals=z[:size * th.size].reshape(size, th.size))
-        chosen = {name: rule(y) for name, rule in rules.items()}
-        return [_count_misses(y, theta, chosen[name], c_lo, c_up)
-                for _, name, c_lo, c_up in scored]
+        chosen = {}  # rule -> (y_sel, th_sel, cols), gathered once for every method
+        for rule in rules:
+            flat, cols = selected_entries(y, rule, k)
+            chosen[rule] = y.ravel()[flat], theta[cols], cols
+        return [_count_misses(*chosen[rule], c_lo, c_up) for _, rule, c_lo, c_up in scored]
 
     jobs = list(enumerate(_block_sizes(scenario.reps)))
     try:

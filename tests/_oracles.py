@@ -116,7 +116,9 @@ def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:
     misses = 0
     for block, size in enumerate(_block_sizes(reps)):
         y = draw_replicates(seeded_rng(seed, _STREAM_REPS, block), mu, np.eye(2), size, None)
-        misses += _count_misses(y, mu, abs_max_index(y)[:, None], c_both, c_both)[0]
+        cols = abs_max_index(y)[:, None]
+        misses += _count_misses(np.take_along_axis(y, cols, axis=1), mu[cols], cols,
+                                c_both, c_both)[0]
     return (reps - misses) / reps
 
 

@@ -21,6 +21,7 @@ from sosci import (
     scenario_from_dict,
 )
 from sosci import mc
+from sosci.bivariate import c_plus
 from sosci.dist import cholesky, draw_replicates, seeded_rng, student_t_family
 
 from _oracles import estimate_b_probability
@@ -304,9 +305,9 @@ def test_mixed_panel_halves_share_tail_levels(monkeypatch, label):
     seen = []
     count = mc._count_misses
 
-    def spy(y, theta, order, c_lo, c_up):
+    def spy(y_sel, th_sel, cols, c_lo, c_up):
         seen.append((c_lo, c_up))
-        return count(y, theta, order, c_lo, c_up)
+        return count(y_sel, th_sel, cols, c_lo, c_up)
 
     monkeypatch.setattr(mc, "_count_misses", spy)
     m, k, alpha, half = 10, 2, 0.05, 5
@@ -318,6 +319,74 @@ def test_mixed_panel_halves_share_tail_levels(monkeypatch, label):
     assert c_up.tolist() == [normal[1]] * half + [t5[1]] * half
     # the t half is wider than the normal half at the same levels
     assert c_lo[half] > c_lo[0] and c_up[half] > c_up[0]
+
+
+_TIED_CASES = {
+    # name: (scenario, k, methods); integer theta and integer noise fill the
+    # blocks with ties, and 4596 reps make a full block and a remainder
+    "time_decay_scales": (
+        Scenario(m=8, covariance=CovarianceModel("time_decay", 8), reps=4596, seed=21,
+                 theta_rule="fixed", theta=(0.0, 1.0, 1.0, -1.0, 2.0, 0.0, 0.0, 1.0)),
+        3, ["bonferroni", "sos_symmetric", "sos_shortest", "fcw_symmetric"]),
+    "mixed_panel": (
+        Scenario(m=8, covariance=CovarianceModel("ar", 8, 0.3), reps=4596, seed=22,
+                 theta_rule="fixed", theta=(1.0, 0.0, 0.0, 2.0, 1.0, 1.0, -1.0, 0.0),
+                 panel="half_normal_half_t5"),
+        2, ["sos_shortest", "unadjusted"]),
+    "every_coordinate": (
+        Scenario(m=4, covariance=CovarianceModel("ar", 4, 0.0), reps=4596, seed=23,
+                 theta_rule="fixed", theta=(0.0, 1.0, 0.0, -1.0)),
+        4, ["sidak"]),
+    "abs_max_and_unadjusted": (
+        Scenario(m=2, covariance=CovarianceModel("ar", 2, 0.0), reps=4596, seed=24,
+                 theta_rule="fixed", theta=(1.0, -1.0)),
+        1, ["abs_max", "unadjusted"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TIED_CASES))
+def test_run_coverage_counts_match_a_per_replicate_reference(monkeypatch, name):
+    scenario, k, methods = _TIED_CASES[name]
+    m, theta, alpha = scenario.m, list(scenario.theta), 0.05
+    drawn = []  # each call's integer-valued draw, in the order the engine asks
+
+    def tied_draws(rng, th, lower, size, df, out, normals):
+        out[...] = th + rng.integers(-4, 5, size=out.shape)
+        drawn.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(mc, "draw_replicates", tied_draws)
+    reports = run_coverage(scenario, k, methods, alpha)
+    halves = 2 if scenario.panel == "half_normal_half_t5" else 1
+    rows = [sum(parts, []) for b in range(0, len(drawn), halves)
+            for parts in zip(*drawn[b:b + halves])]
+    assert len(rows) == scenario.reps
+
+    scales = np.sqrt(np.diag(build_covariance(scenario.covariance, scenario.seed))).tolist()
+    for report, method in zip(reports, methods):
+        if method == "abs_max":
+            c_lo = c_up = [s * c_plus(abs(t) / s, alpha) for s, t in zip(scales, theta)]
+        elif halves == 2:
+            t5 = [-student_t_family(5).quantile(p)
+                  for p in method_tail_levels(method, m, k, alpha)]
+            c_lo, c_up = ([c] * (m // 2) + [c_t] * (m // 2)
+                          for c, c_t in zip(method_offsets(method, m, k, alpha), t5))
+        else:
+            c_lo, c_up = ([s * c for s in scales] for c in method_offsets(method, m, k, alpha))
+        key = abs if method == "abs_max" else (lambda v: v)
+        sos = low = up = missed = 0
+        for row in rows:
+            chosen = sorted(range(m), key=lambda i: -key(row[i]))[:k]  # stable
+            lows = [(row[i] - c_lo[i]) > theta[i] for i in chosen]
+            ups = [(row[i] + c_up[i]) < theta[i] for i in chosen]
+            sos += any(lows) or any(ups)
+            low += any(lows)
+            up += any(ups)
+            missed += sum(a or b for a, b in zip(lows, ups))
+        counts = (report.sos_misses, report.lower_events, report.upper_events,
+                  report.missed_intervals)
+        assert counts == (sos, low, up, missed), method
+        assert 0 < sos < scenario.reps  # the intervals miss sometimes, not always
 
 
 def test_run_coverage_mixed_panel_runs_and_replays():

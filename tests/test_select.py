@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sosci import select_abs_max, select_top_k
-from sosci.select import abs_max_index, top_k_indices
+from sosci.select import abs_max_index, selected_entries, top_k_indices
 
 # values from a small integer set, so blocks are full of ties (and of |y| ties
 # across signs)
 _TIED = st.integers(-3, 3).map(float)
+# the tied integers plus the values comparisons treat specially
+_EDGE = st.one_of(_TIED, st.sampled_from([-0.0, np.inf, -np.inf, np.nan]))
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -103,6 +105,37 @@ def test_top_k_indices_rows_match_stable_argsort(data):
     for row, chosen in zip(y, block):
         assert len(set(chosen)) == k
         assert set(chosen) == set(np.argsort(-row, kind="stable")[:k])
+
+
+def test_top_k_indices_ranks_nan_below_every_number():
+    assert top_k_indices(np.array([[np.nan, 1.0, 2.0]]), 1).tolist() == [[2]]
+    assert top_k_indices(np.array([np.nan, -np.inf, np.nan]), 2).tolist() == [0, 1]
+
+
+@_PROPERTY
+@given(st.data())
+def test_top_k_indices_edge_rows_match_stable_argsort(data):
+    reps, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 10))
+    y = data.draw(arrays(np.float64, (reps, m), elements=_EDGE))
+    k = data.draw(st.sampled_from([m, data.draw(st.integers(1, m))]))
+    block = top_k_indices(y, k)
+    assert block.shape == (reps, k)
+    for row, chosen in zip(y, block):
+        assert chosen.tolist() == sorted(np.argsort(-row, kind="stable")[:k].tolist())
+
+
+@_PROPERTY
+@given(st.data())
+def test_selected_entries_locate_each_rules_pick(data):
+    reps, m = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 10))
+    y = data.draw(arrays(np.float64, (reps, m), elements=_EDGE))
+    k = data.draw(st.integers(1, m))
+    for rule, k_rule, pick, y_rule in (
+            ("top_k", k, top_k_indices(y, k), y),
+            ("abs_max", 1, abs_max_index(y[:, :2])[:, None], y[:, :2])):
+        flat, cols = selected_entries(y_rule, rule, k_rule)
+        assert cols.tolist() == pick.tolist()
+        assert flat.tolist() == (np.arange(reps)[:, None] * y_rule.shape[1] + cols).tolist()
 
 
 @_PROPERTY
