@@ -93,6 +93,7 @@ _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
 _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
+_SEED_PASSES = 4  # contraction passes on a tabulated curve before an endpoint solve
 _CHUNK = 32  # elements per pass of the quadrature rule
 
 
@@ -114,11 +115,12 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
 
-def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray):
+def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: bool):
     # For each element, the miss term
     #   Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| }
-    # for independent standard normal errors, and its slopes in mu_i, mu_j
-    # and c.  Conditioning on Y_i = mu_i + t,
+    # for independent standard normal errors, and its slopes in c and, when
+    # `mean_slopes` is set, in mu_i and mu_j (else those two are None).
+    # Conditioning on Y_i = mu_i + t,
     #   term = integral_{|t| > c} phi(t) h(t) dt,
     #   h(t) = Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j).
     # The term is even in mu_i (t -> -t), so it is taken at |mu_i|, whose
@@ -142,8 +144,6 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray):
     t += mu_i[:, None, None]
     u = np.abs(t)
     mu_j3 = mu_j[:, None, None]
-    near = np.exp(-0.5 * (u - mu_j3) ** 2)  # sqrt(2 pi) phi(|t + mu_i| - mu_j)
-    away = np.exp(-0.5 * (u + mu_j3) ** 2)  # sqrt(2 pi) phi(-|t + mu_i| - mu_j)
 
     def integral(f):
         # one pairwise sum per element over its 144 contiguous nodes, so an
@@ -155,25 +155,34 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray):
         return special.ndtr(v - mu_j) - special.ndtr(-v - mu_j)
 
     term = integral(special.ndtr(u - mu_j3) - special.ndtr(-u - mu_j3))
+    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h(c) + h(-c))
+    if not mean_slopes:
+        return term, None, None, d_c
+    near = np.exp(-0.5 * (u - mu_j3) ** 2)  # sqrt(2 pi) phi(|t + mu_i| - mu_j)
+    away = np.exp(-0.5 * (u + mu_j3) ** 2)  # sqrt(2 pi) phi(-|t + mu_i| - mu_j)
     d_mu_i = sign_i * _INV_SQRT_2PI * integral(np.sign(t) * (near + away))
     d_mu_j = _INV_SQRT_2PI * integral(away - near)
-    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h(c) + h(-c))
     return term, d_mu_i, d_mu_j, d_c
 
 
-def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray):
-    # 1 - b_region_probability at means (mu_0, mu_1), with its slopes in mu_0
-    # and c: the two coordinates' selection events split the sample space,
-    # so their conditional integrals over all t sum to 1.  Elements go
-    # through the rule _CHUNK at a time, which bounds its temporaries.
-    out = np.empty((3, len(mu_0)))
+def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
+                      mean_slope: bool = True):
+    # 1 - b_region_probability at means (mu_0, mu_1), with its slopes in c
+    # and, when `mean_slope` is set, in mu_0 (else that row is 0): the two
+    # coordinates' selection events split the sample space, so their
+    # conditional integrals over all t sum to 1.  Elements go through the
+    # rule _CHUNK at a time, which bounds its temporaries.
+    out = np.zeros((3, len(mu_0)))
     for lo in range(0, len(mu_0), _CHUNK):
         part = slice(lo, lo + _CHUNK)
         n = len(mu_0[part])
         term, d_mu_i, d_mu_j, d_c = _tail_rule(np.concatenate([mu_0[part], mu_1[part]]),
                                                np.concatenate([mu_1[part], mu_0[part]]),
-                                               np.concatenate([c[part], c[part]]))
-        out[:, part] = term[:n] + term[n:], d_mu_i[:n] + d_mu_j[n:], d_c[:n] + d_c[n:]
+                                               np.concatenate([c[part], c[part]]), mean_slope)
+        out[0, part] = term[:n] + term[n:]
+        out[2, part] = d_c[:n] + d_c[n:]
+        if mean_slope:
+            out[1, part] = d_mu_i[:n] + d_mu_j[n:]
     return out
 
 
@@ -195,7 +204,7 @@ def b_region_probability(mu, c: float) -> float:
         # Holding both there keeps the rule's squares finite at any mean
         lo = min(lo, _A_FLAT)
         mu = np.array([lo + min(hi - lo, _A_FLAT), lo])
-    miss = float(_miss_probability(mu[:1], mu[1:], np.array([float(c)]))[0, 0])
+    miss = float(_miss_probability(mu[:1], mu[1:], np.array([float(c)]), False)[0, 0])
     return min(max(1.0 - miss, 0.0), 1.0)
 
 
@@ -207,17 +216,23 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     # is linear, so a start on it stays on it.  log miss is smooth and close
     # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
     # two-coordinate Sidak end of the range, every solve tried (alpha from
-    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps.
+    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps, and from
+    # a start on a tabulated curve (the abs-max endpoints) within 2 or 3.
     # An element is frozen once its step is below _STEP_TOL, so each result
     # is the one a batch of that element alone would give.
+    # With every slope 0 (calibration), g is 0 from the start and stays 0,
+    # and f_a enters the step only through g and slope: its quadrature is
+    # skipped, and the 0 that stands in for it leaves every step's bits as
+    # they would be with it.
     a, c = a.copy(), c.copy()
     log_alpha = math.log(alpha)
+    mean_slope = bool(np.any(slope))
     todo = np.arange(len(a))
     for _ in range(_MAX_STEPS):
         at, ct, st = a[todo], c[todo], slope[todo]
         inside = np.abs(at) < a_max  # beyond a_max the constant is held flat
         miss, miss_a, miss_c = _miss_probability(
-            np.where(inside, np.abs(at), a_max), np.zeros(len(todo)), ct)
+            np.where(inside, np.abs(at), a_max), np.zeros(len(todo)), ct, mean_slope)
         f = np.log(miss) - log_alpha
         g = at + st * ct - w[todo]
         f_a = np.where(inside, np.sign(at) * miss_a / miss, 0.0)
@@ -275,6 +290,8 @@ class CPlusCurve:
 
     The curve is even in a and flat beyond a_max (where it has already
     converged to the unadjusted constant to well below grid resolution).
+    Both arrays are read-only: `cplus_curve` hands one cached curve to every
+    caller, and `abs_max_interval` starts its endpoint solves on it.
     """
 
     alpha: float
@@ -288,8 +305,10 @@ class CPlusCurve:
         """Solves every knot in one batch; each equals `c_plus` at its a."""
         n = _check_grid(alpha, a_max, step)
         grid_a = np.linspace(0.0, n * step, n + 1)
+        grid_c = _calibrate(grid_a, alpha)
+        grid_a.flags.writeable = grid_c.flags.writeable = False
         return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
-                   grid_a=grid_a, grid_c=_calibrate(grid_a, alpha))
+                   grid_a=grid_a, grid_c=grid_c)
 
 
 def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:
@@ -303,16 +322,28 @@ def _cached_curve(alpha: float, a_max: float, step: float) -> CPlusCurve:
     return CPlusCurve.build(alpha, a_max, step)
 
 
-def _invert_endpoints(w: float, alpha: float, a_max: float) -> tuple[float, float]:
+def _invert_endpoints(w: float, alpha: float,
+                      curve: CPlusCurve | None) -> tuple[float, float]:
     # endpoints for a nonnegative selected value w:
     #   lower = inf{a : a + c(|a|) >= w},  upper = sup{a : a - c(|a|) <= w}
     # c lies in [z, s] and its slope exceeds -1, so a + c(|a|) and a - c(|a|)
     # are increasing and each endpoint is the one solution of a +/- c = w
-    # with c = c(min(|a|, a_max)); both are solved in one batch, started at
-    # the ends of the Sidak box, where c = s
-    s = sidak_halfwidth(2, alpha)
+    # with c = c(min(|a|, a_max)); both are solved in one batch.  Without a
+    # curve the solve starts at the ends of the Sidak box, where c = s.  With
+    # one, passes of c -> curve(|w -/+ c|) move that start close to the root
+    # on the tabulated curve: the map is a contraction because the curve's
+    # slope exceeds -1, and np.interp holds the curve flat beyond a_max, as
+    # the solve does.  Newton then iterates against exact c_plus, so only
+    # the start is interpolated.
     slope = np.array([1.0, -1.0])
-    a, _ = _newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]), alpha, a_max)
+    a_max, c = _A_MAX, np.full(2, sidak_halfwidth(2, alpha))
+    if curve is not None:
+        a_max = curve.a_max
+        for _ in range(_SEED_PASSES):
+            c = np.interp(np.abs(w - slope * c), curve.grid_a, curve.grid_c)
+    # beyond _A_FLAT the constant has the bits it has at _A_FLAT, and a huge
+    # a_max would overflow the rule's squares
+    a, _ = _newton(w - slope * c, c, slope, np.array([w, w]), alpha, min(a_max, _A_FLAT))
     return float(a[0]), float(a[1])
 
 
@@ -324,22 +355,21 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     the interval is exactly {a : |w - a| <= c_plus(|a|)}, which is shorter than
     the two-coordinate Sidak box at every w and approaches the unadjusted
     interval for large |w|.  Both endpoints are solved against exact c_plus
-    values; `curve` only sets a_max (default 8), beyond which the constant is
-    held flat, as on the tabulated curve.
+    values, with the constant held flat beyond a_max (default 8).  A `curve`
+    sets a_max to its own and starts each endpoint's solve at the root on
+    the tabulated curve, which saves Newton steps; without one the solve
+    starts at the Sidak box.  Either start gives the same endpoints to within
+    the solve's step tolerance.
     """
     _check_unit(alpha, "alpha")
     idx = select_abs_max(y)
     w = float(np.asarray(y, dtype=float)[idx])
-    a_max = _A_MAX
     if curve is not None:
         if not isinstance(curve, CPlusCurve):
             raise ValueError(f"curve must be a CPlusCurve, got {curve!r}")
         if not math.isclose(curve.alpha, alpha, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"curve was built for alpha={curve.alpha}, got {alpha}")
-        a_max = curve.a_max
-    # beyond _A_FLAT the constant has the bits it has at _A_FLAT, and a huge
-    # a_max would overflow the rule's squares
-    lo, hi = _invert_endpoints(abs(w), alpha, min(a_max, _A_FLAT))
+    lo, hi = _invert_endpoints(abs(w), alpha, curve)
     if w < 0.0:
         lo, hi = -hi, -lo
     return ConfidenceInterval(idx, lo, hi, "abs_max")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -264,8 +265,8 @@ def test_c_plus_large_alpha(a, alpha):
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
 def test_c_plus_between_limits(alpha):
-    # the Newton solves of c_plus and of both abs-max endpoints start at the
-    # Sidak end s of the range z <= c_plus(a) <= s
+    # the Newton solves of c_plus, and of both abs-max endpoints without a
+    # curve, start at the Sidak end s of the range z <= c_plus(a) <= s
     z = sidak_halfwidth(1, alpha)
     s = sidak_halfwidth(2, alpha)
     for a in np.arange(0.0, 12.01, 0.25):
@@ -321,6 +322,7 @@ def test_calibration_forms_its_start_once_per_call(monkeypatch):
 
 
 def test_newton_cap_raises_optimization_error(monkeypatch):
+    curve = cplus_curve(0.05)
     monkeypatch.setattr(bivariate, "_MAX_STEPS", 2)
     with pytest.raises(OptimizationError, match="did not converge"):
         c_plus(1.0, 0.05)
@@ -328,10 +330,32 @@ def test_newton_cap_raises_optimization_error(monkeypatch):
         CPlusCurve.build(0.05, a_max=1.0, step=0.5)
     with pytest.raises(OptimizationError, match="did not converge"):
         abs_max_interval([1.0, 0.0], 0.05)
+    # a start on the curve saves steps but keeps the cap
+    monkeypatch.setattr(bivariate, "_MAX_STEPS", 1)
+    with pytest.raises(OptimizationError, match="did not converge"):
+        abs_max_interval([1.0, 0.0], 0.05, curve=curve)
 
 
 def test_cplus_curve_cache():
     assert cplus_curve(0.05) is cplus_curve(0.05)
+
+
+def test_curve_arrays_are_read_only():
+    # the cache hands one curve to every caller, and interval solves start on it
+    for curve in (cplus_curve(0.05), CPlusCurve.build(0.05, a_max=1.0, step=0.5)):
+        for grid in (curve.grid_a, curve.grid_c):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.0
+    assert cplus_curve(0.05).grid_c[0] == c_plus(0.0, 0.05)
+
+
+def test_default_curve_bits_are_pinned():
+    # the calibration skips the mean slopes its steps multiply by 0; every
+    # knot keeps the bits it had when they were computed
+    grid_c = CPlusCurve.build(0.05).grid_c
+    assert grid_c.shape == (801,)
+    assert hashlib.sha256(grid_c.tobytes()).hexdigest() == (
+        "fa2fd730cbece16f2cb1c5f1a0fbcd750a5e474a8edca47df362e6f4aa7a97e8")
 
 
 def test_abs_max_interval_frozen_center(small_curve):
@@ -406,6 +430,52 @@ def test_abs_max_endpoints_solve_exactly(alpha):
                     lo, hi = ci.lo, ci.hi
                 assert abs(lo + c(lo) - abs(w_sel)) <= 1e-8, (a_max, y)
                 assert abs(hi - c(hi) - abs(w_sel)) <= 1e-8, (a_max, y)
+
+
+def _sidak_start_endpoints(w, alpha, a_max):
+    # the endpoint solve started at the ends of the Sidak box, as without a curve
+    s = sidak_halfwidth(2, alpha)
+    slope = np.array([1.0, -1.0])
+    a, _ = bivariate._newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]),
+                             alpha, min(a_max, bivariate._A_FLAT))
+    return a
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9])
+def test_curve_start_gives_the_sidak_start_endpoints(alpha):
+    # the curve only sets where Newton starts: both starts solve against
+    # exact c_plus, held flat beyond the curve's a_max (w runs past it)
+    for curve in (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5)):
+        for w in np.linspace(0.0, 12.0, 61):
+            ci = abs_max_interval([w, 0.0], alpha, curve=curve)
+            lo, hi = _sidak_start_endpoints(w, alpha, curve.a_max)
+            assert abs(ci.lo - lo) <= 1e-12 and abs(ci.hi - hi) <= 1e-12, (curve.a_max, w)
+
+
+def test_curve_start_at_huge_curve_a_max():
+    curve = CPlusCurve.build(0.05, 1e200, 1e199)
+    for w in (0.0, 1.3, 2.23, 7.0, 150.0, 1e200):
+        ci = abs_max_interval([w, 0.0], 0.05, curve=curve)
+        lo, hi = _sidak_start_endpoints(w, 0.05, curve.a_max)
+        assert abs(ci.lo - lo) <= 1e-12 and abs(ci.hi - hi) <= 1e-12, w
+
+
+def test_curve_start_saves_newton_evaluations(monkeypatch):
+    # over c04's width profile, a solve started on the curve needs at most 3
+    # evaluations of the rule per interval on average; the Sidak start needs 5
+    calls = []
+    miss = bivariate._miss_probability
+
+    def counted(*args):
+        calls.append(1)
+        return miss(*args)
+
+    curve = cplus_curve(0.05)
+    monkeypatch.setattr(bivariate, "_miss_probability", counted)
+    w_grid = np.arange(0.0, 6.0 + 1e-12, 0.01)
+    for w in w_grid:
+        abs_max_interval([w, 0.0], 0.05, curve=curve)
+    assert len(calls) <= 3 * len(w_grid)
 
 
 def test_abs_max_interval_at_huge_curve_a_max():

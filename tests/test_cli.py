@@ -565,22 +565,28 @@ def test_compare_at_m_1e300_is_a_numerical_failure(capsys):
 
 
 def replay_recorded(name, capsys, monkeypatch, tmp_path):
-    """(stdout sha256 per CLI op of workload `name`, the recorded digests).
+    """(one result per op of workload `name`, the recorded results).
 
-    bench/expected.json holds the sha256 of each CLI op's stdout at the
-    recorded seed; the benchmark's replay fails on any moved byte.
+    bench/expected.json holds, per op at the recorded seed, the sha256 of a
+    CLI op's stdout or the width of an abs-max interval; the benchmark's
+    replay fails on any moved byte or on a width more than WIDTH_TOL off.
     """
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     workloads = importlib.import_module("workloads")
     recorded = json.loads((bench / "expected.json").read_text(encoding="utf-8"))[name]
     wl = workloads.WORKLOADS[name](recorded["seed"], tmp_path)
-    digests = []
-    for _, _, argv in wl.ops:
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
-    return digests, recorded["ops"]
+    results = []
+    for kind, _, arg in wl.ops:
+        if kind == "cli":
+            code, out, err = run_cli(capsys, *arg)
+            assert (code, err) == (0, ""), arg
+            results.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        else:  # the benchmark child's abs-max op, on the cached curve
+            alpha = workloads.ALPHA
+            ci = bivariate.abs_max_interval([arg, 0.0], alpha, curve=bivariate.cplus_curve(alpha))
+            results.append(ci.hi - ci.lo)
+    return results, recorded["ops"]
 
 
 def test_offsets_sweep_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
@@ -594,3 +600,16 @@ def test_coverage_grid_replays_recorded_bytes(capsys, monkeypatch, tmp_path):
     digests, recorded = replay_recorded("coverage_grid", capsys, monkeypatch, tmp_path)
     assert len(digests) == 16
     assert digests == recorded
+
+
+def test_absmax_calibration_replays_recorded_outputs(capsys, monkeypatch, tmp_path):
+    # cplus-curve and the m=2 simulate replay byte for byte, and each of the
+    # 120 abs-max widths lies within the benchmark's tolerance of its record
+    results, recorded = replay_recorded("absmax_calibration", capsys, monkeypatch, tmp_path)
+    width_tol = importlib.import_module("run").WIDTH_TOL
+    assert len(results) == len(recorded) == 122
+    digests = [(got, want) for got, want in zip(results, recorded) if isinstance(want, str)]
+    widths = [(got, want) for got, want in zip(results, recorded) if not isinstance(want, str)]
+    assert len(digests) == 2 and all(got == want for got, want in digests)
+    assert len(widths) == 120
+    assert all(abs(got - want) <= width_tol for got, want in widths)
