@@ -47,43 +47,31 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# the 48-node Gauss-Legendre rule on [-1, 1], scipy.special's to the bit,
+# the 28-node Gauss-Legendre rule on [-1, 1], scipy.special's to the bit,
 # written out because computing it would import scipy.linalg
 _GL_X = np.array([
-    -0.9987710072524261, -0.9935301722663508, -0.9841245837228269,
-    -0.9705915925462474, -0.9529877031604308, -0.9313866907065542,
-    -0.9058791367155696, -0.8765720202742479, -0.8435882616243935,
-    -0.8070662040294426, -0.7671590325157404, -0.7240341309238147,
-    -0.6778723796326639, -0.6288673967765137, -0.5772247260839727,
-    -0.523160974722233, -0.4669029047509584, -0.4086864819907167,
-    -0.3487558862921608, -0.28736248735545555, -0.22476379039468902,
-    -0.16122235606889174, -0.0970046992094627, -0.03238017096286941,
-    0.03238017096286941, 0.0970046992094627, 0.16122235606889174,
-    0.22476379039468902, 0.28736248735545555, 0.3487558862921608,
-    0.4086864819907167, 0.4669029047509584, 0.523160974722233,
-    0.5772247260839727, 0.6288673967765137, 0.6778723796326639,
-    0.7240341309238147, 0.7671590325157404, 0.8070662040294426,
-    0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
-    0.9313866907065542, 0.9529877031604308, 0.9705915925462474,
-    0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+    -0.9964424975739544, -0.9813031653708728, -0.9542592806289381,
+    -0.9156330263921321, -0.8658925225743951, -0.8056413709171792,
+    -0.7356108780136318, -0.656651094038865, -0.5697204718114017,
+    -0.4758742249551182, -0.37625151608907875, -0.27206162763517805,
+    -0.16456928213338082, -0.05507928988403422, 0.05507928988403422,
+    0.16456928213338082, 0.27206162763517805, 0.37625151608907875,
+    0.4758742249551182, 0.5697204718114017, 0.656651094038865,
+    0.7356108780136318, 0.8056413709171792, 0.8658925225743951,
+    0.9156330263921321, 0.9542592806289381, 0.9813031653708728,
+    0.9964424975739544,
 ])
 _GL_W = np.array([
-    0.0031533460523092798, 0.007327553901275753, 0.011477234579234132,
-    0.015579315722942752, 0.01961616045735531, 0.02357076083932466,
-    0.027426509708357145, 0.03116722783279785, 0.03477722256477054,
-    0.038241351065830854, 0.041545082943464845, 0.04467456085669417,
-    0.047616658492490534, 0.05035903555385421, 0.05289018948519371,
-    0.05519950369998418, 0.057277292100402916, 0.05911483969839537,
-    0.0607044391658937, 0.0620394231598925, 0.06311419228625385,
-    0.06392423858464803, 0.06446616443594998, 0.06473769681268376,
-    0.06473769681268376, 0.06446616443594998, 0.06392423858464803,
-    0.06311419228625385, 0.0620394231598925, 0.0607044391658937,
-    0.05911483969839537, 0.057277292100402916, 0.05519950369998418,
-    0.05289018948519371, 0.05035903555385421, 0.047616658492490534,
-    0.04467456085669417, 0.041545082943464845, 0.038241351065830854,
-    0.03477722256477054, 0.03116722783279785, 0.027426509708357145,
-    0.02357076083932466, 0.01961616045735531, 0.015579315722942752,
-    0.011477234579234132, 0.007327553901275753, 0.0031533460523092798,
+    0.009124282593092585, 0.02113211259277212, 0.03290142778230522,
+    0.04427293475900388, 0.05510734567571665, 0.0652729239669997,
+    0.07464621423456862, 0.08311341722890143, 0.09057174439303295,
+    0.09693065799793002, 0.1021129675780608, 0.10605576592284646,
+    0.10871119225829423, 0.11004701301647533, 0.11004701301647533,
+    0.10871119225829423, 0.10605576592284646, 0.1021129675780608,
+    0.09693065799793002, 0.09057174439303295, 0.08311341722890143,
+    0.07464621423456862, 0.0652729239669997, 0.05510734567571665,
+    0.04427293475900388, 0.03290142778230522, 0.02113211259277212,
+    0.009124282593092585,
 ])
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
@@ -95,6 +83,7 @@ _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this smal
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _SEED_PASSES = 4  # contraction passes on a tabulated curve before an endpoint solve
 _CHUNK = 32  # elements per pass of the quadrature rule
+_GRID_TOL = 1e-9  # relative slack of a CPlusCurve's checks on its own fields
 
 
 def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> ConfidenceInterval:
@@ -139,14 +128,14 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: b
     lo = np.stack([-far, left, c], axis=-1)
     hi = np.stack([left, -c, far], axis=-1)
     half = 0.5 * (hi - lo)[..., None]
-    t = 0.5 * (hi + lo)[..., None] + half * _GL_X  # (n, 3 panels, 48 nodes)
+    t = 0.5 * (hi + lo)[..., None] + half * _GL_X  # (n, 3 panels, 28 nodes)
     weight = half * _GL_W * np.exp(-0.5 * t * t)
     t += mu_i[:, None, None]
     u = np.abs(t)
     mu_j3 = mu_j[:, None, None]
 
     def integral(f):
-        # one pairwise sum per element over its 144 contiguous nodes, so an
+        # one pairwise sum per element over its 84 contiguous nodes, so an
         # element's value does not depend on the batch it is evaluated in
         return _INV_SQRT_2PI * np.sum((weight * f).reshape(len(mu_i), -1), axis=-1)
 
@@ -290,8 +279,12 @@ class CPlusCurve:
 
     The curve is even in a and flat beyond a_max (where it has already
     converged to the unadjusted constant to well below grid resolution).
-    Both arrays are read-only: `cplus_curve` hands one cached curve to every
-    caller, and `abs_max_interval` starts its endpoint solves on it.
+    Construction checks the fields and raises ValueError for a curve that
+    is not such a table: grid_a must run from 0 to a_max in steps of `step`,
+    and grid_c must be finite and lie between the unadjusted and the
+    two-coordinate Sidak constants.  Both arrays are kept as read-only
+    copies: `cplus_curve` hands one cached curve to every caller, and
+    `abs_max_interval` starts its endpoint solves on it.
     """
 
     alpha: float
@@ -300,15 +293,40 @@ class CPlusCurve:
     grid_a: np.ndarray
     grid_c: np.ndarray
 
+    def __post_init__(self):
+        n = _check_grid(self.alpha, self.a_max, self.step)
+        for name in ("grid_a", "grid_c"):
+            grid = np.array(_check_real_array(getattr(self, name), name))
+            if grid.shape != (n + 1,):
+                raise ValueError(f"{name} must hold the {n + 1} knots from 0 to "
+                                 f"a_max={self.a_max!r} by step={self.step!r}, "
+                                 f"got shape {grid.shape}")
+            grid.flags.writeable = False
+            object.__setattr__(self, name, grid)  # frozen: the checked copy replaces the field
+        knots = np.linspace(0.0, self.a_max, n + 1)
+        if not (math.isclose(n * self.step, self.a_max, rel_tol=_GRID_TOL)
+                and np.allclose(self.grid_a, knots, rtol=_GRID_TOL, atol=0.0)):
+            raise ValueError(f"grid_a must run from 0 to a_max={self.a_max!r} "
+                             f"by step={self.step!r}")
+        # c_plus falls from the two-coordinate Sidak constant at a = 0 toward
+        # the unadjusted one; both are quantiles at the method table's levels.
+        # A calibrated knot's relative error grows like eps / (1 - alpha): near
+        # alpha = 1 its coverage is 1 minus a miss probability close to 1
+        z = -NORMAL.quantile(0.5 * self.alpha)
+        s = -NORMAL.quantile(-0.5 * math.expm1(0.5 * math.log1p(-self.alpha)))
+        slack = _GRID_TOL + 64.0 * np.finfo(float).eps / (1.0 - self.alpha)
+        if not np.all((self.grid_c >= z * (1.0 - slack)) & (self.grid_c <= s * (1.0 + slack))):
+            raise ValueError(f"grid_c must be finite and lie between the unadjusted "
+                             f"constant {z!r} and the Sidak constant {s!r} "
+                             f"at alpha={self.alpha!r}")
+
     @classmethod
     def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
         """Solves every knot in one batch; each equals `c_plus` at its a."""
         n = _check_grid(alpha, a_max, step)
         grid_a = np.linspace(0.0, n * step, n + 1)
-        grid_c = _calibrate(grid_a, alpha)
-        grid_a.flags.writeable = grid_c.flags.writeable = False
         return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
-                   grid_a=grid_a, grid_c=grid_c)
+                   grid_a=grid_a, grid_c=_calibrate(grid_a, alpha))
 
 
 def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .baselines import MethodLabel, k_of_m_intervals, method_offsets
-from .bivariate import abs_max_interval, cplus_curve, larger_of_two_interval
+from .bivariate import _GL_X, abs_max_interval, cplus_curve, larger_of_two_interval
 from .dist import _MAX_GRID, NotPositiveDefiniteError
 from .mc import Scenario, load_scenario, run_coverage, scenario_from_dict
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
@@ -192,7 +192,8 @@ def cmd_cplus_curve(args) -> OutputTable:
     curve = cplus_curve(args.alpha, args.a_max, args.step)
     rows = [(float(a), float(c)) for a, c in zip(curve.grid_a, curve.grid_c)]
     meta = {"command": "cplus-curve", "alpha": args.alpha,
-            "a_max": curve.a_max, "step": curve.step}
+            "a_max": curve.a_max, "step": curve.step,
+            "quadrature_nodes_per_panel": len(_GL_X)}
     return OutputTable(("a", "c_plus"), rows, meta)
 
 

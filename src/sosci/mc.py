@@ -121,6 +121,12 @@ class Scenario:
 def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
     """Realize a covariance matrix; random ingredients come from the model
     stream of `seed`, so the same seed always gives the same matrix."""
+    return _covariance_and_factor(model, seed)[0]
+
+
+def _covariance_and_factor(model: CovarianceModel, seed) -> tuple[np.ndarray, np.ndarray]:
+    # build_covariance's matrix and its lower Cholesky factor, which also
+    # fails fast on a non-PD construction
     m = _check_int(model.dimension, "dimension", 1, _MAX_DIM)
     idx = np.arange(m)
     dist_ij = np.abs(np.subtract.outer(idx, idx))
@@ -137,8 +143,7 @@ def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
         blocks = m // model.block_size
         sigma = np.kron(np.eye(blocks), np.full((model.block_size,) * 2, model.rho))
         sigma += (1.0 - model.rho) * np.eye(m)
-    cholesky(sigma)  # fail fast on a non-PD construction
-    return sigma
+    return sigma, cholesky(sigma)
 
 
 def resolve_theta(scenario: Scenario) -> np.ndarray:
@@ -194,13 +199,14 @@ class CoverageReport:
         return {**asdict(self), **{name: getattr(self, name) for name in rates}}
 
 
-def _panel_parts(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray) -> list[tuple]:
-    # (columns, theta, lower Cholesky factor, t df or None) for each independent half
+def _panel_parts(scenario: Scenario, sigma: np.ndarray, lower: np.ndarray,
+                 theta: np.ndarray) -> list[tuple]:
+    # (columns, theta, lower Cholesky factor, t df or None) for each
+    # independent half; the all-normal panel is one part, factored as a whole
     if scenario.panel == "all_normal":
-        halves = [(slice(None), None)]
-    else:
-        half = scenario.m // 2
-        halves = [(slice(None, half), None), (slice(half, None), scenario.t_df)]
+        return [(slice(None), theta, lower, None)]
+    half = scenario.m // 2
+    halves = [(slice(None, half), None), (slice(half, None), scenario.t_df)]
     return [(cols, theta[cols], cholesky(sigma[cols, cols]), df) for cols, df in halves]
 
 
@@ -293,10 +299,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     _check_mk(scenario.m, k)
     _check_unit(alpha, "alpha")
     _check_int(n_jobs, "n_jobs", 1, _MAX_JOBS)
-    sigma = build_covariance(scenario.covariance, scenario.seed)
+    sigma, lower = _covariance_and_factor(scenario.covariance, scenario.seed)
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
-    parts = _panel_parts(scenario, sigma, theta)
+    parts = _panel_parts(scenario, sigma, lower, theta)
 
     scored = []  # (report label, rule name, c_lo, c_up) per requested method
     for label in labels:

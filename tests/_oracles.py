@@ -3,9 +3,9 @@
 These deliberately avoid the code paths used by the package: the normal CDF
 is a Taylor series (no erf/erfc), quantiles come from plain bisection,
 the Student-t CDF integrates the density directly, and the abs-max region
-probability is adaptive quadrature over math.erfc (the package uses a fixed
-Gauss-Legendre rule over scipy's ndtr).  Expected values frozen into tests
-were produced by these functions.
+probability and the larger-of-two miss probability are adaptive quadrature
+over math.erfc (the package uses a fixed Gauss-Legendre rule over scipy's
+ndtr).  Expected values frozen into tests were produced by these functions.
 
 The one exception is `estimate_b_probability`, a Monte-Carlo check of the
 abs-max region probability.  It reuses the package's sampler, abs-max
@@ -105,6 +105,26 @@ def b_region_quad(mu, c: float) -> float:
                                 epsabs=1e-13, epsrel=1e-13, limit=400)
         total += val
     return total
+
+
+def larger_of_two_miss_quad(g: float, c: float) -> float:
+    """Miss probability of the interval [w - c, w + c] around the larger of
+    Y ~ N((g, 0), I_2), by adaptive quadrature over math.erfc.  Conditioning
+    on the selected coordinate's error t, it is
+      integral_{|t| > c} phi(t) [Phi(t + g) + Phi(t - g)] dt,
+    the first term selecting coordinate 0 and the second coordinate 1.
+    """
+    def dens(t: float) -> float:
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    def cdf(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def integrand(t: float) -> float:
+        return dens(t) * (cdf(t + g) + cdf(t - g))
+
+    return sum(integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for lo, hi in ((-math.inf, -c), (c, math.inf)))
 
 
 def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:

@@ -27,7 +27,7 @@ from sosci import bivariate
 from sosci.mc import Scenario
 from sosci.sos import OptimizationError
 
-from _oracles import b_region_quad, estimate_b_probability
+from _oracles import b_region_quad, estimate_b_probability, larger_of_two_miss_quad
 
 Z975 = 1.959963985
 SIDAK2 = 2.236476645  # oracle: bisection solve of (1-(1-0.05)^(1/2))/2 tail
@@ -60,6 +60,16 @@ def test_larger_of_two_width_is_unadjusted():
             2 * sidak_halfwidth(1, alpha), abs=1e-12)
 
 
+def test_larger_of_two_misses_exactly_alpha_at_every_gap():
+    # the paper's k = 1, m = 2 remark: at theta = (g, 0) the miss is
+    # integral_{|t| > z} phi(t) [Phi(t + g) + Phi(t - g)] dt, and t -> -t
+    # turns the bracket into 2 minus itself, so the miss is alpha at every g
+    for alpha in (0.01, 0.05, 0.2):
+        for g in np.linspace(0.0, 12.0, 49):
+            half = 0.5 * larger_of_two_interval([g, 0.0], alpha).length
+            assert larger_of_two_miss_quad(g, half) == pytest.approx(alpha, abs=1e-12, rel=0.0)
+
+
 def test_larger_of_two_t_family():
     t5 = student_t_family(5)
     ci = larger_of_two_interval([2.9, 2.5], 0.05, family=t5)
@@ -74,9 +84,45 @@ def test_larger_of_two_errors():
 
 
 def test_gauss_legendre_literals_are_scipys_rule():
-    x, w = special.roots_legendre(48)
+    x, w = special.roots_legendre(28)
     assert bivariate._GL_X.tobytes() == x.tobytes()
     assert bivariate._GL_W.tobytes() == w.tobytes()
+
+
+def test_quadrature_rule_is_converged(monkeypatch):
+    # the shipped rule against a 96-node one: the miss probability over means
+    # up to 100 and c up to 40, and c_plus on 161 knots at eight alphas.  A
+    # 24-node rule misses the c_plus bound at alpha = 0.99 (1.2e-11), where c
+    # is small, and a 20-node one misses all three bounds; 28 and 48 nodes
+    # pass, at 3.7e-13 and 1.1e-12 on c_plus
+    alphas = (1e-13, 1e-6, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99)
+    knots = np.linspace(0.0, 8.0, 161)
+    mu_0, mu_1, c = (np.ravel(v) for v in np.meshgrid(
+        [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 100.0],
+        [-100.0, -8.0, -1.0, 0.0, 1.0, 3.0, 10.0, 100.0],
+        [0.01, 0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 15.0, 25.0, 40.0]))
+
+    def evaluate():
+        return (np.array([bivariate._calibrate(knots, alpha) for alpha in alphas]),
+                bivariate._miss_probability(mu_0, mu_1, c, False)[0])
+
+    shipped_c, shipped_miss = evaluate()
+    # the shipped rule also matches adaptive quadrature at means up to 100,
+    # at c_plus for a = 0, 2 and 8
+    for c_row in shipped_c[:, [0, 40, 160]]:
+        for level in c_row:
+            for mu in ((0.0, 0.0), (1.5, 0.0), (3.0, -2.5), (8.0, 0.0), (20.0, 19.5),
+                       (50.0, -49.0), (100.0, 0.0), (100.0, 99.0), (100.0, -100.0)):
+                assert b_region_probability(mu, level) == pytest.approx(
+                    b_region_quad(mu, level), abs=1e-12, rel=0.0)
+    x, w = special.roots_legendre(96)
+    monkeypatch.setattr(bivariate, "_GL_X", x)
+    monkeypatch.setattr(bivariate, "_GL_W", w)
+    reference_c, reference_miss = evaluate()
+    np.testing.assert_allclose(shipped_c, reference_c, rtol=4e-12, atol=0.0)
+    keep = reference_miss > 1e-30
+    assert keep.mean() > 0.5
+    np.testing.assert_allclose(shipped_miss[keep], reference_miss[keep], rtol=1e-12, atol=0.0)
 
 
 def test_b_region_zero_mean_factorizes():
@@ -349,13 +395,55 @@ def test_curve_arrays_are_read_only():
     assert cplus_curve(0.05).grid_c[0] == c_plus(0.0, 0.05)
 
 
+_GOOD_FIELDS = dict(alpha=0.05, a_max=1.0, step=0.5, grid_a=[0.0, 0.5, 1.0],
+                    grid_c=[2.2, 2.1, 2.0])
+
+
+@pytest.mark.parametrize("change, match", [
+    # a curve far above the Sidak constant, or at 0, used to send the seeded
+    # endpoint solve into log(0) and 50 Newton steps
+    (dict(a_max=1.0, step=1.0, grid_a=[0.0, 1.0], grid_c=[100.0, 100.0]), "grid_c"),
+    (dict(a_max=1.0, step=1.0, grid_a=[0.0, 1.0], grid_c=[0.0, 0.0]), "grid_c"),
+    (dict(grid_c=[2.2, np.nan, 2.0]), "grid_c"),
+    (dict(grid_c=[2.3, 2.1, 2.0]), "grid_c"),
+    (dict(grid_c=[2.2, 2.1, 1.9]), "grid_c"),
+    (dict(grid_c=[2.2, 2.1]), "grid_c"),
+    (dict(grid_a=[0.0, 0.5, 1.1]), "grid_a"),
+    (dict(grid_a=[0.5, 1.0, 1.5]), "grid_a"),
+    (dict(grid_a=[[0.0, 0.5, 1.0]]), "grid_a"),
+    (dict(grid_a=["0", "0.5", "1"]), "grid_a"),
+    (dict(step=0.3), "grid_a"),
+    (dict(step=2.0), "step"),
+    (dict(alpha=1.5), "alpha"),
+])
+def test_hand_built_curve_is_checked(change, match):
+    with pytest.raises(ValueError, match=match):
+        CPlusCurve(**{**_GOOD_FIELDS, **change})
+
+
+def test_hand_built_curve_keeps_read_only_copies():
+    grid_c = np.array(_GOOD_FIELDS["grid_c"])
+    curve = CPlusCurve(**{**_GOOD_FIELDS, "grid_c": grid_c})
+    grid_c[0] = 100.0
+    assert curve.grid_c[0] == 2.2 and curve.grid_a.dtype == float
+    assert not (curve.grid_a.flags.writeable or curve.grid_c.flags.writeable)
+    # a copy of a built curve's fields is a curve, and gives its endpoints
+    built = CPlusCurve.build(0.05, a_max=3.0, step=0.5)
+    copy = CPlusCurve(**{name: getattr(built, name)
+                         for name in ("alpha", "a_max", "step", "grid_a", "grid_c")})
+    for w in (0.0, 1.0, 3.0):
+        assert abs_max_interval([w, 0.0], 0.05, curve=copy) == abs_max_interval(
+            [w, 0.0], 0.05, curve=built)
+
+
 def test_default_curve_bits_are_pinned():
     # the calibration skips the mean slopes its steps multiply by 0; every
-    # knot keeps the bits it had when they were computed
+    # knot keeps the bits it had when they were computed.  Pinned for the
+    # 28-node rule, whose knots lie within 16 ulp of a 96-node rule's
     grid_c = CPlusCurve.build(0.05).grid_c
     assert grid_c.shape == (801,)
     assert hashlib.sha256(grid_c.tobytes()).hexdigest() == (
-        "fa2fd730cbece16f2cb1c5f1a0fbcd750a5e474a8edca47df362e6f4aa7a97e8")
+        "4658f440921f1058d4f28cb5f8fd391551c6153b3ea96542d6854f080d9f83f1")
 
 
 def test_abs_max_interval_frozen_center(small_curve):

@@ -185,6 +185,14 @@ def test_json_meta_names_the_command_and_version(capsys, argv):
     assert (meta["command"], meta["version"]) == (argv[0], sosci.__version__)
 
 
+def test_cplus_curve_json_meta_names_the_quadrature_rule(capsys):
+    # JSON meta only: the CSV has no meta, so recorded digests do not move
+    code, out, _ = run_cli(capsys, "cplus-curve", "--a-max", "0.5", "--step", "0.25",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["quadrature_nodes_per_panel"] == 28 == len(bivariate._GL_X)
+
+
 def test_simulate_rejects_unknown_method(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "4", "--k", "1",
                            "--reps", "10", "--methods", "sos_symmetric,median")

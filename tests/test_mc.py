@@ -236,6 +236,33 @@ def test_run_coverage_caps_n_jobs_before_building_anything(monkeypatch):
         run_coverage(scn, k=1, method="sidak", n_jobs=65)
 
 
+def test_run_coverage_caps_n_jobs_before_the_covariance(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("covariance built before n_jobs was checked")
+
+    monkeypatch.setattr(mc, "_covariance_and_factor", build)
+    with pytest.raises(ValueError, match="n_jobs must be at most 64, got 65"):
+        run_coverage(iid_scenario(m=6, reps=100, seed=1), k=1, method="sidak", n_jobs=65)
+
+
+@pytest.mark.parametrize("panel, factorizations", [("all_normal", 1),
+                                                   ("half_normal_half_t5", 3)])
+def test_run_coverage_factors_the_all_normal_covariance_once(monkeypatch, panel, factorizations):
+    # the all-normal panel draws with the factor that checked the covariance;
+    # the mixed panel factors each half as well
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma.shape)
+        return cholesky(sigma)
+
+    scn = Scenario(m=6, covariance=CovarianceModel("ar", 6, 0.5), reps=500, seed=3, panel=panel)
+    expected = run_coverage(scn, k=2, method="sidak")
+    monkeypatch.setattr(mc, "cholesky", counted)
+    assert run_coverage(scn, k=2, method="sidak") == expected
+    assert len(calls) == factorizations
+
+
 def test_run_coverage_abs_max_requirements():
     with pytest.raises(ValueError):
         run_coverage(iid_scenario(m=3, reps=100, seed=1), k=1, method="abs_max")
