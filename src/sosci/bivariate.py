@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .baselines import MethodLabel, method_offsets, sidak_halfwidth
 from .dist import (
@@ -121,6 +120,8 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: b
     # smooth on each panel, so a fixed Gauss-Legendre rule is exact to
     # rounding.  The c slope is the integrand at the two tail edges,
     # -phi(c) [h(c) + h(-c)], and needs no quadrature.
+    from scipy import special  # imported here: only the abs-max rule needs ndtr
+
     sign_i, mu_i = np.sign(mu_i), np.abs(mu_i)
     c = np.minimum(c, _C_UNDERFLOW)
     far = c + 80.0 / (np.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40

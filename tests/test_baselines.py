@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import special
 from scipy.optimize import brentq  # the reference for _brent; sosci never imports it
 
 from sosci import (
@@ -22,7 +21,7 @@ from sosci import (
     sidak_halfwidth,
 )
 from sosci.baselines import _brent, _fcw_coverage, _fcw_solve_c
-from sosci.dist import NORMAL, std_normal_cdf, student_t_family
+from sosci.dist import NORMAL, std_normal_cdf, std_normal_quantile, student_t_family
 from sosci.sos import _delta_offsets
 
 from _oracles import grid_argmin
@@ -495,12 +494,12 @@ def test_sos_shortest_levels_are_the_delta_split(m, alpha, data):
 @_PROPERTY
 @given(_QUANTILE_METHODS, _M, _ALPHA, st.data())
 def test_table_offsets_are_exact_quantiles(method, m, alpha, data):
-    # an offset is -ndtri at its tail level, with no 1 - p rounded first
+    # an offset is minus the quantile at its tail level, with no 1 - p rounded first
     k = data.draw(st.integers(1, m))
     levels = method_tail_levels(method, m, k, alpha)
     offsets = method_offsets(method, m, k, alpha)
     assert all(math.isfinite(c) for c in offsets)
-    assert offsets == tuple(-float(special.ndtri(p)) for p in levels)
+    assert offsets == tuple(-std_normal_quantile(p) for p in levels)
 
 
 @_PROPERTY

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sosci
@@ -411,11 +411,19 @@ def fuzz_child(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_fuzz_argvs())
+@example(["intervals", "--y", "1,2", "--method", "unadjusted", "--alpha", "1e-322"])
 def test_fuzzed_argvs_exit_cleanly(fuzz_child, argv):
     rc, out, err = fuzz_child(argv)
     assert rc in (0, 2, 3), err
     assert "Traceback" not in err
     assert rc == 0 or out == ""
+
+
+def test_unadjusted_interval_at_a_subnormal_tail_level(capsys):
+    # alpha / 2 = 5e-323 is subnormal; the quantile's tail step forms no exp there
+    assert run_cli(capsys, "intervals", "--y", "1,2", "--method", "unadjusted",
+                   "--alpha", "1e-322") == (
+        0, "index,estimate,lo,hi,method\r\n2,2,-36.4075,40.4075,unadjusted\r\n", "")
 
 
 def test_delta_flags_need_method_sos(capsys):

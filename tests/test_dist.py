@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import sosci
 from sosci import dist
@@ -61,10 +63,98 @@ def test_quantile_monotone():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, -0.0, math.nan, math.inf, -math.inf, True,
+                               False, "0.5", None, -5e-324])
 def test_quantile_domain(p):
-    with pytest.raises(ValueError):
+    # the same message as _check_unit, which every other entry point runs
+    with pytest.raises(ValueError) as checked:
+        dist._check_unit(p, "p")
+    with pytest.raises(ValueError, match=re.escape(str(checked.value))):
         dist.std_normal_quantile(p)
+
+
+# roots of Phi(x) = p solved to 40 digits with mpmath (not a test dependency),
+# from the least subnormal double to 1 - 2^-53, across AS241's branch edges
+# (p = 0.075, about exp(-25)) and the tail step's (5/64, the least normal
+# double), and at three p where AS241 alone errs by more than 4 ulp
+_QUANTILE_ROOTS = [
+    (5e-324, "-38.46740561714434625078"),
+    (1e-320, "-38.26912534303265101818"),
+    (1e-310, "-37.66306033194952373189"),
+    (2.2250738585072014e-308, "-37.51937934714449982068"),
+    (1e-300, "-37.04709629936119923655"),
+    (8.79970448839955e-205, "-30.51285198775956944023"),  # AS241 alone: 5.4 ulp
+    (1e-200, "-30.20559417957964306312"),
+    (1.174196360127428e-178, "-28.47561575956579808696"),  # AS241 alone: 6.0 ulp
+    (1e-100, "-21.27345356096532429418"),
+    (1e-50, "-14.93333753478848898066"),
+    (1e-20, "-9.262340089798407579572"),
+    (1.4e-11, "-6.656723091518183635597"),
+    (1e-08, "-5.61200124417478872793"),
+    (1e-05, "-4.264890793922824610234"),
+    (0.0123, "-2.247626755795137757588"),
+    (0.05, "-1.644853626951472687952"),
+    (0.075, "-1.43953147093845593495"),
+    (0.078125, "-1.417797137996267339086"),
+    (0.1, "-1.281551565544600435335"),
+    (0.3, "-0.5244005127080408159695"),
+    (0.6, "0.2533471031357997413247"),
+    (0.9, "1.281551565544600593487"),
+    (0.921875, "1.417797137996267339086"),
+    (0.925, "1.439531470938456229063"),
+    (0.975, "1.959963984540053855604"),
+    (0.9999, "3.719016485455708386723"),
+    (0.9999999998664517, "6.316764243308767074432"),  # AS241 alone: 4.1 ulp
+    (0.9999999999, "6.361340889697421864155"),
+    (0.9999999999999999, "8.209536151601386855631"),
+]
+
+
+@pytest.mark.parametrize("p,root", _QUANTILE_ROOTS)
+def test_quantile_within_4_ulp_of_40_digit_roots(p, root):
+    x = dist.std_normal_quantile(p)
+    assert abs(Fraction(x) - Fraction(root)) <= 4 * Fraction(math.ulp(x))
+
+
+def _adjacent_doubles(p, n):
+    # the n doubles below p, p, and the n above it
+    below, above = [p], [p]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def test_quantile_is_exactly_odd_about_one_half():
+    rng = np.random.default_rng(21)
+    edges = [0.5, 0.921875, 0.925, 1.0 - 2.0**-53]
+    near = [p for edge in edges for p in _adjacent_doubles(edge, 50) if 0.5 <= p < 1.0]
+    tails = 1.0 - np.logspace(-16, math.log10(0.5), 300)
+    for p in [*rng.uniform(0.5, 1.0, 2000), *tails, *near]:
+        assert dist.std_normal_quantile(p) == -dist.std_normal_quantile(1.0 - p), p
+
+
+@pytest.mark.parametrize("edge", [2.2250738585072014e-308, math.exp(-25.0), 0.075, 0.078125,
+                                  0.5, 0.921875, 0.925, 1.0 - math.exp(-25.0)])
+def test_quantile_monotone_across_adjacent_doubles(edge):
+    # within the 4 spacings that the offset table's monotonicity test allows
+    values = [dist.std_normal_quantile(p) for p in _adjacent_doubles(edge, 500)]
+    assert all(b >= a - 4.0 * np.spacing(abs(a)) for a, b in zip(values, values[1:]))
+
+
+def test_quantile_agrees_with_scipy_ndtri():
+    rng = np.random.default_rng(5)
+    lower = np.exp(rng.uniform(math.log(5e-324), math.log(0.5), 2000))
+    upper = 1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.5), 1000))
+    for p in [*lower, *upper]:
+        x, ref = dist.std_normal_quantile(p), float(special.ndtri(p))
+        assert abs(x - ref) <= 8 * math.ulp(ref), p
+
+
+@pytest.mark.parametrize("p", [np.float64(0.01), np.float32(0.99), np.float32(0.3)])
+def test_quantile_reads_numpy_scalars_as_floats(p):
+    x = dist.std_normal_quantile(p)
+    assert type(x) is float and x == dist.std_normal_quantile(float(p))
 
 
 def test_t_cdf_symmetry_and_center():
