@@ -18,7 +18,7 @@ Two selection rules are covered:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -82,7 +82,6 @@ _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this smal
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _SEED_PASSES = 4  # contraction passes on a tabulated curve before an endpoint solve
 _CHUNK = 32  # elements per pass of the quadrature rule
-_GRID_TOL = 1e-9  # relative slack of a CPlusCurve's checks on its own fields
 
 
 def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> ConfidenceInterval:
@@ -280,54 +279,33 @@ class CPlusCurve:
 
     The curve is even in a and flat beyond a_max (where it has already
     converged to the unadjusted constant to well below grid resolution).
-    Construction checks the fields and raises ValueError for a curve that
-    is not such a table: grid_a must run from 0 to a_max in steps of `step`,
-    and grid_c must be finite and lie between the unadjusted and the
-    two-coordinate Sidak constants.  Both arrays are kept as read-only
-    copies: `cplus_curve` hands one cached curve to every caller, and
-    `abs_max_interval` starts its endpoint solves on it.
+    Construction calibrates the table: it checks alpha, a_max and step,
+    moves a_max to the last knot, and solves every knot in one batch, each
+    equal to `c_plus` at its a.  The table cannot be passed in, and both
+    arrays are read-only: `cplus_curve` hands one cached curve to every
+    caller, and `abs_max_interval` starts its endpoint solves on it.
     """
 
     alpha: float
-    a_max: float
-    step: float
-    grid_a: np.ndarray
-    grid_c: np.ndarray
+    a_max: float = _A_MAX
+    step: float = 0.01
+    grid_a: np.ndarray = field(init=False)
+    grid_c: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = _check_grid(self.alpha, self.a_max, self.step)
-        for name in ("grid_a", "grid_c"):
-            grid = np.array(_check_real_array(getattr(self, name), name))
-            if grid.shape != (n + 1,):
-                raise ValueError(f"{name} must hold the {n + 1} knots from 0 to "
-                                 f"a_max={self.a_max!r} by step={self.step!r}, "
-                                 f"got shape {grid.shape}")
-            grid.flags.writeable = False
-            object.__setattr__(self, name, grid)  # frozen: the checked copy replaces the field
-        knots = np.linspace(0.0, self.a_max, n + 1)
-        if not (math.isclose(n * self.step, self.a_max, rel_tol=_GRID_TOL)
-                and np.allclose(self.grid_a, knots, rtol=_GRID_TOL, atol=0.0)):
-            raise ValueError(f"grid_a must run from 0 to a_max={self.a_max!r} "
-                             f"by step={self.step!r}")
-        # c_plus falls from the two-coordinate Sidak constant at a = 0 toward
-        # the unadjusted one; both are quantiles at the method table's levels.
-        # A calibrated knot's relative error grows like eps / (1 - alpha): near
-        # alpha = 1 its coverage is 1 minus a miss probability close to 1
-        z = -NORMAL.quantile(0.5 * self.alpha)
-        s = -NORMAL.quantile(-0.5 * math.expm1(0.5 * math.log1p(-self.alpha)))
-        slack = _GRID_TOL + 64.0 * np.finfo(float).eps / (1.0 - self.alpha)
-        if not np.all((self.grid_c >= z * (1.0 - slack)) & (self.grid_c <= s * (1.0 + slack))):
-            raise ValueError(f"grid_c must be finite and lie between the unadjusted "
-                             f"constant {z!r} and the Sidak constant {s!r} "
-                             f"at alpha={self.alpha!r}")
+        grid_a = np.linspace(0.0, n * self.step, n + 1)
+        grid_c = _calibrate(grid_a, self.alpha)
+        grid_a.flags.writeable = grid_c.flags.writeable = False
+        # frozen: each derived field is set once, here
+        for name, value in (("a_max", float(grid_a[-1])), ("step", float(self.step)),
+                            ("grid_a", grid_a), ("grid_c", grid_c)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def build(cls, alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> "CPlusCurve":
-        """Solves every knot in one batch; each equals `c_plus` at its a."""
-        n = _check_grid(alpha, a_max, step)
-        grid_a = np.linspace(0.0, n * step, n + 1)
-        return cls(alpha=alpha, a_max=float(grid_a[-1]), step=float(step),
-                   grid_a=grid_a, grid_c=_calibrate(grid_a, alpha))
+        """The curve for (alpha, a_max, step); the same as calling the class."""
+        return cls(alpha, a_max, step)
 
 
 def cplus_curve(alpha: float, a_max: float = _A_MAX, step: float = 0.01) -> CPlusCurve:

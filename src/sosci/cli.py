@@ -156,19 +156,16 @@ def cmd_intervals(args) -> OutputTable:
     if args.method == "sos":
         intervals = k_of_m_intervals(y, k, alpha, args.delta_policy or "symmetric",
                                      delta=args.delta)
-        label = intervals[0].method
     elif args.method == "larger-of-two":
         intervals = [larger_of_two_interval(y, alpha)]
-        label = "larger_of_two"
     elif args.method == "abs-max":
         intervals = [abs_max_interval(y, alpha)]
-        label = "abs_max"
     else:
         label = args.method.replace("-", "_")
         intervals = _selected_intervals(y, k, *method_offsets(label, m, k, alpha), label)
 
     meta = {"command": "intervals", "m": int(m), "k": int(k),
-            "alpha": alpha, "method": label}
+            "alpha": alpha, "method": intervals[0].method}
     return OutputTable(("index", "estimate", "lo", "hi", "method"),
                        _interval_rows(intervals, y), meta)
 

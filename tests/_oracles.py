@@ -5,7 +5,11 @@ is a Taylor series (no erf/erfc), quantiles come from plain bisection,
 the Student-t CDF integrates the density directly, and the abs-max region
 probability and the larger-of-two miss probability are adaptive quadrature
 over math.erfc (the package uses a fixed Gauss-Legendre rule over scipy's
-ndtr).  Expected values frozen into tests were produced by these functions.
+ndtr).  The exact top-k miss rates of independent normal estimators are a
+one-dimensional integral that the package never forms: its coverage engine,
+which they check, samples them and calls no normal CDF.  That integral
+borrows the package's Gauss-Legendre nodes and scipy's ndtr.  Expected
+values frozen into tests were produced by these functions.
 
 The one exception is `estimate_b_probability`, a Monte-Carlo check of the
 abs-max region probability.  It reuses the package's sampler, abs-max
@@ -17,8 +21,9 @@ sampler's draw order and tie rule.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
+from sosci.bivariate import _GL_W, _GL_X
 from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
 from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
 from sosci.select import abs_max_index
@@ -150,3 +155,95 @@ def grid_argmin(f, lo: float, hi: float, n: int) -> tuple[float, float]:
         if fx < best_f:
             best_x, best_f = x, fx
     return best_x, best_f
+
+
+def _shifted(p: np.ndarray) -> np.ndarray:
+    # x p(x), truncated to p's degree; coefficients along the last axis
+    out = np.zeros_like(p)
+    out[..., 1:] = p[..., :-1]
+    return out
+
+
+def _leave_one_out_coefficient(f: np.ndarray, h: np.ndarray, d: np.ndarray, k: int):
+    # For each kind, node and j, the x^k coefficient of
+    #   prod_{i != j} (f_i + x (h_i + eps d_i)),   eps^2 = 0,
+    # as its real and eps parts, each of shape (kinds, nodes, m).  f is
+    # (nodes, m), h and d are (kinds, nodes, m).  Prefix and suffix products
+    # give every j from 2 m products of degree-k polynomials.
+    kinds, nodes, m = h.shape
+    empty = np.zeros((kinds, nodes, k + 1))
+    empty[..., 0] = 1.0
+
+    def products(order):
+        out = [(empty, np.zeros_like(empty))]
+        for i in order:
+            p, q = out[-1]
+            fi, hi, di = f[:, i, None], h[:, :, i, None], d[:, :, i, None]
+            out.append((fi * p + hi * _shifted(p), fi * q + hi * _shifted(q) + di * _shifted(p)))
+        return out
+
+    before = products(range(m))  # before[j]: the product over i < j
+    after = products(reversed(range(m)))[::-1]  # after[j]: the product over i >= j
+    real, dual = np.empty((2, kinds, nodes, m))
+    for j in range(m):
+        (bp, bq), (ap, aq) = before[j], after[j + 1]
+        real[..., j] = np.sum(bp * ap[..., ::-1], axis=-1)
+        dual[..., j] = np.sum(bp * aq[..., ::-1] + bq * ap[..., ::-1], axis=-1)
+    return real, dual
+
+
+def exact_sos_miss(theta, k: int, c_lo: float, c_up: float) -> dict:
+    """Exact miss rates of the intervals [y_i - c_lo, y_i + c_up] around the
+    k largest of independent estimates Y_i ~ N(theta_i, 1), under the names
+    `CoverageReport` gives them: the SoS rate (some selected interval
+    misses), the lower- and upper-miss rates (some selected interval lies
+    above, or below, its parameter) and the FCR (the expected fraction of
+    selected intervals that miss).
+
+    Conditioning on the (k+1)-th largest estimate T = t and its index j,
+    every other coordinate i lies below t with probability
+    F_i(t) = Phi(t - theta_i), and lies above t with a covering interval with
+    probability g_i(t) = [Phi(c_lo) - Phi(max(t - theta_i, -c_up))]_+, so the
+    coverage is
+      sum_j integral phi(t - theta_j) [x^k] prod_{i != j} (F_i(t) + x g_i(t)) dt.
+    The lower and upper rates take the one-sided g_i.  The FCR's expected
+    count of covering intervals is the eps part of the same coefficient with
+    factors F_i + x (1 - F_i + eps g_i), eps^2 = 0.  The integral runs over
+    the 28-node Gauss-Legendre rule on panels at most 2 wide, split at every
+    kink theta_i - c_up and theta_i + c_lo, within 10 of the parameters.  At
+    k = m every estimate is selected, and each rate is a product over the
+    independent coordinates.  Rates come as 1 - coverage, so a tiny rate
+    keeps only absolute accuracy.
+    """
+    theta = np.asarray(theta, dtype=float)
+    m = len(theta)
+    c_lo, c_up = float(c_lo), float(c_up)
+    no_low, no_up = special.ndtr(c_lo), special.ndtr(c_up)
+    cover = no_low - special.ndtr(-c_up)
+    if k == m:
+        return {"sos_rate": 1.0 - cover ** m, "lower_miss_rate": 1.0 - no_low ** m,
+                "upper_miss_rate": 1.0 - no_up ** m, "fcr_rate": 1.0 - cover}
+    lo, hi = theta.min() - 10.0, theta.max() + 10.0
+    kinks = np.concatenate([theta - c_up, theta + c_lo, [lo, hi]])
+    edges = np.unique(np.clip(kinks, lo, hi))
+    edges = np.concatenate([np.linspace(a, b, int(np.ceil(0.5 * (b - a))) + 1)[:-1]
+                            for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    half = 0.5 * np.diff(edges)[:, None]
+    t = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X).ravel()
+    z = t[:, None] - theta  # (nodes, m): each coordinate's error at T = t
+    weight = (half * _GL_W).ravel()[:, None] * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    z_up = np.maximum(z, -c_up)
+    h = np.stack([
+        np.maximum(no_low - special.ndtr(z_up), 0.0),  # above t, covering
+        np.maximum(no_low - special.ndtr(z), 0.0),  # above t, not missing low
+        special.ndtr(-z_up),  # above t, not missing high
+        special.ndtr(-z),  # above t
+    ])
+    d = np.zeros_like(h)
+    d[3] = h[0]
+    real, dual = _leave_one_out_coefficient(special.ndtr(z), h, d, k)
+    # a rate near 0 can round a few eps below it
+    sos, low, up, _ = np.maximum(1.0 - np.sum(weight * real, axis=(1, 2)), 0.0)
+    covered = np.sum(weight * dual[3])
+    return {"sos_rate": sos, "lower_miss_rate": low, "upper_miss_rate": up,
+            "fcr_rate": max(1.0 - covered / k, 0.0)}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -395,13 +396,12 @@ def test_curve_arrays_are_read_only():
     assert cplus_curve(0.05).grid_c[0] == c_plus(0.0, 0.05)
 
 
-_GOOD_FIELDS = dict(alpha=0.05, a_max=1.0, step=0.5, grid_a=[0.0, 0.5, 1.0],
-                    grid_c=[2.2, 2.1, 2.0])
+# a hand-built curve: its three fields and a table for them
+_HAND_BUILT = dict(alpha=0.05, a_max=1.0, step=0.5, grid_a=[0.0, 0.5, 1.0],
+                   grid_c=[2.2, 2.1, 2.0])
 
 
 @pytest.mark.parametrize("change, match", [
-    # a curve far above the Sidak constant, or at 0, used to send the seeded
-    # endpoint solve into log(0) and 50 Newton steps
     (dict(a_max=1.0, step=1.0, grid_a=[0.0, 1.0], grid_c=[100.0, 100.0]), "grid_c"),
     (dict(a_max=1.0, step=1.0, grid_a=[0.0, 1.0], grid_c=[0.0, 0.0]), "grid_c"),
     (dict(grid_c=[2.2, np.nan, 2.0]), "grid_c"),
@@ -417,20 +417,33 @@ _GOOD_FIELDS = dict(alpha=0.05, a_max=1.0, step=0.5, grid_a=[0.0, 0.5, 1.0],
     (dict(alpha=1.5), "alpha"),
 ])
 def test_hand_built_curve_is_checked(change, match):
-    with pytest.raises(ValueError, match=match):
-        CPlusCurve(**{**_GOOD_FIELDS, **change})
+    # a curve calibrates its own table, so no hand-built one, good or bad,
+    # gets past the constructor; from alpha, a_max and step alone it either
+    # names the bad argument or solves each knot as c_plus does
+    fields = {**_HAND_BUILT, **change}
+    with pytest.raises(TypeError, match="grid_a"):
+        CPlusCurve(**fields)
+    scalars = {name: fields[name] for name in ("alpha", "a_max", "step")}
+    if match in scalars:
+        with pytest.raises(ValueError, match=match):
+            CPlusCurve(**scalars)
+    else:
+        curve = CPlusCurve(**scalars)
+        assert curve.grid_c.tolist() == [c_plus(float(a), curve.alpha) for a in curve.grid_a]
 
 
 def test_hand_built_curve_keeps_read_only_copies():
-    grid_c = np.array(_GOOD_FIELDS["grid_c"])
-    curve = CPlusCurve(**{**_GOOD_FIELDS, "grid_c": grid_c})
-    grid_c[0] = 100.0
-    assert curve.grid_c[0] == 2.2 and curve.grid_a.dtype == float
-    assert not (curve.grid_a.flags.writeable or curve.grid_c.flags.writeable)
+    for name in ("grid_a", "grid_c"):
+        with pytest.raises(TypeError, match=name):
+            CPlusCurve(0.05, **{name: np.zeros(801)})
+    # a copy with a new alpha calibrates its own table, not the old one's
+    copy = dataclasses.replace(cplus_curve(0.05), alpha=0.2)
+    assert (copy.alpha, copy.a_max, copy.step) == (0.2, 8.0, 0.01)
+    assert not (copy.grid_a.flags.writeable or copy.grid_c.flags.writeable)
+    assert copy.grid_c.tobytes() == CPlusCurve.build(0.2).grid_c.tobytes()
     # a copy of a built curve's fields is a curve, and gives its endpoints
     built = CPlusCurve.build(0.05, a_max=3.0, step=0.5)
-    copy = CPlusCurve(**{name: getattr(built, name)
-                         for name in ("alpha", "a_max", "step", "grid_a", "grid_c")})
+    copy = CPlusCurve(**{name: getattr(built, name) for name in ("alpha", "a_max", "step")})
     for w in (0.0, 1.0, 3.0):
         assert abs_max_interval([w, 0.0], 0.05, curve=copy) == abs_max_interval(
             [w, 0.0], 0.05, curve=built)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,12 +25,43 @@ from sosci import mc
 from sosci.bivariate import c_plus
 from sosci.dist import cholesky, draw_replicates, seeded_rng, student_t_family
 
-from _oracles import estimate_b_probability
+from _oracles import estimate_b_probability, exact_sos_miss, larger_of_two_miss_quad
 
 
 def iid_scenario(m=20, reps=5000, seed=11, **kw):
     cov = CovarianceModel("block", m, 0.0, block_size=1)
     return Scenario(m=m, covariance=cov, reps=reps, seed=seed, **kw)
+
+
+def test_exact_rates_agree_with_the_larger_of_two_quadrature():
+    # the two oracles share no code path: at m = 2, k = 1 the top-k
+    # recursion and the direct quadrature give one miss, and one interval
+    # selected makes the FCR that miss too
+    c = 2.1
+    for g in (0.0, 0.5, 2.0, 6.0):
+        exact = exact_sos_miss([g, 0.0], 1, c, c)
+        assert exact["sos_rate"] == pytest.approx(larger_of_two_miss_quad(g, c), abs=1e-14)
+        assert exact["fcr_rate"] == pytest.approx(exact["sos_rate"], abs=1e-14)
+        assert exact["lower_miss_rate"] + exact["upper_miss_rate"] == pytest.approx(
+            exact["sos_rate"], abs=1e-14)  # one interval misses on one side only
+
+
+@pytest.mark.parametrize("m, k", [(10, 1), (10, 2), (10, 10), (100, 1), (100, 2), (100, 10)])
+def test_independent_coverage_matches_the_exact_rates(m, k):
+    # the first k of m independent parameters sit 1.5 above the rest, so the
+    # wrong coordinates are often selected.  Each rate is a binomial mean, or
+    # for the FCR a mean of k of them, whose se is at most the binomial one.
+    # fcw_shortest, unadjusted and fcr_selection_aware claim no SoS bound at
+    # every theta, and are left out
+    theta = tuple(1.5 if i < k else 0.0 for i in range(m))
+    scenario = Scenario(m=m, covariance=CovarianceModel("ar", m, 0.0), reps=20_000, seed=7,
+                        theta_rule="fixed", theta=theta)
+    methods = ["sidak", "sos_symmetric", "sos_shortest", "fcw_symmetric"]
+    for report in run_coverage(scenario, k, methods):
+        exact = exact_sos_miss(theta, k, *method_offsets(report.method, m, k, 0.05))
+        for name, rate in exact.items():
+            se = math.sqrt(rate * (1.0 - rate) / scenario.reps)
+            assert abs(getattr(report, name) - rate) <= 4.0 * se, (report.method, name, rate)
 
 
 def test_build_covariance_ar_exact():
