@@ -78,9 +78,17 @@ def _delta_levels(m: int, k: int, alpha: float, delta: float) -> tuple[float, fl
 
 def _delta_offsets(m: int, k: int, alpha: float, delta: float,
                    family: ShiftFamily) -> tuple[float, float]:
-    # unchecked: the delta search calls this at every step
+    # unchecked: the delta search calls this at every step.  A lower level
+    # at or below 2^-54 leaves 1 - level at 1: a named failure, not a
+    # quantile of 1.  The upper level never underflows alone: 1 - delta is at
+    # least 2^-53 and k <= m, so it is at least 2^-53 times the lower level
     lam_lo, lam_up = _delta_levels(m, k, alpha, delta)
-    return family.quantile(1.0 - lam_lo), -family.quantile(lam_up)
+    p_lo = 1.0 - lam_lo
+    if p_lo == 1.0:
+        raise OptimizationError(
+            f"delta-family lower tail level {lam_lo!r} rounds 1 - level to 1 "
+            f"at delta={delta!r}, m={m}, k={k}, alpha={alpha!r}")
+    return family.quantile(p_lo), -family.quantile(lam_up)
 
 
 def _checked_offsets(m: int, k: int, alpha: float, delta: float,
@@ -131,12 +139,7 @@ def optimize_delta(m: int, k: int, alpha: float,
     _check_family(family)
 
     def length(delta: float) -> float:
-        try:
-            val = sum(_delta_offsets(m, k, alpha, delta, family))
-        except ValueError as exc:
-            # tail level underflowed the quantile domain
-            raise OptimizationError(
-                f"interval length undefined at delta={delta!r} (alpha too extreme)") from exc
+        val = sum(_delta_offsets(m, k, alpha, delta, family))
         if not math.isfinite(val):
             raise OptimizationError(
                 f"non-finite interval length at delta={delta!r} (alpha too extreme)")

@@ -247,6 +247,15 @@ _SHAPES = {
 # an extrapolation step within delta of 3 |sbis|, where the step test's "- delta" decides
 @example(shape="exp", root=2.5382221045492583, left=25.466497220980283,
          right=19.55521981443354, scale=1.0, xtol=1.0)
+# so every branch of _brent runs whatever hypothesis draws: a bisection that
+# lands on the root (fcur == 0.0); interpolation, accepted steps and a -delta
+# minimum step; the same with a +delta minimum step; extrapolation with a
+# rejected step that bisects; and extrapolation whose denom underflows to 0
+@example(shape="linear", root=0.0, left=1.0, right=1.0, scale=1.0, xtol=1e-12)
+@example(shape="atan", root=0.0, left=1.0, right=2.0, scale=1.0, xtol=1e-12)
+@example(shape="atan", root=0.0, left=1.0, right=2.0, scale=1.0, xtol=1e-3)
+@example(shape="cubic", root=0.0, left=1.0, right=2.0, scale=1.0, xtol=1e-12)
+@example(shape="cubic", root=0.0, left=1.0, right=2.0, scale=1e-160, xtol=1e-12)
 @given(shape=st.sampled_from(sorted(_SHAPES)), root=st.floats(-3.0, 3.0),
        left=st.floats(1e-3, 50.0), right=st.floats(1e-3, 50.0),
        scale=st.sampled_from([1.0, 1e-160, 1e160]), xtol=st.sampled_from([1e-12, 1e-3, 0.3, 1.0]))
@@ -471,8 +480,8 @@ def test_fixed_policy_spans_interval_length(m, alpha, delta, data):
     y = np.zeros(m)
     try:
         length = interval_length(m, k, alpha, delta)
-    except ValueError:  # 1 - delta*alpha/m rounds to 1: both routes refuse it
-        with pytest.raises(ValueError):
+    except OptimizationError:  # 1 - delta*alpha/m rounds to 1: both routes refuse it
+        with pytest.raises(OptimizationError, match="rounds 1 - level to 1"):
             k_of_m_intervals(y, k, alpha, "fixed", delta=delta)
         return
     intervals = k_of_m_intervals(y, k, alpha, "fixed", delta=delta)

@@ -513,6 +513,19 @@ def test_underflowed_tail_levels_exit_3(capsys, method, label):
     assert f"{label} tail levels underflow to 0 at m=2, k=1, alpha=5e-324" in err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("delta-scan", "--alpha", "5e-324", "--k", "1"), "m=100, k=1, alpha=5e-324"),
+    (("intervals", "--y", "3,1,2", "--method", "sos", "--delta-policy", "fixed",
+      "--delta", "1e-300"), "m=3, k=1, alpha=0.05"),
+], ids=["delta-scan", "fixed-delta"])
+def test_lost_delta_family_level_exits_3(capsys, argv, where):
+    # the delta family's lower level rounds 1 - level to 1: a named failure
+    # at the user's m, k and alpha, not a bad p the user never passed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "delta-family lower tail level" in err and where in err
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (("--alpha", "5e-324"), 3, "sos_symmetric tail levels underflow to 0"),
     (("--methods", "fcw_symmetric"), 2, "fcw_symmetric is defined for normal estimates only"),

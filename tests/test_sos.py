@@ -190,6 +190,19 @@ def test_optimize_delta_failure_is_typed():
         optimize_delta(100, 10, 1e-300)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: method_offsets("sos_shortest", 10**15, 10, 0.05),
+    lambda: interval_length(10**15, 10, 0.05, 0.5),
+    lambda: k_of_m_intervals([3.0, 1.0, 2.0], 1, 0.05, "fixed", delta=1e-300),
+], ids=["shortest-huge-m", "length-huge-m", "fixed-tiny-delta"])
+def test_lost_lower_tail_level_names_m_k_and_alpha(call):
+    # delta * alpha / m at or below 2^-54 leaves 1 - level at 1: the failure
+    # names the level's inputs, and m rather than alpha is the cause here
+    with pytest.raises(OptimizationError, match=r"lower tail level .* rounds 1 - level to 1 "
+                                                r"at delta=.*, m=\d+, k=\d+, alpha=0\.05$"):
+        call()
+
+
 def test_k_of_m_rejects_non_family():
     with pytest.raises(ValueError, match="family"):
         k_of_m_intervals([1.0, 2.0, 3.0], 2, 0.05, family=None)
