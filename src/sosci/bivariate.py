@@ -73,7 +73,7 @@ _GL_W = np.array([
     0.009124282593092585,
 ])
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
-_A_MAX = 8.0  # c_plus has converged to the unadjusted constant well before this
+_A_MAX = 8.0  # a tabulated curve's default extent
 # a mean this far out is as good as infinitely far: c_plus has the same bits
 # at every a beyond about 13, and the rule's nodes (within 41 of their mean)
 # never reach the |t + mu_i| kink
@@ -198,10 +198,12 @@ def b_region_probability(mu, c: float) -> float:
 
 
 def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
-            alpha: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
+            alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # Solves, for each element, the pair
-    #   log miss(min(|a|, a_max), c) = log alpha   and   a + slope c = w
-    # by Newton steps in (a, c) from the given start.  The second equation
+    #   log miss(|a|, c) = log alpha   and   a + slope c = w
+    # by Newton steps in (a, c) from the given start.  |a| is held at
+    # _A_FLAT beyond it, which changes no bit of miss and keeps a huge a
+    # from overflowing the rule's squares.  The second equation
     # is linear, so a start on it stays on it.  log miss is smooth and close
     # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
     # two-coordinate Sidak end of the range, every solve tried (alpha from
@@ -219,9 +221,9 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     todo = np.arange(len(a))
     for _ in range(_MAX_STEPS):
         at, ct, st = a[todo], c[todo], slope[todo]
-        inside = np.abs(at) < a_max  # beyond a_max the constant is held flat
+        inside = np.abs(at) < _A_FLAT
         miss, miss_a, miss_c = _miss_probability(
-            np.where(inside, np.abs(at), a_max), np.zeros(len(todo)), ct, mean_slope)
+            np.where(inside, np.abs(at), _A_FLAT), np.zeros(len(todo)), ct, mean_slope)
         f = np.log(miss) - log_alpha
         g = at + st * ct - w[todo]
         f_a = np.where(inside, np.sign(at) * miss_a / miss, 0.0)
@@ -240,11 +242,9 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
 
 
 def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a >= 0: the constraint a = a_i holds from the start.
-    # a is held at _A_FLAT beyond it, which changes no bit and keeps a huge a
-    # from overflowing the rule's squares
+    # c_plus at each a >= 0: the constraint a = a_i holds from the start
     start = np.full(len(grid_a), sidak_halfwidth(2, alpha))
-    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha, _A_FLAT)[1]
+    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha)[1]
 
 
 def c_plus(a: float, alpha: float) -> float:
@@ -277,13 +277,12 @@ def _check_grid(alpha: float, a_max: float, step: float) -> int:
 class CPlusCurve:
     """c_plus(a) tabulated at grid_a = 0, step, ..., a_max.
 
-    The curve is even in a and flat beyond a_max (where it has already
-    converged to the unadjusted constant to well below grid resolution).
-    Construction calibrates the table: it checks alpha, a_max and step,
-    moves a_max to the last knot, and solves every knot in one batch, each
-    equal to `c_plus` at its a.  The table cannot be passed in, and both
-    arrays are read-only: `cplus_curve` hands one cached curve to every
-    caller, and `abs_max_interval` starts its endpoint solves on it.
+    The curve is even in a.  Construction calibrates the table: it checks
+    alpha, a_max and step, moves a_max to the last knot, and solves every
+    knot in one batch, each equal to `c_plus` at its a.  The table cannot be
+    passed in, and both arrays are read-only: `cplus_curve` hands one cached
+    curve to every caller, and `abs_max_interval` starts its endpoint solves
+    on it, so a_max and step move where a solve starts, never an endpoint.
     """
 
     alpha: float
@@ -325,22 +324,19 @@ def _invert_endpoints(w: float, alpha: float,
     #   lower = inf{a : a + c(|a|) >= w},  upper = sup{a : a - c(|a|) <= w}
     # c lies in [z, s] and its slope exceeds -1, so a + c(|a|) and a - c(|a|)
     # are increasing and each endpoint is the one solution of a +/- c = w
-    # with c = c(min(|a|, a_max)); both are solved in one batch.  Without a
-    # curve the solve starts at the ends of the Sidak box, where c = s.  With
-    # one, passes of c -> curve(|w -/+ c|) move that start close to the root
-    # on the tabulated curve: the map is a contraction because the curve's
-    # slope exceeds -1, and np.interp holds the curve flat beyond a_max, as
-    # the solve does.  Newton then iterates against exact c_plus, so only
-    # the start is interpolated.
+    # with c = c_plus(|a|); both are solved in one batch.  Without a curve
+    # the solve starts at the ends of the Sidak box, where c = s.  With one,
+    # passes of c -> curve(|w -/+ c|) move that start close to the root on
+    # the tabulated curve: the map is a contraction because the curve's
+    # slope exceeds -1 (np.interp holds it flat past the last knot, which
+    # moves only the start).  Newton then iterates against exact c_plus, so
+    # the curve sets where the solve starts and nothing else.
     slope = np.array([1.0, -1.0])
-    a_max, c = _A_MAX, np.full(2, sidak_halfwidth(2, alpha))
+    c = np.full(2, sidak_halfwidth(2, alpha))
     if curve is not None:
-        a_max = curve.a_max
         for _ in range(_SEED_PASSES):
             c = np.interp(np.abs(w - slope * c), curve.grid_a, curve.grid_c)
-    # beyond _A_FLAT the constant has the bits it has at _A_FLAT, and a huge
-    # a_max would overflow the rule's squares
-    a, _ = _newton(w - slope * c, c, slope, np.array([w, w]), alpha, min(a_max, _A_FLAT))
+    a, _ = _newton(w - slope * c, c, slope, np.array([w, w]), alpha)
     return float(a[0]), float(a[1])
 
 
@@ -352,11 +348,10 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     the interval is exactly {a : |w - a| <= c_plus(|a|)}, which is shorter than
     the two-coordinate Sidak box at every w and approaches the unadjusted
     interval for large |w|.  Both endpoints are solved against exact c_plus
-    values, with the constant held flat beyond a_max (default 8).  A `curve`
-    sets a_max to its own and starts each endpoint's solve at the root on
-    the tabulated curve, which saves Newton steps; without one the solve
-    starts at the Sidak box.  Either start gives the same endpoints to within
-    the solve's step tolerance.
+    values at every a.  A `curve` only starts each endpoint's solve at the
+    root on the tabulated curve, which saves Newton steps; without one the
+    solve starts at the Sidak box.  Either start gives the same endpoints to
+    within the solve's step tolerance.
     """
     _check_unit(alpha, "alpha")
     idx = select_abs_max(y)

@@ -19,8 +19,8 @@ import sys
 from . import __version__
 from .baselines import MethodLabel, k_of_m_intervals, method_offsets
 from .bivariate import _GL_X, abs_max_interval, cplus_curve, larger_of_two_interval
-from .dist import _MAX_GRID, NotPositiveDefiniteError
-from .mc import Scenario, load_scenario, run_coverage, scenario_from_dict
+from .dist import _COV_KINDS, _MAX_GRID, NotPositiveDefiniteError
+from .mc import _PANELS, Scenario, load_scenario, run_coverage, scenario_from_dict
 from .select import select_top_k  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .sos import (
     ConfidenceInterval,
@@ -66,9 +66,9 @@ class OutputTable:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind=float) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"could not parse {what} list {text!r}") from None
     if not values:
@@ -94,18 +94,12 @@ def _parse_ks(text: str, m: int) -> list[int]:
         if len(ks) > _MAX_GRID:
             raise ValueError(f"k range {text!r} has {len(ks)} values, more than {_MAX_GRID}")
         return list(ks)
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse k list {text!r}") from None
-    if not values:
-        raise ValueError("empty k list")
-    return values
+    return _parse_list(text, "k", int)
 
 
 def _read_estimates(path: str) -> list[float]:
-    # single-column CSV with header "y"
-    with open(path, newline="", encoding="utf-8") as fh:
+    # single-column CSV with header "y"; a leading byte-order mark is dropped
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["y"]:
@@ -137,14 +131,8 @@ _INTERVAL_METHODS = _OFFSET_METHODS + ("sos", "larger-of-two", "abs-max")
 
 
 def cmd_intervals(args) -> OutputTable:
-    if args.y is not None and args.input is not None:
-        raise ValueError("give either --y or --input, not both")
-    if args.y is not None:
-        y = _parse_float_list(args.y, "estimate")
-    elif args.input is not None:
-        y = _read_estimates(args.input)
-    else:
-        raise ValueError("one of --y or --input is required")
+    # argparse takes exactly one of --y and --input
+    y = _parse_list(args.y, "estimate") if args.input is None else _read_estimates(args.input)
     m, k, alpha = len(y), args.k, args.alpha
     if args.method in ("larger-of-two", "abs-max") and k != 1:
         raise ValueError(f"--method {args.method} selects one estimate, so --k must be 1, got {k}")
@@ -198,7 +186,7 @@ def cmd_delta_scan(args) -> OutputTable:
     m, alpha = args.m, args.alpha
     ks = _parse_ks(args.k, m)
     if args.deltas is not None:
-        deltas = _parse_float_list(args.deltas, "delta")
+        deltas = _parse_list(args.deltas, "delta")
     else:
         n = args.grid
         if not 1 <= n <= _MAX_GRID:
@@ -214,14 +202,24 @@ def cmd_delta_scan(args) -> OutputTable:
     return OutputTable(("m", "k", "delta", "length", "optimum"), rows, meta)
 
 
+# simulate's scenario flags have no argparse default, so that --config can
+# refuse them; an unset one other than m, reps, seed and kind is left out of
+# the dict, and so takes the Scenario or CovarianceModel default
+_SCENARIO_FLAGS = ("sigma_model", "rho", "block_size", "m", "eta", "panel", "reps", "seed")
+
+
 def _scenarios_from_args(args) -> list[Scenario]:
+    given = {name: getattr(args, name) for name in _SCENARIO_FLAGS if hasattr(args, name)}
     if args.config is not None:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--config takes no scenario flags, got {flags}")
         return [load_scenario(args.config)]
-    covariance = {"kind": args.sigma_model.replace("-", "_"), "rho": args.rho,
-                  "block_size": args.block_size}
-    return [scenario_from_dict({"m": args.m, "covariance": covariance, "reps": args.reps,
-                                "seed": args.seed, "eta": eta, "panel": args.panel})
-            for eta in _parse_float_list(args.eta, "eta")]
+    covariance = {"kind": given.pop("sigma_model", "ar").replace("-", "_")}
+    covariance.update((name, given.pop(name)) for name in ("rho", "block_size") if name in given)
+    cfg = {"m": 100, "reps": 50000, "seed": 1, **given, "covariance": covariance}
+    etas = [{"eta": eta} for eta in _parse_list(cfg.pop("eta"), "eta")] if "eta" in cfg else [{}]
+    return [scenario_from_dict({**cfg, **eta}) for eta in etas]
 
 
 def cmd_simulate(args) -> OutputTable:
@@ -255,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("intervals", help="intervals for supplied estimates")
-    p.add_argument("--y", default=None, help="comma-separated estimates")
-    p.add_argument("--input", default=None, help="CSV file with one column 'y'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--y", help="comma-separated estimates")
+    source.add_argument("--input", help="CSV file with one column 'y'")
     p.add_argument("--k", type=int, default=1, help="number of selected estimates")
     p.add_argument("--method", choices=_INTERVAL_METHODS, default="sos")
     p.add_argument("--delta-policy", choices=("symmetric", "shortest", "fixed"),
@@ -289,18 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta_scan)
 
     p = sub.add_parser("simulate", help="Monte-Carlo coverage of selected methods")
-    p.add_argument("--config", default=None, help="scenario JSON file")
-    p.add_argument("--sigma-model", choices=("ar", "time-decay", "block"),
-                   default="ar")
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--block-size", type=int, default=10)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--config", default=None,
+                   help="scenario JSON file; takes no scenario flag")
+    scenario = p.add_argument_group("scenario flags", "unset: the Scenario default, or m 100, "
+                                    "reps 50000, seed 1 and sigma-model ar")
+    unset = argparse.SUPPRESS
+    scenario.add_argument("--sigma-model", default=unset,
+                          choices=[kind.replace("_", "-") for kind in _COV_KINDS])
+    scenario.add_argument("--rho", type=float, default=unset)
+    scenario.add_argument("--block-size", type=int, default=unset)
+    scenario.add_argument("--m", type=int, default=unset)
+    scenario.add_argument("--eta", default=unset, help="comma list of signal scales")
+    scenario.add_argument("--panel", choices=_PANELS, default=unset)
+    scenario.add_argument("--reps", type=int, default=unset)
+    scenario.add_argument("--seed", type=int, default=unset)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--eta", default="0", help="comma list of signal scales")
-    p.add_argument("--panel", choices=("all_normal", "half_normal_half_t5"),
-                   default="all_normal")
-    p.add_argument("--reps", type=int, default=50000)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--methods", default="sos_symmetric,sos_shortest",
                    help="comma list of method labels (or abs_max)")
     p.add_argument("--n-jobs", type=int, default=1)

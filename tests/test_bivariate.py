@@ -489,10 +489,10 @@ def test_abs_max_interval_never_wider_than_sidak_box(small_curve):
 
 
 def test_abs_max_membership_equivalence(small_curve):
-    # theta is inside the interval exactly when |w - theta| <= c(|theta|),
-    # with c held flat beyond the curve's a_max
+    # theta is inside the interval exactly when |w - theta| <= c_plus(|theta|),
+    # also beyond the curve's a_max
     thetas = np.arange(-1.0, 7.01, 0.08)
-    c = [c_plus(min(abs(theta), small_curve.a_max), 0.05) for theta in thetas]
+    c = [c_plus(abs(theta), 0.05) for theta in thetas]
     for w in (0.0, 0.7, 1.9, 2.23, 3.4, 5.0):
         ci = abs_max_interval([w, 0.0], 0.05, curve=small_curve)
         for theta, c_theta in zip(thetas, c):
@@ -517,10 +517,7 @@ def test_abs_max_width_profile():
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
 def test_abs_max_endpoints_solve_exactly(alpha):
     curve = CPlusCurve.build(alpha, a_max=3.0, step=0.5)
-    for a_max, given in ((8.0, None), (3.0, curve)):
-        def c(a):
-            return c_plus(min(abs(a), a_max), alpha)
-
+    for given in (None, curve):
         for w in (0.0, 0.4, 1.7, 2.23, 2.9, 3.1, 5.0, 9.5):
             for y in ([w, 0.0], [0.0, -w]):
                 ci = abs_max_interval(y, alpha, curve=given)
@@ -529,35 +526,57 @@ def test_abs_max_endpoints_solve_exactly(alpha):
                     lo, hi = -ci.hi, -ci.lo
                 else:
                     lo, hi = ci.lo, ci.hi
-                assert abs(lo + c(lo) - abs(w_sel)) <= 1e-8, (a_max, y)
-                assert abs(hi - c(hi) - abs(w_sel)) <= 1e-8, (a_max, y)
+                assert abs(lo + c_plus(abs(lo), alpha) - abs(w_sel)) <= 1e-8, (given, y)
+                assert abs(hi - c_plus(abs(hi), alpha) - abs(w_sel)) <= 1e-8, (given, y)
 
 
-def _sidak_start_endpoints(w, alpha, a_max):
+@pytest.mark.parametrize("alpha", [1e-10, 1e-13])
+def test_abs_max_endpoints_solve_exactly_at_small_alpha(alpha):
+    # c_plus(8) is still above c_plus(100) here, so the far endpoint solves
+    # against c_plus at its own a, not at a cutoff
+    for w in (3.0, 9.0, 12.0):
+        ci = abs_max_interval([w, 0.0], alpha)
+        assert abs(ci.lo + c_plus(abs(ci.lo), alpha) - w) <= 1e-9, w
+        assert abs(ci.hi - c_plus(abs(ci.hi), alpha) - w) <= 1e-9, w
+
+
+def _sidak_start_endpoints(w, alpha):
     # the endpoint solve started at the ends of the Sidak box, as without a curve
     s = sidak_halfwidth(2, alpha)
     slope = np.array([1.0, -1.0])
-    a, _ = bivariate._newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]),
-                             alpha, min(a_max, bivariate._A_FLAT))
+    a, _ = bivariate._newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]), alpha)
     return a
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9])
 def test_curve_start_gives_the_sidak_start_endpoints(alpha):
     # the curve only sets where Newton starts: both starts solve against
-    # exact c_plus, held flat beyond the curve's a_max (w runs past it)
+    # exact c_plus at every a (w runs past the curve's a_max)
     for curve in (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5)):
         for w in np.linspace(0.0, 12.0, 61):
             ci = abs_max_interval([w, 0.0], alpha, curve=curve)
-            lo, hi = _sidak_start_endpoints(w, alpha, curve.a_max)
+            lo, hi = _sidak_start_endpoints(w, alpha)
             assert abs(ci.lo - lo) <= 1e-12 and abs(ci.hi - hi) <= 1e-12, (curve.a_max, w)
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-10, 1e-6, 0.05])
+def test_any_curve_gives_the_no_curve_endpoints(alpha):
+    # a curve's extent and step move where the solve starts, never an endpoint
+    curves = (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5),
+              CPlusCurve.build(alpha, a_max=1.0, step=1.0))
+    for w in np.linspace(0.0, 12.0, 25):
+        plain = abs_max_interval([w, 0.0], alpha)
+        for curve in curves:
+            ci = abs_max_interval([w, 0.0], alpha, curve=curve)
+            assert abs(ci.lo - plain.lo) <= 1e-12 and abs(ci.hi - plain.hi) <= 1e-12, (
+                curve.a_max, w)
 
 
 def test_curve_start_at_huge_curve_a_max():
     curve = CPlusCurve.build(0.05, 1e200, 1e199)
     for w in (0.0, 1.3, 2.23, 7.0, 150.0, 1e200):
         ci = abs_max_interval([w, 0.0], 0.05, curve=curve)
-        lo, hi = _sidak_start_endpoints(w, 0.05, curve.a_max)
+        lo, hi = _sidak_start_endpoints(w, 0.05)
         assert abs(ci.lo - lo) <= 1e-12 and abs(ci.hi - hi) <= 1e-12, w
 
 

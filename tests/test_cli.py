@@ -84,6 +84,16 @@ def test_intervals_from_csv_file(tmp_path, capsys):
     assert rows[0][1] == "2.9"
 
 
+def test_intervals_input_with_byte_order_mark(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which is not part of the header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("y\n2.9\n-2.5\n", encoding="utf-8")
+    marked.write_text("\ufeffy\n2.9\n-2.5\n", encoding="utf-8")
+    outs = [run_cli(capsys, "intervals", "--input", str(path), "--method", "abs-max")
+            for path in (plain, marked)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 def test_intervals_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "intervals", "--y", "2.9,2.5",
                            "--method", "larger-of-two", "--format", "json")
@@ -146,6 +156,40 @@ def test_simulate_config_file(tmp_path, capsys):
                     encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
     assert code == 2 and "rho" in err
+
+
+def test_simulate_config_refuses_scenario_flags(tmp_path, capsys):
+    # the file is the whole scenario: a scenario flag beside it is an error, not ignored
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"m": 4, "covariance": {"kind": "ar"}, "reps": 200, "seed": 3}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2",
+                             "--reps", "7")
+    assert (code, out) == (2, "") and "--reps" in err
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2",
+                             "--m", "50", "--eta", "3", "--panel", "half_normal_half_t5",
+                             "--rho", "0.9", "--sigma-model", "block", "--block-size", "5",
+                             "--seed", "2")
+    assert (code, out) == (2, "")
+    for flag in ("--sigma-model", "--rho", "--block-size", "--m", "--eta", "--panel",
+                 "--seed"):
+        assert flag in err
+    # --k, --methods and the common flags still apply to the file's scenario
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--k", "2",
+                           "--methods", "sidak")
+    assert code == 0 and csv_rows(out)[1][0][3] == "sidak"
+
+
+def test_simulate_unset_scenario_flags_take_the_defaults(capsys):
+    base = ("simulate", "--m", "4", "--k", "1", "--reps", "200", "--methods", "sidak")
+    _, unset, _ = run_cli(capsys, *base, "--format", "json")
+    _, spelled, _ = run_cli(capsys, *base, "--format", "json", "--sigma-model", "ar",
+                            "--rho", "0", "--block-size", "10", "--eta", "0",
+                            "--panel", "all_normal", "--seed", "1")
+    assert unset == spelled
+    meta = json.loads(unset)["meta"]
+    assert meta["scenarios"][0]["covariance"] == {"kind": "ar", "dimension": 4, "rho": 0.0,
+                                                  "block_size": 10}
 
 
 def test_simulate_json_meta_records_the_inputs(tmp_path, capsys):
