@@ -32,6 +32,7 @@ from .sos import (
     OptimizationError,
     _checked_offsets,
     _delta_levels,
+    _finite_offset,
     _golden_section_min,
     _selected_intervals,
     optimize_delta,
@@ -272,7 +273,8 @@ def method_offsets(method, m: int, k: int, alpha: float,
         mode = "symmetric" if method is MethodLabel.FCW_SYMMETRIC else "shortest"
         return fcw_constants(m, k, alpha, mode)
     p_lo, p_up = method_tail_levels(method, m, k, alpha, family)
-    return -family.quantile(p_lo), -family.quantile(p_up)
+    return (_finite_offset(-family.quantile(p_lo), family, p_lo, m, k, alpha),
+            _finite_offset(-family.quantile(p_up), family, p_up, m, k, alpha))
 
 
 def k_of_m_intervals(y, k: int, alpha: float, delta_policy: str = "symmetric", *,

@@ -185,10 +185,10 @@ def cmd_cplus_curve(args) -> OutputTable:
 def cmd_delta_scan(args) -> OutputTable:
     m, alpha = args.m, args.alpha
     ks = _parse_ks(args.k, m)
-    if args.deltas is not None:
+    if args.deltas is not None:  # argparse takes at most one of --deltas and --grid
         deltas = _parse_list(args.deltas, "delta")
     else:
-        n = args.grid
+        n = 19 if args.grid is None else args.grid
         if not 1 <= n <= _MAX_GRID:
             raise ValueError(f"--grid must lie in 1..{_MAX_GRID}, got {n}")
         deltas = [j / (n + 1) for j in range(1, n + 1)]
@@ -281,9 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-scan", help="interval length as a function of delta")
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--k", default="1,10,100", help="comma list or start:stop[:step]")
-    p.add_argument("--grid", type=int, default=19,
-                   help="number of evenly spaced deltas in (0, 1)")
-    p.add_argument("--deltas", default=None, help="explicit comma list of deltas")
+    deltas = p.add_mutually_exclusive_group()
+    # no argparse default: one equal to it would pass beside --deltas unseen
+    deltas.add_argument("--grid", type=int, default=None,
+                        help="number of evenly spaced deltas in (0, 1); default 19")
+    deltas.add_argument("--deltas", default=None, help="explicit comma list of deltas")
     add_common(p)
     p.set_defaults(func=cmd_delta_scan)
 

@@ -212,6 +212,9 @@ class CovarianceModel:
                        entries drawn Uniform(1, 3) from the model seed
     kind "block":      unit diagonal, rho within consecutive blocks of
                        `block_size` coordinates, zero across blocks
+
+    A parameter that its kind does not read must keep its default: rho 0.0
+    on time_decay, block_size 10 on ar and time_decay.
     """
 
     kind: str
@@ -231,6 +234,12 @@ class CovarianceModel:
             raise ValueError(f"block rho must lie in [0, 1), got {self.rho!r}")
         if self.kind == "block" and self.dimension % self.block_size:
             raise ValueError("dimension must be a positive multiple of block_size")
+        if self.kind == "time_decay" and self.rho != 0.0:
+            raise ValueError(f"rho is not read by kind time_decay, so it must be 0.0, "
+                             f"got {self.rho!r}")
+        if self.kind != "block" and self.block_size != 10:
+            raise ValueError(f"block_size is not read by kind {self.kind}, so it must be "
+                             f"10, got {self.block_size!r}")
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:

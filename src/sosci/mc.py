@@ -69,18 +69,18 @@ _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
 _KEEP_BYTES = 64 << 20  # block buffers a thread keeps between calls: m <= 1024 at 4096 rows
 
 _PANELS = ("all_normal", "half_normal_half_t5")
-_THETA_RULES = ("uniform", "fixed")
+_T5_DF = 5  # the t half of the mixed panel, as its name states
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One simulation cell: dimension, dependence, signal, and noise panel.
 
-    theta_rule "uniform" draws theta ~ Uniform(-1, 1) * eta once per scenario
-    from the dedicated parameter stream; "fixed" uses `theta` as given and
-    ignores eta.  Panel "half_normal_half_t5" gives the first m/2 coordinates
-    normal errors and the last m/2 Student-t(t_df) errors, the two halves
-    independent with covariance taken from the matching diagonal blocks.
+    A given `theta` is used as it is, and eta must then be 0; without one,
+    theta ~ Uniform(-1, 1) * eta is drawn once per scenario from the dedicated
+    parameter stream.  Panel "half_normal_half_t5" gives the first m/2
+    coordinates normal errors and the last m/2 Student-t(5) errors, the two
+    halves independent with covariance taken from the matching diagonal blocks.
     """
 
     m: int
@@ -88,30 +88,28 @@ class Scenario:
     reps: int
     seed: int
     eta: float = 0.0
-    theta_rule: str = "uniform"
     theta: tuple[float, ...] | None = None
     panel: str = "all_normal"
-    t_df: int = 5
 
     def __post_init__(self):
         for name, least, most in (("m", 1, _MAX_DIM), ("reps", 1, _MAX_REPS),
-                                  ("seed", 0, None), ("t_df", 1, None)):
+                                  ("seed", 0, None)):
             _check_int(getattr(self, name), name, least, most)
         if not isinstance(self.covariance, CovarianceModel):
             raise ValueError(f"covariance must be a CovarianceModel, got {self.covariance!r}")
         if self.covariance.dimension != self.m:
             raise ValueError(
                 f"covariance dimension {self.covariance.dimension} != m {self.m}")
-        if self.theta_rule not in _THETA_RULES:
-            raise ValueError(f"unknown theta_rule {self.theta_rule!r}")
-        if self.theta_rule == "fixed":
+        _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+        if self.theta is not None:
             if np.ndim(self.theta) != 1 or len(self.theta) != self.m:
-                raise ValueError("theta_rule='fixed' needs a theta of length m")
+                raise ValueError(f"theta must be a sequence of length m={self.m}, "
+                                 f"got {self.theta!r}")
             for t in self.theta:
                 _check_real(t, "theta")
-        elif self.theta is not None:
-            raise ValueError("theta is only accepted with theta_rule='fixed'")
-        _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+            if self.eta != 0.0:
+                raise ValueError(f"eta scales a drawn theta, so it must be 0 beside a "
+                                 f"given theta, got eta={self.eta!r}")
         if self.panel not in _PANELS:
             raise ValueError(f"unknown panel {self.panel!r}")
         if self.panel == "half_normal_half_t5" and self.m % 2:
@@ -147,7 +145,7 @@ def _covariance_and_factor(model: CovarianceModel, seed) -> tuple[np.ndarray, np
 
 
 def resolve_theta(scenario: Scenario) -> np.ndarray:
-    if scenario.theta_rule == "fixed":
+    if scenario.theta is not None:
         return np.asarray(scenario.theta, dtype=float)
     rng = seeded_rng(scenario.seed, _STREAM_THETA)
     return rng.uniform(-1.0, 1.0, scenario.m) * scenario.eta
@@ -206,7 +204,7 @@ def _panel_parts(scenario: Scenario, sigma: np.ndarray, lower: np.ndarray,
     if scenario.panel == "all_normal":
         return [(slice(None), theta, lower, None)]
     half = scenario.m // 2
-    halves = [(slice(None, half), None), (slice(half, None), scenario.t_df)]
+    halves = [(slice(None, half), None), (slice(half, None), _T5_DF)]
     return [(cols, theta[cols], cholesky(sigma[cols, cols]), df) for cols, df in halves]
 
 
@@ -318,7 +316,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
                 # on the normal family): the union bound behind SoS control, m
                 # lower and k upper tails summing to alpha, holds for any error
                 # law per coordinate only while all m share one split
-                halves = NORMAL, student_t_family(scenario.t_df)
+                halves = NORMAL, student_t_family(_T5_DF)
                 c_lo, c_up = (np.repeat([-f.quantile(p) for f in halves], scenario.m // 2)
                               for p in method_tail_levels(label, scenario.m, k, alpha))
             scored.append((label, "top_k", scales * c_lo, scales * c_up))

@@ -44,8 +44,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class OptimizationError(Exception):
-    """A numerical search failed: an interval-length optimization gave no
-    finite value, or an abs-max calibration did not converge."""
+    """A numerical computation gave no usable value: a family quantile that
+    is not finite at a tail level, a tail level that underflows (or leaves
+    1 - level at 1), an FCW (coverage-of-winners) root solve that fails, or
+    an abs-max calibration that does not converge."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,16 @@ def _delta_levels(m: int, k: int, alpha: float, delta: float) -> tuple[float, fl
     return delta * alpha / m, (1.0 - delta) * alpha / k
 
 
+def _finite_offset(offset: float, family: ShiftFamily, level: float,
+                   m: int, k: int, alpha: float) -> float:
+    # an offset formed from `family`'s quantile at tail `level`, which must be finite
+    if not math.isfinite(offset):
+        raise OptimizationError(
+            f"family {family.name!r} gives the non-finite offset {offset!r} at tail "
+            f"level {level!r}, m={m}, k={k}, alpha={alpha!r}")
+    return offset
+
+
 def _delta_offsets(m: int, k: int, alpha: float, delta: float,
                    family: ShiftFamily) -> tuple[float, float]:
     # unchecked: the delta search calls this at every step.  A lower level
@@ -88,7 +100,8 @@ def _delta_offsets(m: int, k: int, alpha: float, delta: float,
         raise OptimizationError(
             f"delta-family lower tail level {lam_lo!r} rounds 1 - level to 1 "
             f"at delta={delta!r}, m={m}, k={k}, alpha={alpha!r}")
-    return family.quantile(p_lo), -family.quantile(lam_up)
+    return (_finite_offset(family.quantile(p_lo), family, lam_lo, m, k, alpha),
+            _finite_offset(-family.quantile(lam_up), family, lam_up, m, k, alpha))
 
 
 def _checked_offsets(m: int, k: int, alpha: float, delta: float,
@@ -139,11 +152,7 @@ def optimize_delta(m: int, k: int, alpha: float,
     _check_family(family)
 
     def length(delta: float) -> float:
-        val = sum(_delta_offsets(m, k, alpha, delta, family))
-        if not math.isfinite(val):
-            raise OptimizationError(
-                f"non-finite interval length at delta={delta!r} (alpha too extreme)")
-        return val
+        return sum(_delta_offsets(m, k, alpha, delta, family))
 
     delta_star = _golden_section_min(length, DELTA_EPS, 1.0 - DELTA_EPS)
     return delta_star, length(delta_star)

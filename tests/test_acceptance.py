@@ -68,7 +68,7 @@ def test_c02_larger_of_two_coverage():
             cell += 1
             scn = Scenario(m=2, covariance=CovarianceModel("ar", 2, rho),
                            reps=REPS, seed=SEED + cell,
-                           theta_rule="fixed", theta=theta)
+                           theta=theta)
             report = run_coverage(scn, k=1, method="unadjusted")
             assert report.sos_rate <= mc_bound(0.05, REPS), (rho, theta)
     assert time.perf_counter() - start < 60.0
@@ -125,7 +125,7 @@ def test_c06_k_of_m_coverage_and_tail_split():
     m = 100
     cov = CovarianceModel("block", m, 0.0, block_size=1)  # independent normals
     theta_settings = [
-        {"theta_rule": "fixed", "theta": (1.0,) * m},  # all equal
+        {"theta": (1.0,) * m},  # all equal
         {"eta": 0.0},
         {"eta": 40.0},
     ]

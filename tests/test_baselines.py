@@ -519,8 +519,8 @@ def test_table_offsets_non_decreasing_in_m(method, m1, m2, alpha, data):
     levels1 = method_tail_levels(method, m1, k, alpha)
     levels2 = method_tail_levels(method, m2, k, alpha)
     assert all(p2 <= p1 for p1, p2 in zip(levels1, levels2))
-    # ndtri is accurate to a few ulp but not monotone to the ulp: between
-    # adjacent levels it can step back by up to 3 ulp
+    # std_normal_quantile is within 4 ulp of the true quantile, not monotone to
+    # the ulp: between adjacent levels it can step back by a few ulp
     offsets1 = method_offsets(method, m1, k, alpha)
     offsets2 = method_offsets(method, m2, k, alpha)
     assert all(c2 >= c1 - 4.0 * np.spacing(c1) for c1, c2 in zip(offsets1, offsets2))

@@ -619,7 +619,7 @@ def test_abs_max_coverage_by_simulation():
     for theta in ((0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (4.0, 2.0)):
         cov = CovarianceModel("block", 2, 0.0, block_size=1)
         scn = Scenario(m=2, covariance=cov, reps=reps, seed=31,
-                       theta_rule="fixed", theta=theta)
+                       theta=theta)
         report = run_coverage(scn, k=1, method="abs_max", alpha=0.05)
         bound = 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)
         assert report.sos_rate <= bound, theta

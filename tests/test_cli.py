@@ -147,15 +147,43 @@ def test_simulate_config_file(tmp_path, capsys):
     path.write_text(json.dumps({**cfg, "m": 10.7}), encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
     assert code == 2 and "m must be an integer" in err
-    # config-file reals must be JSON numbers: no traceback, no coercion
-    for key, value in [("eta", None), ("eta", "2"), ("theta", 5)]:
-        path.write_text(json.dumps({**cfg, "theta_rule": "fixed", key: value}), encoding="utf-8")
+    # config-file reals must be JSON numbers: no traceback, no coercion.  Each
+    # fragment is its field's own message ("theta must" holds "eta must")
+    for key, value, fragment in [("eta", None, "error: eta must be a finite number"),
+                                 ("eta", "2", "error: eta must be a finite number"),
+                                 ("theta", 5, "theta must be a sequence of length m=10")]:
+        path.write_text(json.dumps({**cfg, key: value}), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
-        assert code == 2 and out == "" and key in err
+        assert code == 2 and out == "" and fragment in err
     path.write_text(json.dumps({**cfg, "covariance": {"kind": "ar", "rho": None}}),
                     encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "2")
     assert code == 2 and "rho" in err
+
+
+def test_simulate_config_refuses_inputs_it_would_not_read(tmp_path, capsys):
+    # eta scales only a drawn theta, and the mixed panel's t df is fixed by its
+    # name: a file that sets them where they are not read exits 2 naming them
+    path = tmp_path / "scenario.json"
+    base = {"m": 2, "covariance": {"kind": "ar"}, "reps": 100, "seed": 1}
+    for extra, fragment in [({"theta": [0, 0], "eta": 25}, "must be 0 beside a given theta"),
+                            ({"t_df": 5}, "unknown scenario keys: ['t_df']"),
+                            ({"theta_rule": "fixed", "theta": [0, 0]},
+                             "unknown scenario keys: ['theta_rule']")]:
+        path.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "1",
+                                 "--methods", "sidak")
+        assert (code, out) == (2, "") and fragment in err, extra
+
+
+def test_simulate_refuses_a_covariance_flag_its_kind_ignores(capsys):
+    base = ("simulate", "--m", "10", "--k", "2", "--reps", "100", "--methods", "sidak")
+    for flags, fragment in [(("--sigma-model", "time-decay", "--rho", "0.7"),
+                             "rho is not read by kind time_decay"),
+                            (("--sigma-model", "ar", "--block-size", "7"),
+                             "block_size is not read by kind ar")]:
+        code, out, err = run_cli(capsys, *base, *flags)
+        assert (code, out) == (2, "") and fragment in err, flags
 
 
 def test_simulate_config_refuses_scenario_flags(tmp_path, capsys):
@@ -296,6 +324,17 @@ def test_delta_scan_explicit_deltas(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert [r[2] for r in rows[:2]] == ["0.3", "0.5"]
+
+
+def test_delta_scan_takes_one_of_grid_and_deltas(capsys):
+    # a grid beside explicit deltas is a usage error, not ignored, even at its
+    # default size; with neither, the grid holds 19 deltas
+    for grid in ("3", "19"):
+        code, out, err = run_cli(capsys, "delta-scan", "--m", "10", "--k", "1",
+                                 "--grid", grid, "--deltas", "0.5")
+        assert (code, out) == (2, "") and "--grid" in err and "--deltas" in err
+    code, out, _ = run_cli(capsys, "delta-scan", "--m", "10", "--k", "1")
+    assert code == 0 and len(csv_rows(out)[1]) == 19 + 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -352,11 +352,23 @@ def test_covariance_model_integer_fields(field, bad):
         dist.CovarianceModel(**fields)
 
 
+def test_covariance_model_refuses_a_parameter_its_kind_ignores():
+    # time_decay reads no rho, and only block reads block_size: a value other
+    # than the default is an error, not a setting that is recorded and unused
+    with pytest.raises(ValueError, match="rho is not read by kind time_decay, .* got 0.7"):
+        dist.CovarianceModel("time_decay", 4, 0.7)
+    for kind in ("ar", "time_decay"):
+        with pytest.raises(ValueError, match=f"block_size is not read by kind {kind}, .* got 7"):
+            dist.CovarianceModel(kind, 4, block_size=7)
+    # the defaults spelled out are accepted
+    assert dist.CovarianceModel("time_decay", 4, 0.0, 10) == dist.CovarianceModel("time_decay", 4)
+    assert dist.CovarianceModel("ar", 4, 0.5, 10) == dist.CovarianceModel("ar", 4, 0.5)
+
+
 _I2 = np.eye(2)
 _GEN = np.random.default_rng(0)
 _SCN = sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 4, 0.0), reps=50, seed=1)
-_FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 4, 0.0), "reps": 50, "seed": 1,
-          "theta_rule": "fixed"}
+_FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 4, 0.0), "reps": 50, "seed": 1}
 
 _BAD_ARGUMENTS = {
     # case -> (call, the argument its message must name); the spec_from_delta

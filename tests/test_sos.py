@@ -11,7 +11,7 @@ from sosci import (
     method_offsets,
     optimize_delta,
 )
-from sosci.dist import NORMAL, student_t_family
+from sosci.dist import NORMAL, ShiftFamily, student_t_family
 from sosci.sos import _delta_levels, _delta_offsets, _golden_section_min
 
 from _oracles import grid_argmin
@@ -200,6 +200,24 @@ def test_lost_lower_tail_level_names_m_k_and_alpha(call):
     # names the level's inputs, and m rather than alpha is the cause here
     with pytest.raises(OptimizationError, match=r"lower tail level .* rounds 1 - level to 1 "
                                                 r"at delta=.*, m=\d+, k=\d+, alpha=0\.05$"):
+        call()
+
+
+_BROKEN = ShiftFamily("broken", lambda p: math.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: method_offsets("bonferroni", 10, 2, 0.05, _BROKEN),
+    lambda: interval_length(10, 2, 0.05, 0.5, _BROKEN),
+    lambda: optimize_delta(10, 2, 0.05, _BROKEN),
+    lambda: k_of_m_intervals(np.arange(10.0), 2, 0.05, "fixed", delta=0.5, family=_BROKEN),
+], ids=["method_offsets", "interval_length", "optimize_delta", "fixed-delta"])
+def test_non_finite_family_quantile_names_the_family(call):
+    # the failure is the family's, where its quantile becomes an offset, and
+    # names the tail level and the inputs that set it, not alpha alone
+    with pytest.raises(OptimizationError, match=r"family 'broken' gives the non-finite offset "
+                                                r".* at tail level [0-9.e-]+, m=10, k=2, "
+                                                r"alpha=0\.05$"):
         call()
 
 
