@@ -72,6 +72,22 @@ _GL_W = np.array([
     0.04427293475900388, 0.03290142778230522, 0.02113211259277212,
     0.009124282593092585,
 ])
+_SIGNS = np.array([1.0, -1.0])
+# the quintic reading of a curve's table: for 6 evenly spaced knots at
+# v = -2.5, ..., 2.5 in units of the step, _QUINTIC[k, j, 0] is the
+# coefficient of v^j in the quintic that is 1 at knot k and 0 at the
+# others, and _QUINTIC[k, j, 1] that in its slope in v.  Written as
+# fractions because numpy.linalg would load LAPACK at import
+_QUINTIC = np.zeros((6, 6, 2))
+_QUINTIC[:, :, 0] = [
+    [3 / 256, -3 / 640, -5 / 96, 1 / 48, 1 / 48, -1 / 120],
+    [-25 / 256, 25 / 384, 13 / 32, -13 / 48, -1 / 16, 1 / 24],
+    [75 / 128, -75 / 64, -17 / 48, 17 / 24, 1 / 24, -1 / 12],
+    [75 / 128, 75 / 64, -17 / 48, -17 / 24, 1 / 24, 1 / 12],
+    [-25 / 256, -25 / 384, 13 / 32, 13 / 48, -1 / 16, -1 / 24],
+    [3 / 256, 3 / 640, -5 / 96, -1 / 48, 1 / 48, 1 / 120],
+]
+_QUINTIC[:, :5, 1] = _QUINTIC[:, 1:, 0] * np.arange(1.0, 6.0)
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # a tabulated curve's default extent
 # a mean this far out is as good as infinitely far: c_plus has the same bits
@@ -80,7 +96,7 @@ _A_MAX = 8.0  # a tabulated curve's default extent
 _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
-_SEED_PASSES = 4  # contraction passes on a tabulated curve before an endpoint solve
+_START_STEPS = 2  # Newton steps on a curve's quintic reading before an endpoint solve
 _CHUNK = 32  # elements per pass of the quadrature rule
 
 
@@ -121,37 +137,52 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: b
     # -phi(c) [h(c) + h(-c)], and needs no quadrature.
     from scipy import special  # imported here: only the abs-max rule needs ndtr
 
+    n, nodes = len(mu_i), 3 * len(_GL_X)
     sign_i, mu_i = np.sign(mu_i), np.abs(mu_i)
     c = np.minimum(c, _C_UNDERFLOW)
     far = c + 80.0 / (np.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
     left = np.minimum(np.maximum(-mu_i, -far), -c)
-    lo = np.stack([-far, left, c], axis=-1)
-    hi = np.stack([left, -c, far], axis=-1)
+    bounds = np.empty((n, 6))  # (lo, hi) of each panel
+    bounds[:, 0], bounds[:, 1], bounds[:, 2] = -far, left, left
+    bounds[:, 3], bounds[:, 4], bounds[:, 5] = -c, c, far
+    lo, hi = bounds[:, 0::2], bounds[:, 1::2]
     half = 0.5 * (hi - lo)[..., None]
-    t = 0.5 * (hi + lo)[..., None] + half * _GL_X  # (n, 3 panels, 28 nodes)
-    weight = half * _GL_W * np.exp(-0.5 * t * t)
-    t += mu_i[:, None, None]
-    u = np.abs(t)
-    mu_j3 = mu_j[:, None, None]
-
-    def integral(f):
-        # one pairwise sum per element over its 84 contiguous nodes, so an
-        # element's value does not depend on the batch it is evaluated in
-        return _INV_SQRT_2PI * np.sum((weight * f).reshape(len(mu_i), -1), axis=-1)
-
-    def h(edge):
-        v = np.abs(edge + mu_i)
-        return special.ndtr(v - mu_j) - special.ndtr(-v - mu_j)
-
-    term = integral(special.ndtr(u - mu_j3) - special.ndtr(-u - mu_j3))
-    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h(c) + h(-c))
+    # each element's t: its 3 panels of nodes, then the tail edges c and -c
+    t = np.empty((n, nodes + 2))
+    panels = t[:, :nodes].reshape(n, 3, -1)  # a view: splitting an axis never copies
+    np.multiply(half, _GL_X, out=panels)
+    panels += 0.5 * (hi + lo)[..., None]
+    t[:, nodes], t[:, nodes + 1] = c, -c
+    weight = -0.5 * panels
+    weight *= panels
+    np.exp(weight, out=weight)
+    weight *= half * _GL_W
+    t += mu_i[:, None]
+    # Phi(+/-|t + mu_i| - mu_j) at every node and edge, in one ndtr call
+    z = np.abs(t)[:, None, :] * _SIGNS[:, None]
+    z -= mu_j[:, None, None]
+    cdf = special.ndtr(z)
+    h = cdf[:, 0] - cdf[:, 1]
+    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h[:, nodes] + h[:, nodes + 1])
+    if mean_slopes:
+        # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j)
+        near = z[:, :, :nodes] ** 2
+        near *= -0.5
+        near, away = np.exp(near, out=near).transpose(1, 0, 2)
+        rows = np.empty((n, 3, nodes))
+        rows[:, 0] = h[:, :nodes]
+        np.multiply(np.sign(t[:, :nodes]), near + away, out=rows[:, 1])
+        np.subtract(away, near, out=rows[:, 2])
+        rows *= weight.reshape(n, 1, nodes)
+    else:
+        rows = weight.reshape(n, 1, nodes) * h[:, None, :nodes]
+    # one pairwise sum per element and integral over its contiguous nodes,
+    # so an element's value does not depend on the batch it is evaluated in
+    integral = _INV_SQRT_2PI * np.sum(rows, axis=-1)
     if not mean_slopes:
-        return term, None, None, d_c
-    near = np.exp(-0.5 * (u - mu_j3) ** 2)  # sqrt(2 pi) phi(|t + mu_i| - mu_j)
-    away = np.exp(-0.5 * (u + mu_j3) ** 2)  # sqrt(2 pi) phi(-|t + mu_i| - mu_j)
-    d_mu_i = sign_i * _INV_SQRT_2PI * integral(np.sign(t) * (near + away))
-    d_mu_j = _INV_SQRT_2PI * integral(away - near)
-    return term, d_mu_i, d_mu_j, d_c
+        return integral[:, 0], None, None, d_c
+    return (integral[:, 0], sign_i * _INV_SQRT_2PI * integral[:, 1],
+            _INV_SQRT_2PI * integral[:, 2], d_c)
 
 
 def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
@@ -207,8 +238,11 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     # is linear, so a start on it stays on it.  log miss is smooth and close
     # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
     # two-coordinate Sidak end of the range, every solve tried (alpha from
-    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps, and from
-    # a start on a tabulated curve (the abs-max endpoints) within 2 or 3.
+    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps.  From a
+    # start on a curve's quintic reading (the abs-max endpoints) the first
+    # step is mostly below _STEP_TOL, so one evaluation confirms the endpoint;
+    # where a is near c_plus(a) the reading is off by up to 2e-6, and a
+    # second step is needed.
     # An element is frozen once its step is below _STEP_TOL, so each result
     # is the one a batch of that element alone would give.
     # With every slope 0 (calibration), g is 0 from the start and stays 0,
@@ -255,10 +289,10 @@ def c_plus(a: float, alpha: float) -> float:
     the integrand at the tail edges, started at the two-coordinate Sidak
     constant (the value at a = 0, and the largest over a).
     """
-    _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
-                "be finite and >= 0 (the curve is even: use |a|)")
+    a = _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
+                    "be finite and >= 0 (the curve is even: use |a|)")
     _check_unit(alpha, "alpha")
-    return float(_calibrate(np.array([float(a)]), alpha)[0])
+    return float(_calibrate(np.array([a]), alpha)[0])
 
 
 def _check_grid(alpha: float, a_max: float, step: float) -> int:
@@ -318,6 +352,49 @@ def _cached_curve(alpha: float, a_max: float, step: float) -> CPlusCurve:
     return CPlusCurve.build(alpha, a_max, step)
 
 
+def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
+    # c at the start of each endpoint solve (lower, upper) for w >= 0, read
+    # off the tabulated curve.  With b = |a|, each endpoint solves
+    #   b + sigma c(b) = r:  the lower one, a = b >= 0 when w >= c(0), as
+    #   (sigma, r) = (1, w), else a = -b as (-1, -w); the upper one as (-1, w).
+    # b + c(b) and b - c(b) are increasing (c's slope lies in (-1, 0]), so
+    # np.interp inverts the table's linear reading exactly, with c held at
+    # its last knot past a_max.  Where 6 knots fit around that root, Newton
+    # steps on their quintic p then move it to within about 1e-14 of the
+    # root on exact c_plus, except where a is near c_plus(a) (a in 2.03 to
+    # 2.18 at alpha = 0.05): there the rule's kink panel opens, c_plus is
+    # less smooth, and p can be off by up to 2e-6.  Knots mirrored across 0
+    # make p even there.  Past a_max, or on a curve of under 6 knots, the
+    # linear root is the start.
+    grid_a, grid_c, step = curve.grid_a, curve.grid_c, curve.step
+    last, c_end = len(grid_a) - 1, float(grid_c[-1])
+    sign = 1.0 if w >= grid_c[0] else -1.0
+    sigma, r = np.array([sign, -1.0]), np.array([sign * w, w])
+    b = np.array([np.interp(sign * w, grid_a + sign * grid_c, grid_a, right=sign * (w - c_end)),
+                  np.interp(w, grid_a - grid_c, grid_a, right=w + c_end)])
+    if last >= 5:
+        # the stencil's knots j0, ..., j0 + 5 and v = b / step - (j0 + 2.5);
+        # g holds the power coefficients in v of b + sigma p(b) - r, and of
+        # its slope in v
+        x = np.minimum(b, curve.a_max) / step
+        j0 = np.minimum(np.floor(x) - 2.0, last - 5.0)
+        knots = np.abs(j0[:, None] + np.arange(6.0)).astype(int)
+        # einsum, not matmul: a BLAS call would grow the process by its buffers
+        g = sigma[:, None, None] * np.einsum("ik,kjl->ijl", grid_c[knots], _QUINTIC)
+        center = j0 + 2.5
+        g[:, 0, 0] += step * center - r
+        g[:, 0, 1] += step
+        g[:, 1, 0] += step
+        v = x - center
+        for _ in range(_START_STEPS):
+            f, f_v = np.einsum("ij,ijl->li", v[:, None] ** np.arange(6.0), g)
+            v -= f / f_v
+        b = np.where(b <= curve.a_max, step * (v + center), b)
+    # c is held within the table's range: beside a huge step, b loses its
+    # low bits to v and the quintic's c can leave it
+    return np.clip(sigma * (r - b), c_end, grid_c[0])
+
+
 def _invert_endpoints(w: float, alpha: float,
                       curve: CPlusCurve | None) -> tuple[float, float]:
     # endpoints for a nonnegative selected value w:
@@ -326,16 +403,12 @@ def _invert_endpoints(w: float, alpha: float,
     # are increasing and each endpoint is the one solution of a +/- c = w
     # with c = c_plus(|a|); both are solved in one batch.  Without a curve
     # the solve starts at the ends of the Sidak box, where c = s.  With one,
-    # passes of c -> curve(|w -/+ c|) move that start close to the root on
-    # the tabulated curve: the map is a contraction because the curve's
-    # slope exceeds -1 (np.interp holds it flat past the last knot, which
-    # moves only the start).  Newton then iterates against exact c_plus, so
-    # the curve sets where the solve starts and nothing else.
+    # it starts at the root on the curve's reading (`_curve_start`), so one
+    # evaluation of the rule, whose step is below _STEP_TOL, confirms most
+    # endpoints.  Newton iterates against exact c_plus either way, so the
+    # curve sets where the solve starts and nothing else.
     slope = np.array([1.0, -1.0])
-    c = np.full(2, sidak_halfwidth(2, alpha))
-    if curve is not None:
-        for _ in range(_SEED_PASSES):
-            c = np.interp(np.abs(w - slope * c), curve.grid_a, curve.grid_c)
+    c = np.full(2, sidak_halfwidth(2, alpha)) if curve is None else _curve_start(curve, w)
     a, _ = _newton(w - slope * c, c, slope, np.array([w, w]), alpha)
     return float(a[0]), float(a[1])
 

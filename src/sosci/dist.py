@@ -118,14 +118,16 @@ def _check_int(value, name: str, least: int | None = None, most: int | None = No
 
 
 def _check_real(value, name: str, test=math.isfinite, what: str = "be a finite number"):
-    """`value` if it is a number (not a bool) that passes `test`, else ValueError."""
+    """`value` as a float if it is a number (not a bool) that passes `test`
+    and converts to a float, else ValueError."""
     try:
         ok = not isinstance(value, bool) and test(value)
+        number = float(value)  # an int past the float range passes most tests
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"{name} must {what}, got {value!r}")
-    return value
+    return number
 
 
 def _check_real_array(values, name: str) -> np.ndarray:

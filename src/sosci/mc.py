@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,8 @@ import numpy as np
 
 from .baselines import MethodLabel, method_offsets, method_tail_levels
 from .baselines import fcw_constants  # noqa: F401  (bench/tracer.py wraps it by this name)
-from .bivariate import c_plus
+from .bivariate import _calibrate
+from .bivariate import c_plus  # noqa: F401  (bench/tracer.py wraps it by this name)
 from .dist import (
     _MAX_DIM,
     _MAX_GRID,
@@ -257,7 +259,8 @@ def _count_misses(y_sel: np.ndarray, th_sel: np.ndarray, cols: np.ndarray,
 def _abs_max_offsets(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray,
                      k: int, alpha: float) -> np.ndarray:
     # theta lies in the inverted region iff
-    # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale)
+    # |y_sel - theta_sel| <= scale * c_plus(|theta_sel| / scale);
+    # both coordinates' c_plus are one batch, each solved as c_plus solves it
     if k != 1:
         raise ValueError(f"abs_max coverage selects one coordinate, so k must be 1, got {k}")
     if scenario.m != 2:
@@ -267,7 +270,7 @@ def _abs_max_offsets(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray,
     s = float(np.sqrt(sigma[0, 0]))
     if not np.allclose(sigma, s * s * np.eye(2), atol=1e-12):
         raise ValueError("abs_max coverage needs covariance s^2 * I")
-    return s * np.array([c_plus(abs(t) / s, alpha) for t in theta])
+    return s * _calibrate(np.abs(theta) / s, alpha)
 
 
 def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
@@ -362,18 +365,14 @@ def _integer(value, key: str) -> int:
     return _check_int(value, key)
 
 
-def _real(value, key: str) -> float:
-    # a JSON number (int or float) as a float; bools, strings and null raise
-    return float(_check_real(value, key))
-
-
 def _reals(value, key: str):
     # a JSON list as a tuple of floats; anything else is left for the class to reject
-    return tuple(_real(v, key) for v in value) if isinstance(value, list) else value
+    return tuple(_check_real(v, key) for v in value) if isinstance(value, list) else value
 
 
-# a config value's converter, by its field's (postponed, so string) annotation
-_CONVERTERS = {"int": _integer, "float": _real, "tuple[float, ...] | None": _reals}
+# a config value's converter, by its field's (postponed, so string) annotation;
+# a real is a JSON number (int or float) as a float, and bools, strings and null raise
+_CONVERTERS = {"int": _integer, "float": _check_real, "tuple[float, ...] | None": _reals}
 
 
 def _config_fields(cls, cfg, what: str, **defaults) -> dict:
@@ -408,5 +407,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario in the JSON config file at `path`, a str or os.PathLike.
+
+    Anything else is a ValueError: `open` would take an int (a bool too) as
+    a file descriptor, and closing it would close the caller's stream.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or os.PathLike, got {path!r}")
     with open(path, encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))

@@ -732,6 +732,37 @@ def test_readme_config_example_loads():
     assert (scn.m, scn.reps, scn.seed, scn.eta, scn.theta) == (100, 50000, 1, 10.0, None)
 
 
+def test_load_scenario_takes_only_a_path():
+    # open() takes an int, True included, as a file descriptor: load_scenario(True)
+    # would close fd 1 under its caller, and load_scenario(0) would read stdin
+    code = ("import os\n"
+            "from sosci.mc import load_scenario\n"
+            "for path in (True, 0, 1, 2.0, b'scenario.json', None):\n"
+            "    try:\n"
+            "        load_scenario(path)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'path must be' in str(exc), exc\n"
+            "    else:\n"
+            "        raise SystemExit(f'{path!r} was read')\n"
+            "os.fstat(1)\n"
+            "print('fd 1 open')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          stdin=subprocess.DEVNULL, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fd 1 open\n"
+
+
+def test_abs_max_offsets_are_c_plus_at_each_coordinate():
+    # one batch solves both coordinates, each as c_plus solves it alone
+    for s, theta in ((1.0, (0.0, 1.3)), (2.0, (-2.5, 40.0)), (0.5, (150.0, -0.2))):
+        scn = Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+                       reps=10, seed=1)
+        sigma = s * s * np.eye(2)
+        offsets = mc._abs_max_offsets(scn, sigma, np.array(theta), 1, 0.05)
+        assert offsets.tolist() == [s * c_plus(abs(t) / s, 0.05) for t in theta]
+
+
 _SCENARIO_INTEGERS = {"m": 2, "reps": 10, "seed": 1}
 
 
