@@ -47,7 +47,14 @@ class NotPositiveDefiniteError(Exception):
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; relative accuracy holds in both tails."""
+    """Standard normal CDF via erfc; relative accuracy holds in both tails.
+
+    x is a real number, +-inf included (FCW's coverage reads Phi(inf) = 1);
+    NaN and anything that is not a real scalar raise ValueError.
+    """
+    if x.__class__ is not float or x != x:  # a float that is not NaN skips the check
+        x = _check_real(x, "x", lambda v: np.ndim(v) == 0 and not math.isnan(v),
+                        "be a real number, not NaN")
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
@@ -177,7 +184,8 @@ def _check_mean_pair(mu, c) -> np.ndarray:
 def student_t_quantile(p: float, df: int) -> float:
     from scipy import special  # imported here: only t families load scipy
 
-    df = _check_int(df, "df", 1)
+    # stdtrit reads df as a float; at the largest one it gives the normal quantile
+    df = _check_int(df, "df", 1, sys.float_info.max)
     _check_unit(p, "p")
     return float(special.stdtrit(df, p))
 
@@ -193,9 +201,15 @@ class ShiftFamily:
     name: str
     quantile: Callable[[float], float]
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"family name must be a str, got {self.name!r}")
+        if not callable(self.quantile):
+            raise ValueError(f"family quantile must be callable, got {self.quantile!r}")
+
 
 def student_t_family(df: int) -> ShiftFamily:
-    df = _check_int(df, "df", 1)
+    df = _check_int(df, "df", 1, sys.float_info.max)
     return ShiftFamily(f"student_t({df})", lambda p: student_t_quantile(p, df))
 
 
@@ -206,12 +220,13 @@ _COV_KINDS = ("ar", "time_decay", "block")
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Parametric covariance structure; realized by `mc.build_covariance`.
+    """Parametric covariance structure of m coordinates, m being the
+    scenario's; realized by `mc.build_covariance`.
 
     kind "ar":         Sigma_ij = rho ** |i - j|, rho in (-1, 1)
     kind "time_decay": Sigma = D^{1/2} S D^{1/2} with S_ij = |i-j|^{-5} / 2
                        off-diagonal, unit diagonal, and D diagonal with
-                       entries drawn Uniform(1, 3) from the model seed
+                       entries drawn Uniform(1, 3) from the scenario seed
     kind "block":      unit diagonal, rho within consecutive blocks of
                        `block_size` coordinates, zero across blocks
 
@@ -220,22 +235,18 @@ class CovarianceModel:
     """
 
     kind: str
-    dimension: int
     rho: float = 0.0
     block_size: int = 10
 
     def __post_init__(self):
         if self.kind not in _COV_KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
-        _check_int(self.dimension, "dimension", 1)
         _check_int(self.block_size, "block_size", 1)
         _check_real(self.rho, "rho")
         if self.kind == "ar" and not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar rho must lie in (-1, 1), got {self.rho!r}")
         if self.kind == "block" and not 0.0 <= self.rho < 1.0:
             raise ValueError(f"block rho must lie in [0, 1), got {self.rho!r}")
-        if self.kind == "block" and self.dimension % self.block_size:
-            raise ValueError("dimension must be a positive multiple of block_size")
         if self.kind == "time_decay" and self.rho != 0.0:
             raise ValueError(f"rho is not read by kind time_decay, so it must be 0.0, "
                              f"got {self.rho!r}")
@@ -245,12 +256,14 @@ class CovarianceModel:
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); seed is an integer >= 0.
+    """Counter-based generator for (seed, stream); seed and each stream tag
+    are integers >= 0.
 
     Distinct stream tags give statistically independent streams from one
     master seed, so parallel and sequential runs can draw identical numbers.
     """
-    seq = np.random.SeedSequence(_check_int(seed, "seed", 0), spawn_key=stream)
+    seq = np.random.SeedSequence(_check_int(seed, "seed", 0),
+                                 spawn_key=tuple(_check_int(tag, "stream", 0) for tag in stream))
     return np.random.Generator(np.random.Philox(seq))
 
 

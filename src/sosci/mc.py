@@ -78,6 +78,8 @@ _T5_DF = 5  # the t half of the mixed panel, as its name states
 class Scenario:
     """One simulation cell: dimension, dependence, signal, and noise panel.
 
+    `m` is the one statement of the dimension: the covariance model takes it
+    from here, so a block model needs m to be a multiple of its block_size.
     A given `theta` is used as it is, and eta must then be 0; without one,
     theta ~ Uniform(-1, 1) * eta is drawn once per scenario from the dedicated
     parameter stream.  Panel "half_normal_half_t5" gives the first m/2
@@ -99,9 +101,9 @@ class Scenario:
             _check_int(getattr(self, name), name, least, most)
         if not isinstance(self.covariance, CovarianceModel):
             raise ValueError(f"covariance must be a CovarianceModel, got {self.covariance!r}")
-        if self.covariance.dimension != self.m:
-            raise ValueError(
-                f"covariance dimension {self.covariance.dimension} != m {self.m}")
+        if self.covariance.kind == "block" and self.m % self.covariance.block_size:
+            raise ValueError(f"m must be a multiple of block_size, got m={self.m}, "
+                             f"block_size={self.covariance.block_size}")
         _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
         if self.theta is not None:
             if np.ndim(self.theta) != 1 or len(self.theta) != self.m:
@@ -118,16 +120,13 @@ class Scenario:
             raise ValueError("the mixed panel needs an even m")
 
 
-def build_covariance(model: CovarianceModel, seed) -> np.ndarray:
-    """Realize a covariance matrix; random ingredients come from the model
-    stream of `seed`, so the same seed always gives the same matrix."""
-    return _covariance_and_factor(model, seed)[0]
-
-
-def _covariance_and_factor(model: CovarianceModel, seed) -> tuple[np.ndarray, np.ndarray]:
-    # build_covariance's matrix and its lower Cholesky factor, which also
-    # fails fast on a non-PD construction
-    m = _check_int(model.dimension, "dimension", 1, _MAX_DIM)
+def build_covariance(scenario: Scenario) -> np.ndarray:
+    """The scenario's m x m covariance matrix; random ingredients come from
+    the covariance stream of its seed, so the same scenario always gives the
+    same matrix."""
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"scenario must be a Scenario, got {scenario!r}")
+    model, m = scenario.covariance, scenario.m
     idx = np.arange(m)
     dist_ij = np.abs(np.subtract.outer(idx, idx))
     if model.kind == "ar":
@@ -137,13 +136,13 @@ def _covariance_and_factor(model: CovarianceModel, seed) -> tuple[np.ndarray, np
         with np.errstate(divide="ignore"):
             base = 0.5 * dist_ij.astype(float) ** -5.0
         np.fill_diagonal(base, 1.0)
-        scale = np.sqrt(seeded_rng(seed, _STREAM_COV).uniform(1.0, 3.0, m))
+        scale = np.sqrt(seeded_rng(scenario.seed, _STREAM_COV).uniform(1.0, 3.0, m))
         sigma = base * np.outer(scale, scale)
     else:  # block
         blocks = m // model.block_size
         sigma = np.kron(np.eye(blocks), np.full((model.block_size,) * 2, model.rho))
         sigma += (1.0 - model.rho) * np.eye(m)
-    return sigma, cholesky(sigma)
+    return sigma
 
 
 def resolve_theta(scenario: Scenario) -> np.ndarray:
@@ -199,12 +198,12 @@ class CoverageReport:
         return {**asdict(self), **{name: getattr(self, name) for name in rates}}
 
 
-def _panel_parts(scenario: Scenario, sigma: np.ndarray, lower: np.ndarray,
-                 theta: np.ndarray) -> list[tuple]:
-    # (columns, theta, lower Cholesky factor, t df or None) for each
-    # independent half; the all-normal panel is one part, factored as a whole
+def _panel_parts(scenario: Scenario, sigma: np.ndarray, theta: np.ndarray) -> list[tuple]:
+    # (columns, theta, lower Cholesky factor, t df or None) for each part
+    # drawn on its own: the all-normal panel is one part, factored as a whole,
+    # and the mixed panel two independent halves, each factored alone
     if scenario.panel == "all_normal":
-        return [(slice(None), theta, lower, None)]
+        return [(slice(None), theta, cholesky(sigma), None)]
     half = scenario.m // 2
     halves = [(slice(None, half), None), (slice(half, None), _T5_DF)]
     return [(cols, theta[cols], cholesky(sigma[cols, cols]), df) for cols, df in halves]
@@ -300,10 +299,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     _check_mk(scenario.m, k)
     _check_unit(alpha, "alpha")
     _check_int(n_jobs, "n_jobs", 1, _MAX_JOBS)
-    sigma, lower = _covariance_and_factor(scenario.covariance, scenario.seed)
+    sigma = build_covariance(scenario)
     theta = resolve_theta(scenario)
     scales = np.sqrt(np.diag(sigma))
-    parts = _panel_parts(scenario, sigma, lower, theta)
+    parts = _panel_parts(scenario, sigma, theta)
 
     scored = []  # (report label, rule name, c_lo, c_up) per requested method
     for label in labels:
@@ -375,12 +374,11 @@ def _reals(value, key: str):
 _CONVERTERS = {"int": _integer, "float": _check_real, "tuple[float, ...] | None": _reals}
 
 
-def _config_fields(cls, cfg, what: str, **defaults) -> dict:
-    # the keyword arguments of dataclass `cls` that `cfg` holds, over `defaults`,
-    # converted; unknown keys are errors so that typos do not silently change a study
+def _config_fields(cls, cfg, what: str) -> dict:
+    # the keyword arguments of dataclass `cls` that `cfg` holds, converted;
+    # unknown keys are errors so that typos do not silently change a study
     if not isinstance(cfg, dict):
         raise ValueError(f"{what} config must be a JSON object")
-    cfg = {**defaults, **cfg}
     known = {f.name: f for f in fields(cls)}
     unknown = set(cfg) - set(known)
     if unknown:
@@ -396,13 +394,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a Scenario from a plain dict (the simulate config file format).
 
     The keys are the fields of Scenario, with `covariance` an object of
-    CovarianceModel's fields whose `dimension` defaults to m; a field left
-    out takes its dataclass default.  Integer fields take integral JSON
-    numbers, real fields any JSON number, and `theta` a list of them.
+    CovarianceModel's fields; a field left out takes its dataclass default.
+    Integer fields take integral JSON numbers, real fields any JSON number,
+    and `theta` a list of them.
     """
     values = _config_fields(Scenario, cfg, "scenario")
     values["covariance"] = CovarianceModel(**_config_fields(
-        CovarianceModel, values["covariance"], "covariance", dimension=values["m"]))
+        CovarianceModel, values["covariance"], "covariance"))
     return Scenario(**values)
 
 

@@ -66,7 +66,7 @@ def test_c02_larger_of_two_coverage():
     for rho in (-0.5, 0.0, 0.5, 0.9):
         for theta in ((0.0, 0.0), (0.0, 2.0), (1.0, 1.0)):
             cell += 1
-            scn = Scenario(m=2, covariance=CovarianceModel("ar", 2, rho),
+            scn = Scenario(m=2, covariance=CovarianceModel("ar", rho),
                            reps=REPS, seed=SEED + cell,
                            theta=theta)
             report = run_coverage(scn, k=1, method="unadjusted")
@@ -123,7 +123,7 @@ def test_c05_acceptance_region_bound():
 def test_c06_k_of_m_coverage_and_tail_split():
     start = time.perf_counter()
     m = 100
-    cov = CovarianceModel("block", m, 0.0, block_size=1)  # independent normals
+    cov = CovarianceModel("block", 0.0, block_size=1)  # independent normals
     theta_settings = [
         {"theta": (1.0,) * m},  # all equal
         {"eta": 0.0},
@@ -212,9 +212,9 @@ def test_c08_minimizing_delta():
 def test_c09_dependence_grid_coverage():
     start = time.perf_counter()
     m, k = 100, 10
-    models = ([CovarianceModel("ar", m, rho) for rho in (0.3, 0.7)]
-              + [CovarianceModel("time_decay", m)]
-              + [CovarianceModel("block", m, rho, block_size=10)
+    models = ([CovarianceModel("ar", rho) for rho in (0.3, 0.7)]
+              + [CovarianceModel("time_decay")]
+              + [CovarianceModel("block", rho, block_size=10)
                  for rho in (0.0, 0.2, 0.5, 0.75, 0.9)])
     cell = 0
     for panel in ("all_normal", "half_normal_half_t5"):
@@ -248,7 +248,7 @@ def test_c10_byte_identical_replay(capsys, tmp_path):
     capsys.readouterr()
     assert out.read_bytes().decode("utf-8") == first
 
-    scn = Scenario(m=50, covariance=CovarianceModel("ar", 50, 0.6), reps=reps,
+    scn = Scenario(m=50, covariance=CovarianceModel("ar", 0.6), reps=reps,
                    seed=SEED, eta=3.0)
     seq = run_coverage(scn, k=5, method="sos_symmetric")
     par = run_coverage(scn, k=5, method="sos_symmetric", n_jobs=8)

@@ -646,7 +646,7 @@ def test_abs_max_coverage_by_simulation():
     curve = cplus_curve(0.05)
     reps = 20000
     for theta in ((0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (4.0, 2.0)):
-        cov = CovarianceModel("block", 2, 0.0, block_size=1)
+        cov = CovarianceModel("block", 0.0, block_size=1)
         scn = Scenario(m=2, covariance=cov, reps=reps, seed=31,
                        theta=theta)
         report = run_coverage(scn, k=1, method="abs_max", alpha=0.05)

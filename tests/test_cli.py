@@ -162,14 +162,17 @@ def test_simulate_config_file(tmp_path, capsys):
 
 
 def test_simulate_config_refuses_inputs_it_would_not_read(tmp_path, capsys):
-    # eta scales only a drawn theta, and the mixed panel's t df is fixed by its
-    # name: a file that sets them where they are not read exits 2 naming them
+    # eta scales only a drawn theta, the mixed panel's t df is fixed by its
+    # name, and m is the covariance's dimension: a file that sets them where
+    # they are not read exits 2 naming them
     path = tmp_path / "scenario.json"
     base = {"m": 2, "covariance": {"kind": "ar"}, "reps": 100, "seed": 1}
     for extra, fragment in [({"theta": [0, 0], "eta": 25}, "must be 0 beside a given theta"),
                             ({"t_df": 5}, "unknown scenario keys: ['t_df']"),
                             ({"theta_rule": "fixed", "theta": [0, 0]},
-                             "unknown scenario keys: ['theta_rule']")]:
+                             "unknown scenario keys: ['theta_rule']"),
+                            ({"covariance": {"kind": "ar", "dimension": 2}},
+                             "unknown covariance keys: ['dimension']")]:
         path.write_text(json.dumps({**base, **extra}), encoding="utf-8")
         code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--k", "1",
                                  "--methods", "sidak")
@@ -216,8 +219,7 @@ def test_simulate_unset_scenario_flags_take_the_defaults(capsys):
                             "--panel", "all_normal", "--seed", "1")
     assert unset == spelled
     meta = json.loads(unset)["meta"]
-    assert meta["scenarios"][0]["covariance"] == {"kind": "ar", "dimension": 4, "rho": 0.0,
-                                                  "block_size": 10}
+    assert meta["scenarios"][0]["covariance"] == {"kind": "ar", "rho": 0.0, "block_size": 10}
 
 
 def test_simulate_json_meta_records_the_inputs(tmp_path, capsys):

@@ -30,6 +30,21 @@ def test_cdf_against_series_oracle():
         assert abs(dist.std_normal_cdf(float(x)) - series_normal_cdf(float(x))) <= 1e-12
 
 
+@pytest.mark.parametrize("x", ["a", None, pytest.param([0.5], id="list"),
+                               pytest.param(np.array([0.5, 1.0]), id="array"), 1j, math.nan,
+                               pytest.param(10**400, id="10**400")])
+def test_cdf_domain(x):
+    with pytest.raises(ValueError, match="^x must be a real number"):
+        dist.std_normal_cdf(x)
+
+
+def test_cdf_reads_infinities_and_real_scalars():
+    # FCW's coverage reads Phi at +inf; ints and numpy scalars read as floats
+    assert dist.std_normal_cdf(math.inf) == 1.0 and dist.std_normal_cdf(-math.inf) == 0.0
+    assert dist.std_normal_cdf(0) == 0.5
+    assert dist.std_normal_cdf(np.float32(1.5)) == dist.std_normal_cdf(1.5)
+
+
 def test_cdf_frozen_point():
     # oracle: bisection on the series CDF gives z(0.975) = 1.959963985
     assert dist.std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
@@ -187,7 +202,7 @@ def test_t_round_trip():
             assert abs(t_cdf_quad(x, df) - p) <= 1e-8
 
 
-@pytest.mark.parametrize("df", [0, -1, 2.5])
+@pytest.mark.parametrize("df", [0, -1, 2.5, pytest.param(10**400, id="10**400")])
 def test_t_df_domain(df):
     with pytest.raises(ValueError):
         dist.student_t_quantile(0.5, df)
@@ -201,6 +216,18 @@ def test_families():
     assert fam.quantile(0.975) == dist.std_normal_quantile(0.975)
     t5 = dist.student_t_family(5)
     assert t5.name == "student_t(5)"
+    with pytest.raises(ValueError, match="family quantile must be callable, got 1.0"):
+        dist.ShiftFamily("x", 1.0)
+    with pytest.raises(ValueError, match="family name must be a str, got 1"):
+        dist.ShiftFamily(1, dist.std_normal_quantile)
+
+
+def test_t_quantile_at_the_largest_df_is_normal():
+    # the df cap is the largest float, where stdtrit gives the normal quantile
+    df = int(sys.float_info.max)
+    assert dist.student_t_quantile(0.3, df) == pytest.approx(dist.std_normal_quantile(0.3),
+                                                             abs=1e-15)
+    assert dist.student_t_family(df).quantile(0.3) == dist.student_t_quantile(0.3, df)
 
 
 def test_cholesky_identity_and_hand_value():
@@ -290,20 +317,24 @@ def test_seeded_rng_streams():
     assert np.array_equal(a, c)
     with pytest.raises(ValueError, match="seed must be an integer"):
         dist.seeded_rng(dist.seeded_rng(5))
+    assert np.array_equal(dist.seeded_rng(5, np.int64(1)).standard_normal(4), a)
+
+
+@pytest.mark.parametrize("tag", [None, 1.5, math.nan, pytest.param([1], id="list"), 1j, True,
+                                 -1])
+def test_seeded_rng_checks_each_stream_tag(tag):
+    with pytest.raises(ValueError, match="^stream must be"):
+        dist.seeded_rng(1, 3, tag)
 
 
 def test_covariance_model_validation():
-    dist.CovarianceModel("ar", 10, -0.5)
+    dist.CovarianceModel("ar", -0.5)
     with pytest.raises(ValueError):
-        dist.CovarianceModel("ar", 10, 1.0)
+        dist.CovarianceModel("ar", 1.0)
     with pytest.raises(ValueError):
-        dist.CovarianceModel("block", 10, -0.1)
+        dist.CovarianceModel("block", -0.1)
     with pytest.raises(ValueError):
-        dist.CovarianceModel("block", 15, 0.5, block_size=10)
-    with pytest.raises(ValueError):
-        dist.CovarianceModel("banded", 10)
-    with pytest.raises(ValueError):
-        dist.CovarianceModel("ar", 0)
+        dist.CovarianceModel("banded")
 
 
 _ONE_INTEGER = {
@@ -317,7 +348,7 @@ _ONE_INTEGER = {
     "fcw_constants k": lambda n: sosci.fcw_constants(10, n, 0.05),
     "select_top_k k": lambda n: sosci.select_top_k([1.0, 2.0, 3.0], n),
     "run_coverage k": lambda n: sosci.run_coverage(
-        sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 4, 0.0), reps=50,
+        sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 0.0), reps=50,
                        seed=1), n, "sidak"),
 }
 
@@ -343,9 +374,9 @@ def test_m_beyond_float_range_raises(name):
 
 
 @pytest.mark.parametrize("bad", [1.5, True])
-@pytest.mark.parametrize("field", ["dimension", "block_size"])
+@pytest.mark.parametrize("field", ["block_size"])
 def test_covariance_model_integer_fields(field, bad):
-    fields = {"kind": "block", "dimension": 4, "rho": 0.2, "block_size": 2}
+    fields = {"kind": "block", "rho": 0.2, "block_size": 2}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         dist.CovarianceModel(**{**fields, field: bad})
     assert dist.CovarianceModel(**{**fields, field: np.int64(fields[field])}) == \
@@ -356,19 +387,19 @@ def test_covariance_model_refuses_a_parameter_its_kind_ignores():
     # time_decay reads no rho, and only block reads block_size: a value other
     # than the default is an error, not a setting that is recorded and unused
     with pytest.raises(ValueError, match="rho is not read by kind time_decay, .* got 0.7"):
-        dist.CovarianceModel("time_decay", 4, 0.7)
+        dist.CovarianceModel("time_decay", 0.7)
     for kind in ("ar", "time_decay"):
         with pytest.raises(ValueError, match=f"block_size is not read by kind {kind}, .* got 7"):
-            dist.CovarianceModel(kind, 4, block_size=7)
+            dist.CovarianceModel(kind, block_size=7)
     # the defaults spelled out are accepted
-    assert dist.CovarianceModel("time_decay", 4, 0.0, 10) == dist.CovarianceModel("time_decay", 4)
-    assert dist.CovarianceModel("ar", 4, 0.5, 10) == dist.CovarianceModel("ar", 4, 0.5)
+    assert dist.CovarianceModel("time_decay", 0.0, 10) == dist.CovarianceModel("time_decay")
+    assert dist.CovarianceModel("ar", 0.5, 10) == dist.CovarianceModel("ar", 0.5)
 
 
 _I2 = np.eye(2)
 _GEN = np.random.default_rng(0)
-_SCN = sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 4, 0.0), reps=50, seed=1)
-_FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 4, 0.0), "reps": 50, "seed": 1}
+_SCN = sosci.Scenario(m=4, covariance=dist.CovarianceModel("ar", 0.0), reps=50, seed=1)
+_FIXED = {"m": 4, "covariance": dist.CovarianceModel("ar", 0.0), "reps": 50, "seed": 1}
 
 _BAD_ARGUMENTS = {
     # case -> (call, the argument its message must name); the spec_from_delta
@@ -400,10 +431,10 @@ _BAD_ARGUMENTS = {
     "seed str, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 3, "7"), "seed"),
     "seed Generator, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, 3, _GEN), "seed"),
     "seed True, seeded_rng": (lambda: dist.seeded_rng(True), "seed"),
-    "seed Generator, build_covariance": (
-        lambda: sosci.build_covariance(dist.CovarianceModel("time_decay", 3), _GEN), "seed"),
-    "seed 1.5, build_covariance": (
-        lambda: sosci.build_covariance(dist.CovarianceModel("time_decay", 3), 1.5), "seed"),
+    "seed Generator, Scenario": (lambda: dataclasses.replace(_SCN, seed=_GEN), "seed"),
+    "seed 1.5, Scenario": (lambda: dataclasses.replace(_SCN, seed=1.5), "seed"),
+    "scenario model, build_covariance": (
+        lambda: sosci.build_covariance(dist.CovarianceModel("ar")), "scenario"),
     "seed 1.5, estimate_b_probability": (
         lambda: estimate_b_probability([0.0, 0.0], 1.0, 10, 1.5), "seed"),
     "reps True, sample_mvn": (lambda: dist.sample_mvn(np.zeros(2), _I2, True, 1), "reps"),
@@ -418,7 +449,7 @@ _BAD_ARGUMENTS = {
     "theta nan, sample_mvn": (lambda: dist.sample_mvn([math.nan, 0.0], _I2, 3, 1), "theta"),
     "theta length 3, sample_mvn": (lambda: dist.sample_mvn(np.zeros(3), _I2, 3, 1), "theta"),
     "m 4097, Scenario": (
-        lambda: sosci.Scenario(m=4097, covariance=dist.CovarianceModel("ar", 4097), reps=1,
+        lambda: sosci.Scenario(m=4097, covariance=dist.CovarianceModel("ar"), reps=1,
                                seed=1), "m"),
     "reps 4096e6 + 1, Scenario": (lambda: dataclasses.replace(_SCN, reps=4096 * 10**6 + 1),
                                   "reps"),
@@ -427,12 +458,12 @@ _BAD_ARGUMENTS = {
     "eta str, Scenario": (lambda: dataclasses.replace(_SCN, eta="1"), "eta"),
     "eta None, Scenario": (lambda: dataclasses.replace(_SCN, eta=None), "eta"),
     "eta True, Scenario": (lambda: dataclasses.replace(_SCN, eta=True), "eta"),
-    "rho str, CovarianceModel": (lambda: dist.CovarianceModel("ar", 4, "0.1"), "rho"),
-    "rho None, CovarianceModel": (lambda: dist.CovarianceModel("block", 4, None, 2), "rho"),
+    "rho str, CovarianceModel": (lambda: dist.CovarianceModel("ar", "0.1"), "rho"),
+    "rho None, CovarianceModel": (lambda: dist.CovarianceModel("block", None, 2), "rho"),
     "rho nan, time_decay CovarianceModel": (
-        lambda: dist.CovarianceModel("time_decay", 4, math.nan), "rho"),
+        lambda: dist.CovarianceModel("time_decay", math.nan), "rho"),
     "block_size 0, ar CovarianceModel": (
-        lambda: dist.CovarianceModel("ar", 4, 0.0, block_size=0), "block_size"),
+        lambda: dist.CovarianceModel("ar", 0.0, block_size=0), "block_size"),
     "c None, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], None), "c"),
     "c True, b_region_probability": (lambda: sosci.b_region_probability([0.0, 0.0], True), "c"),
     "c str, estimate_b_probability": (

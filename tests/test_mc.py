@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from _oracles import estimate_b_probability, exact_sos_miss, larger_of_two_miss_
 
 
 def iid_scenario(m=20, reps=5000, seed=11, **kw):
-    cov = CovarianceModel("block", m, 0.0, block_size=1)
+    cov = CovarianceModel("block", 0.0, block_size=1)
     return Scenario(m=m, covariance=cov, reps=reps, seed=seed, **kw)
 
 
@@ -54,7 +55,7 @@ def test_independent_coverage_matches_the_exact_rates(m, k):
     # fcw_shortest, unadjusted and fcr_selection_aware claim no SoS bound at
     # every theta, and are left out
     theta = tuple(1.5 if i < k else 0.0 for i in range(m))
-    scenario = Scenario(m=m, covariance=CovarianceModel("ar", m, 0.0), reps=20_000, seed=7,
+    scenario = Scenario(m=m, covariance=CovarianceModel("ar", 0.0), reps=20_000, seed=7,
                         theta=theta)
     methods = ["sidak", "sos_symmetric", "sos_shortest", "fcw_symmetric"]
     for report in run_coverage(scenario, k, methods):
@@ -102,8 +103,13 @@ def test_exact_miss_stays_within_alpha_at_least_favourable_theta(method):
             assert miss <= alpha + 1e-9, (m, k, alpha, theta, miss / alpha)
 
 
+def covariance(m, model, seed=0):
+    # the scenario's matrix; reps plays no part in it
+    return build_covariance(Scenario(m=m, covariance=model, reps=1, seed=seed))
+
+
 def test_build_covariance_ar_exact():
-    sigma = build_covariance(CovarianceModel("ar", 3, 0.7), seed=0)
+    sigma = covariance(3, CovarianceModel("ar", 0.7))
     assert np.array_equal(np.diag(sigma), np.ones(3))
     assert sigma[0, 1] == 0.7 and sigma[1, 2] == 0.7
     expected = np.array([[1.0, 0.7, 0.49], [0.7, 1.0, 0.7], [0.49, 0.7, 1.0]])
@@ -111,7 +117,7 @@ def test_build_covariance_ar_exact():
 
 
 def test_build_covariance_ar_negative_rho_exact():
-    sigma = build_covariance(CovarianceModel("ar", 3, -0.5), seed=0)
+    sigma = covariance(3, CovarianceModel("ar", -0.5))
     assert sigma[0, 1] == -0.5
     assert sigma[0, 2] == 0.25
     assert sigma[1, 0] == -0.5
@@ -119,43 +125,44 @@ def test_build_covariance_ar_negative_rho_exact():
 
 
 def test_build_covariance_ar_zero_rho_is_identity():
-    assert np.array_equal(build_covariance(CovarianceModel("ar", 4, 0.0), 0),
-                          np.eye(4))
+    assert np.array_equal(covariance(4, CovarianceModel("ar", 0.0)), np.eye(4))
 
 
 def test_build_covariance_time_decay():
-    model = CovarianceModel("time_decay", 6)
-    sigma = build_covariance(model, seed=5)
+    model = CovarianceModel("time_decay")
+    sigma = covariance(6, model, seed=5)
     diag = np.diag(sigma)
     assert np.all((diag >= 1.0) & (diag <= 3.0))
     # the diagonal scaling cancels in the correlation, which is |i-j|^-5 / 2
     corr = sigma / np.sqrt(np.outer(diag, diag))
     assert corr[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert corr[0, 2] == pytest.approx(0.5 * 2.0 ** -5, abs=1e-12)
-    assert np.array_equal(sigma, build_covariance(model, seed=5))
-    assert not np.array_equal(sigma, build_covariance(model, seed=6))
+    assert np.array_equal(sigma, covariance(6, model, seed=5))
+    assert not np.array_equal(sigma, covariance(6, model, seed=6))
 
 
 def test_build_covariance_caps_dimension_before_allocating():
     # the child's address space is capped at 1 GiB, so an m x m build begun
-    # before the cap is checked dies with a MemoryError (298 GiB at m = 200000)
+    # before the cap is checked dies with a MemoryError (298 GiB at m = 200000);
+    # the cap is Scenario's, and build_covariance takes only a Scenario
     pytest.importorskip("resource")  # RLIMIT_AS is POSIX-only
     code = ("import resource\n"
-            "from sosci import CovarianceModel, build_covariance\n"
+            "from sosci import CovarianceModel, Scenario, build_covariance\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "try:\n"
-            "    build_covariance(CovarianceModel('ar', 200000, 0.5), 1)\n"
+            "    build_covariance(Scenario(m=200000, covariance=CovarianceModel('ar', 0.5),\n"
+            "                              reps=1, seed=1))\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "dimension must be at most 4096, got 200000\n"
+    assert proc.stdout == "m must be at most 4096, got 200000\n"
 
 
 def test_build_covariance_block():
-    sigma = build_covariance(CovarianceModel("block", 4, 0.5, block_size=2), 0)
+    sigma = covariance(4, CovarianceModel("block", 0.5, block_size=2))
     expected = np.array([
         [1.0, 0.5, 0.0, 0.0],
         [0.5, 1.0, 0.0, 0.0],
@@ -163,15 +170,14 @@ def test_build_covariance_block():
         [0.0, 0.0, 0.5, 1.0],
     ])
     assert np.array_equal(sigma, expected)
-    assert np.array_equal(
-        build_covariance(CovarianceModel("block", 4, 0.0, block_size=2), 0),
-        np.eye(4))
+    assert np.array_equal(covariance(4, CovarianceModel("block", 0.0, block_size=2)), np.eye(4))
 
 
 def test_scenario_validation():
-    cov = CovarianceModel("ar", 10, 0.3)
-    with pytest.raises(ValueError):
-        Scenario(m=5, covariance=cov, reps=100, seed=1)  # dimension mismatch
+    cov = CovarianceModel("ar", 0.3)
+    with pytest.raises(ValueError, match="m must be a multiple of block_size, got m=15, "
+                                         "block_size=10"):
+        Scenario(m=15, covariance=CovarianceModel("block", 0.5), reps=100, seed=1)
     with pytest.raises(ValueError):
         Scenario(m=10, covariance=cov, reps=0, seed=1)
     with pytest.raises(ValueError):
@@ -185,7 +191,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(m=10, covariance=cov, reps=100, seed=1, panel="all_t")
     with pytest.raises(ValueError):
-        Scenario(m=9, covariance=CovarianceModel("ar", 9, 0.3), reps=100,
+        Scenario(m=9, covariance=CovarianceModel("ar", 0.3), reps=100,
                  seed=1, panel="half_normal_half_t5")
 
 
@@ -262,7 +268,7 @@ def test_run_coverage_sidak_iid_calibration():
 
 
 def test_run_coverage_sos_bound_under_dependence():
-    cov = CovarianceModel("ar", 30, 0.8)
+    cov = CovarianceModel("ar", 0.8)
     scn = Scenario(m=30, covariance=cov, reps=20000, seed=66, eta=5.0)
     report = run_coverage(scn, k=5, method="sos_symmetric")
     assert report.sos_rate <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / scn.reps)
@@ -300,37 +306,37 @@ def test_run_coverage_caps_n_jobs_before_the_covariance(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("covariance built before n_jobs was checked")
 
-    monkeypatch.setattr(mc, "_covariance_and_factor", build)
+    monkeypatch.setattr(mc, "build_covariance", build)
     with pytest.raises(ValueError, match="n_jobs must be at most 64, got 65"):
         run_coverage(iid_scenario(m=6, reps=100, seed=1), k=1, method="sidak", n_jobs=65)
 
 
 @pytest.mark.parametrize("panel, factorizations", [("all_normal", 1),
-                                                   ("half_normal_half_t5", 3)])
+                                                   ("half_normal_half_t5", 2)])
 def test_run_coverage_factors_the_all_normal_covariance_once(monkeypatch, panel, factorizations):
-    # the all-normal panel draws with the factor that checked the covariance;
-    # the mixed panel factors each half as well
+    # each panel factors exactly the matrices it draws from: the whole
+    # covariance for the all-normal panel, each half's alone for the mixed one
     calls = []
 
     def counted(sigma):
         calls.append(sigma.shape)
         return cholesky(sigma)
 
-    scn = Scenario(m=6, covariance=CovarianceModel("ar", 6, 0.5), reps=500, seed=3, panel=panel)
+    scn = Scenario(m=6, covariance=CovarianceModel("ar", 0.5), reps=500, seed=3, panel=panel)
     expected = run_coverage(scn, k=2, method="sidak")
     monkeypatch.setattr(mc, "cholesky", counted)
     assert run_coverage(scn, k=2, method="sidak") == expected
-    assert len(calls) == factorizations
+    assert calls == [(6 // factorizations,) * 2] * factorizations
 
 
 def test_run_coverage_abs_max_requirements():
     with pytest.raises(ValueError):
         run_coverage(iid_scenario(m=3, reps=100, seed=1), k=1, method="abs_max")
-    corr = Scenario(m=2, covariance=CovarianceModel("ar", 2, 0.5), reps=100,
+    corr = Scenario(m=2, covariance=CovarianceModel("ar", 0.5), reps=100,
                     seed=1, theta=(0.0, 0.0))
     with pytest.raises(ValueError):
         run_coverage(corr, k=1, method="abs_max")
-    mixed = Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+    mixed = Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
                      reps=100, seed=1, panel="half_normal_half_t5")
     with pytest.raises(ValueError):
         run_coverage(mixed, k=1, method="abs_max")
@@ -342,15 +348,15 @@ def test_run_coverage_abs_max_requirements():
 _LIST_CASES = {
     # name: (scenario, k, methods)
     "all_normal": (
-        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.5), reps=9000,
+        Scenario(m=20, covariance=CovarianceModel("ar", 0.5), reps=9000,
                  seed=111, eta=5.0),
         3, ["sos_symmetric", "sos_shortest", "sidak", "fcw_shortest", "unadjusted"]),
     "mixed_panel": (
-        Scenario(m=20, covariance=CovarianceModel("block", 20, 0.5, block_size=10),
+        Scenario(m=20, covariance=CovarianceModel("block", 0.5, block_size=10),
                  reps=9000, seed=112, eta=5.0, panel="half_normal_half_t5"),
         4, ["sos_symmetric", "bonferroni", "sos_shortest", "fcr_selection_aware"]),
     "abs_max_and_unadjusted": (
-        Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+        Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
                  reps=9000, seed=113, theta=(0.5, -1.0)),
         1, ["abs_max", "unadjusted"]),
 }
@@ -412,20 +418,20 @@ _TIED_CASES = {
     # name: (scenario, k, methods); integer theta and integer noise fill the
     # blocks with ties, and 4596 reps make a full block and a remainder
     "time_decay_scales": (
-        Scenario(m=8, covariance=CovarianceModel("time_decay", 8), reps=4596, seed=21,
+        Scenario(m=8, covariance=CovarianceModel("time_decay"), reps=4596, seed=21,
                  theta=(0.0, 1.0, 1.0, -1.0, 2.0, 0.0, 0.0, 1.0)),
         3, ["bonferroni", "sos_symmetric", "sos_shortest", "fcw_symmetric"]),
     "mixed_panel": (
-        Scenario(m=8, covariance=CovarianceModel("ar", 8, 0.3), reps=4596, seed=22,
+        Scenario(m=8, covariance=CovarianceModel("ar", 0.3), reps=4596, seed=22,
                  theta=(1.0, 0.0, 0.0, 2.0, 1.0, 1.0, -1.0, 0.0),
                  panel="half_normal_half_t5"),
         2, ["sos_shortest", "unadjusted"]),
     "every_coordinate": (
-        Scenario(m=4, covariance=CovarianceModel("ar", 4, 0.0), reps=4596, seed=23,
+        Scenario(m=4, covariance=CovarianceModel("ar", 0.0), reps=4596, seed=23,
                  theta=(0.0, 1.0, 0.0, -1.0)),
         4, ["sidak"]),
     "abs_max_and_unadjusted": (
-        Scenario(m=2, covariance=CovarianceModel("ar", 2, 0.0), reps=4596, seed=24,
+        Scenario(m=2, covariance=CovarianceModel("ar", 0.0), reps=4596, seed=24,
                  theta=(1.0, -1.0)),
         1, ["abs_max", "unadjusted"]),
 }
@@ -449,7 +455,7 @@ def test_run_coverage_counts_match_a_per_replicate_reference(monkeypatch, name):
             for parts in zip(*drawn[b:b + halves])]
     assert len(rows) == scenario.reps
 
-    scales = np.sqrt(np.diag(build_covariance(scenario.covariance, scenario.seed))).tolist()
+    scales = np.sqrt(np.diag(build_covariance(scenario))).tolist()
     for report, method in zip(reports, methods):
         if method == "abs_max":
             c_lo = c_up = [s * c_plus(abs(t) / s, alpha) for s, t in zip(scales, theta)]
@@ -477,7 +483,7 @@ def test_run_coverage_counts_match_a_per_replicate_reference(monkeypatch, name):
 
 
 def test_run_coverage_mixed_panel_runs_and_replays():
-    cov = CovarianceModel("block", 20, 0.5, block_size=10)
+    cov = CovarianceModel("block", 0.5, block_size=10)
     scn = Scenario(m=20, covariance=cov, reps=5000, seed=77, eta=2.0,
                    panel="half_normal_half_t5")
     a = run_coverage(scn, k=3, method="sos_symmetric")
@@ -489,7 +495,7 @@ def test_run_coverage_mixed_panel_runs_and_replays():
 _FROZEN_CASES = {
     # name: (scenario, k, method, alpha, expected to_dict())
     "normal_sos_shortest": (
-        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.5), reps=10000,
+        Scenario(m=20, covariance=CovarianceModel("ar", 0.5), reps=10000,
                  seed=101, eta=20.0),
         3, "sos_shortest", 0.05,
         {"method": "sos_shortest", "k": 3, "alpha": 0.05, "reps": 10000, "seed": 101,
@@ -498,7 +504,7 @@ _FROZEN_CASES = {
          "lower_miss_rate": 0.0057, "upper_miss_rate": 0.0133,
          "se": 0.0013652472303579304}),
     "mixed_sos_shortest": (
-        Scenario(m=20, covariance=CovarianceModel("block", 20, 0.5, block_size=10),
+        Scenario(m=20, covariance=CovarianceModel("block", 0.5, block_size=10),
                  reps=10000, seed=102, eta=20.0, panel="half_normal_half_t5"),
         3, "sos_shortest", 0.05,
         {"method": "sos_shortest", "k": 3, "alpha": 0.05, "reps": 10000, "seed": 102,
@@ -507,7 +513,7 @@ _FROZEN_CASES = {
          "lower_miss_rate": 0.0067, "upper_miss_rate": 0.0115,
          "se": 0.0013258804621835258}),
     "fcw_symmetric": (
-        Scenario(m=20, covariance=CovarianceModel("ar", 20, 0.3), reps=10000,
+        Scenario(m=20, covariance=CovarianceModel("ar", 0.3), reps=10000,
                  seed=103, eta=20.0),
         4, "fcw_symmetric", 0.05,
         {"method": "fcw_symmetric", "k": 4, "alpha": 0.05, "reps": 10000, "seed": 103,
@@ -516,7 +522,7 @@ _FROZEN_CASES = {
          "lower_miss_rate": 0.0115, "upper_miss_rate": 0.0077,
          "se": 0.0013722740251130602}),
     "abs_max": (
-        Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+        Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
                  reps=10000, seed=104, theta=(0.5, -1.0)),
         1, "abs_max", 0.1,
         {"method": "abs_max", "k": 1, "alpha": 0.1, "reps": 10000, "seed": 104,
@@ -537,10 +543,10 @@ def test_run_coverage_frozen_counts(name):
 
 def test_mixed_panel_marginals():
     # first half: standard normal; second half: t5 (unit block covariance)
-    cov = CovarianceModel("block", 10, 0.0, block_size=1)
+    cov = CovarianceModel("block", 0.0, block_size=1)
     scn = Scenario(m=10, covariance=cov, reps=30000, seed=88,
                    panel="half_normal_half_t5")
-    sigma = build_covariance(cov, scn.seed)
+    sigma = build_covariance(scn)
     half = scn.m // 2
     # the engine's block 0: normal half, then t half, on one generator
     rng = seeded_rng(scn.seed, 3, 0)
@@ -559,7 +565,7 @@ def test_draw_replicates_into_buffers_matches_allocating_call(size):
     # into a column slice of one block from flat normals longer than needed
     # (1808 is the remainder block of 10000 reps)
     half = 6
-    lower = cholesky(build_covariance(CovarianceModel("ar", half, 0.6), seed=0))
+    lower = cholesky(covariance(half, CovarianceModel("ar", 0.6)))
     theta = np.linspace(-1.0, 1.0, half)
     y = np.full((size, 2 * half), np.nan)
     normals = np.full(4096 * 2 * half, np.nan)[:size * half].reshape(size, half)
@@ -608,7 +614,7 @@ def test_run_coverage_reuses_block_memory():
     # fresh interpreter keeps earlier tests' heap from hiding the faults.
     code = ("import resource\n"
             "from sosci import CovarianceModel, Scenario, run_coverage\n"
-            "scn = Scenario(m=100, covariance=CovarianceModel('ar', 100, 0.3), reps=4096,\n"
+            "scn = Scenario(m=100, covariance=CovarianceModel('ar', 0.3), reps=4096,\n"
             "               seed=5, eta=10.0)\n"
             "methods = ['sos_symmetric', 'sos_shortest']\n"
             "for _ in range(2):  # warm the buffers and the allocator's heap\n"
@@ -664,7 +670,7 @@ def test_scenario_from_dict_round_trip():
     }
     scn = scenario_from_dict(cfg)
     assert scn.m == 12
-    assert scn.covariance == CovarianceModel("block", 12, 0.2, block_size=4)
+    assert scn.covariance == CovarianceModel("block", 0.2, block_size=4)
     assert scn.eta == 5.0 and scn.panel == "half_normal_half_t5"
 
 
@@ -673,7 +679,6 @@ def test_scenario_from_dict_fixed_theta():
            "theta": [1, 2]}
     scn = scenario_from_dict(cfg)
     assert scn.theta == (1.0, 2.0)
-    assert scn.covariance.dimension == 2  # defaults to m
 
 
 def test_scenario_from_dict_errors():
@@ -686,6 +691,11 @@ def test_scenario_from_dict_errors():
         scenario_from_dict({**base, "covariance": "ar"})
     with pytest.raises(ValueError):
         scenario_from_dict({**base, "covariance": {"kind": "ar", "row": 0.1}})
+    # m is the scenario's alone, so the covariance object does not restate it
+    with pytest.raises(ValueError, match=re.escape("unknown covariance keys: ['dimension']")):
+        scenario_from_dict({**base, "covariance": {"kind": "ar", "dimension": 4}})
+    with pytest.raises(ValueError, match="m must be a multiple of block_size"):
+        scenario_from_dict({**base, "covariance": {"kind": "block", "block_size": 3}})
     with pytest.raises(ValueError):
         scenario_from_dict([1, 2, 3])
     # integer fields are never truncated or coerced
@@ -693,8 +703,7 @@ def test_scenario_from_dict_errors():
                        ("reps", 5.5), ("seed", "1"), ("seed", False)]:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             scenario_from_dict({**base, key: value})
-    for key, value in [("block_size", 5.5), ("block_size", True), ("dimension", 4.5),
-                       ("dimension", "4")]:
+    for key, value in [("block_size", 5.5), ("block_size", True)]:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             scenario_from_dict({**base, "covariance": {"kind": "block", key: value}})
     # real fields take JSON numbers only, and theta is a list of them
@@ -728,7 +737,7 @@ def test_readme_config_example_loads():
     section = readme.split("### Scenario config file", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     scn = scenario_from_dict(json.loads(example))
-    assert scn.covariance == CovarianceModel("block", 100, 0.5, block_size=10)
+    assert scn.covariance == CovarianceModel("block", 0.5, block_size=10)
     assert (scn.m, scn.reps, scn.seed, scn.eta, scn.theta) == (100, 50000, 1, 10.0, None)
 
 
@@ -756,7 +765,7 @@ def test_load_scenario_takes_only_a_path():
 def test_abs_max_offsets_are_c_plus_at_each_coordinate():
     # one batch solves both coordinates, each as c_plus solves it alone
     for s, theta in ((1.0, (0.0, 1.3)), (2.0, (-2.5, 40.0)), (0.5, (150.0, -0.2))):
-        scn = Scenario(m=2, covariance=CovarianceModel("block", 2, 0.0, block_size=1),
+        scn = Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
                        reps=10, seed=1)
         sigma = s * s * np.eye(2)
         offsets = mc._abs_max_offsets(scn, sigma, np.array(theta), 1, 0.05)
@@ -769,7 +778,7 @@ _SCENARIO_INTEGERS = {"m": 2, "reps": 10, "seed": 1}
 @pytest.mark.parametrize("bad", [1.5, 10.5, True])
 @pytest.mark.parametrize("field", sorted(_SCENARIO_INTEGERS))
 def test_scenario_integer_fields(field, bad):
-    fields = {"covariance": CovarianceModel("ar", 2, 0.0), **_SCENARIO_INTEGERS}
+    fields = {"covariance": CovarianceModel("ar", 0.0), **_SCENARIO_INTEGERS}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         Scenario(**{**fields, field: bad})
     numpy_value = np.int64(_SCENARIO_INTEGERS[field])
