@@ -72,22 +72,19 @@ _GL_W = np.array([
     0.04427293475900388, 0.03290142778230522, 0.02113211259277212,
     0.009124282593092585,
 ])
-_SIGNS = np.array([1.0, -1.0])
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the sign axis of the rule's (i, sign, element, t)
 # the quintic reading of a curve's table: for 6 evenly spaced knots at
-# v = -2.5, ..., 2.5 in units of the step, _QUINTIC[k, j, 0] is the
-# coefficient of v^j in the quintic that is 1 at knot k and 0 at the
-# others, and _QUINTIC[k, j, 1] that in its slope in v.  Written as
+# v = -2.5, ..., 2.5 in units of the step, _QUINTIC[k, j] is the coefficient
+# of v^j in the quintic that is 1 at knot k and 0 at the others.  Written as
 # fractions because numpy.linalg would load LAPACK at import
-_QUINTIC = np.zeros((6, 6, 2))
-_QUINTIC[:, :, 0] = [
+_QUINTIC = np.array([
     [3 / 256, -3 / 640, -5 / 96, 1 / 48, 1 / 48, -1 / 120],
     [-25 / 256, 25 / 384, 13 / 32, -13 / 48, -1 / 16, 1 / 24],
     [75 / 128, -75 / 64, -17 / 48, 17 / 24, 1 / 24, -1 / 12],
     [75 / 128, 75 / 64, -17 / 48, -17 / 24, 1 / 24, 1 / 12],
     [-25 / 256, -25 / 384, 13 / 32, 13 / 48, -1 / 16, -1 / 24],
     [3 / 256, 3 / 640, -5 / 96, -1 / 48, 1 / 48, 1 / 120],
-]
-_QUINTIC[:, :5, 1] = _QUINTIC[:, 1:, 0] * np.arange(1.0, 6.0)
+])
 _C_UNDERFLOW = 40.0  # phi(40) ~ 1e-348 underflows: no miss beyond c = 40
 _A_MAX = 8.0  # a tabulated curve's default extent
 # a mean this far out is as good as infinitely far: c_plus has the same bits
@@ -118,12 +115,15 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
 
-def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: bool):
-    # For each element, the miss term
+def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
+               mean_slopes: bool) -> np.ndarray:
+    # For each element, 1 - b_region_probability at means (mu_0, mu_1), and
+    # its slopes in mu_0 (when `mean_slopes` is set, else 0) and in c, as
+    # the rows of a (3, n) array.  The two coordinates' selection events
+    # split the sample space, so the miss is the sum over i (j the other
+    # coordinate) of the term
     #   Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| }
-    # for independent standard normal errors, and its slopes in c and, when
-    # `mean_slopes` is set, in mu_i and mu_j (else those two are None).
-    # Conditioning on Y_i = mu_i + t,
+    # for independent standard normal errors.  Conditioning on Y_i = mu_i + t,
     #   term = integral_{|t| > c} phi(t) h(t) dt,
     #   h(t) = Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j).
     # The term is even in mu_i (t -> -t), so it is taken at |mu_i|, whose
@@ -135,74 +135,96 @@ def _tail_rule(mu_i: np.ndarray, mu_j: np.ndarray, c: np.ndarray, mean_slopes: b
     # smooth on each panel, so a fixed Gauss-Legendre rule is exact to
     # rounding.  The c slope is the integrand at the two tail edges,
     # -phi(c) [h(c) + h(-c)], and needs no quadrature.
+    # mu_1 = None stands for mu_1 = 0 with c >= 0, as in every Newton solve
+    # (its c stays near c_plus).  Coordinate 1's h is then even in t, and so
+    # are its nodes: the rule's nodes are antisymmetric and its weights
+    # symmetric, and rounding is sign-symmetric, so its lower panel holds
+    # the upper one's nodes negated and reversed, and its kink panel
+    # [-c, -c] has weight 0.  ndtr runs on its upper panel and two edges
+    # alone (30 of 86 points); the lower panel's values are copied in
+    # mirrored and the kink panel's are 0, so each element keeps every bit
+    # it has with mu_1 = 0 passed in.
     from scipy import special  # imported here: only the abs-max rule needs ndtr
 
-    n, nodes = len(mu_i), 3 * len(_GL_X)
-    sign_i, mu_i = np.sign(mu_i), np.abs(mu_i)
+    n, q = len(mu_0), len(_GL_X)
+    nodes = 3 * q
+    general = 1 if mu_1 is None else 2  # coordinates that take the full rule
+    # each array runs over (coordinate i, element, ...); c's quantities are
+    # shared by both coordinates
+    means = np.zeros((2, n))
+    means[0] = mu_0
+    if mu_1 is not None:
+        means[1] = mu_1
+    mu_i, mu_j = np.abs(means), means[::-1]
     c = np.minimum(c, _C_UNDERFLOW)
-    far = c + 80.0 / (np.sqrt(c * c + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
-    left = np.minimum(np.maximum(-mu_i, -far), -c)
-    bounds = np.empty((n, 6))  # (lo, hi) of each panel
-    bounds[:, 0], bounds[:, 1], bounds[:, 2] = -far, left, left
-    bounds[:, 3], bounds[:, 4], bounds[:, 5] = -c, c, far
-    lo, hi = bounds[:, 0::2], bounds[:, 1::2]
+    c_2 = c * c
+    far = c + 80.0 / (np.sqrt(c_2 + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
+    # (lo, hi) of each panel: (-far, left), (left, -c), (c, far), where
+    # left = min(max(-mu_i, -far), -c) is the kink held within the tail
+    bounds = np.empty((2, n, 6))
+    np.negative(far, out=bounds[..., 0])
+    np.negative(c, out=bounds[..., 3])
+    np.minimum(np.maximum(-mu_i, bounds[..., 0]), bounds[..., 3], out=bounds[..., 1])
+    bounds[..., 2], bounds[..., 4], bounds[..., 5] = bounds[..., 1], c, far
+    lo, hi = bounds[..., 0::2], bounds[..., 1::2]
     half = 0.5 * (hi - lo)[..., None]
-    # each element's t: its 3 panels of nodes, then the tail edges c and -c
-    t = np.empty((n, nodes + 2))
-    panels = t[:, :nodes].reshape(n, 3, -1)  # a view: splitting an axis never copies
-    np.multiply(half, _GL_X, out=panels)
+    panels = half * _GL_X  # the nodes, each panel's q in a row
     panels += 0.5 * (hi + lo)[..., None]
-    t[:, nodes], t[:, nodes + 1] = c, -c
     weight = -0.5 * panels
     weight *= panels
     np.exp(weight, out=weight)
     weight *= half * _GL_W
-    t += mu_i[:, None]
-    # Phi(+/-|t + mu_i| - mu_j) at every node and edge, in one ndtr call
-    z = np.abs(t)[:, None, :] * _SIGNS[:, None]
-    z -= mu_j[:, None, None]
-    cdf = special.ndtr(z)
+    # each t + mu_i: its 3 panels of nodes, then the tail edges c and -c
+    t = np.empty((2, n, nodes + 2))
+    np.add(panels.reshape(2, n, nodes), mu_i[..., None], out=t[..., :nodes])
+    np.add(bounds[..., 4:2:-1], mu_i[..., None], out=t[..., nodes:])
+    # Phi(+/-|t + mu_i| - mu_j) at every node and edge, over (coordinate,
+    # sign, element, node)
+    z = np.abs(t)[:, None] * _SIGNS
+    z -= mu_j[:, None, :, None]
+    cdf = np.zeros(z.shape)
+    special.ndtr(z[:general], out=cdf[:general])
+    upper = cdf[general:, ..., 2 * q:]
+    special.ndtr(z[general:, ..., 2 * q:], out=upper)
+    cdf[general:, ..., :q] = upper[..., q - 1::-1]
     h = cdf[:, 0] - cdf[:, 1]
-    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c * c) * (h[:, nodes] + h[:, nodes + 1])
+    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c_2) * (h[..., nodes] + h[..., nodes + 1])
     if mean_slopes:
         # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j)
-        near = z[:, :, :nodes] ** 2
+        near = z ** 2
         near *= -0.5
-        near, away = np.exp(near, out=near).transpose(1, 0, 2)
-        rows = np.empty((n, 3, nodes))
-        rows[:, 0] = h[:, :nodes]
-        np.multiply(np.sign(t[:, :nodes]), near + away, out=rows[:, 1])
-        np.subtract(away, near, out=rows[:, 2])
-        rows *= weight.reshape(n, 1, nodes)
+        np.exp(near, out=near)
+        near, away = near[:, 0, :, :nodes], near[:, 1, :, :nodes]
+        # each coordinate's integrand, then its slope in the mean the miss
+        # moves with: coordinate 0's in its mu_i, coordinate 1's in its mu_j
+        rows = np.empty((2, n, 2, nodes))
+        rows[..., 0, :] = h[..., :nodes]
+        np.multiply(np.sign(t[0])[:, :nodes], near[0] + away[0], out=rows[0, :, 1])
+        np.subtract(away[1], near[1], out=rows[1, :, 1])
+        rows *= weight.reshape(2, n, 1, nodes)
     else:
-        rows = weight.reshape(n, 1, nodes) * h[:, None, :nodes]
+        rows = weight.reshape(2, n, 1, nodes) * h[..., None, :nodes]
     # one pairwise sum per element and integral over its contiguous nodes,
     # so an element's value does not depend on the batch it is evaluated in
-    integral = _INV_SQRT_2PI * np.sum(rows, axis=-1)
-    if not mean_slopes:
-        return integral[:, 0], None, None, d_c
-    return (integral[:, 0], sign_i * _INV_SQRT_2PI * integral[:, 1],
-            _INV_SQRT_2PI * integral[:, 2], d_c)
+    integral = _INV_SQRT_2PI * np.add.reduce(rows, axis=-1)
+    out = np.zeros((3, n))
+    np.add(integral[0, :, 0], integral[1, :, 0], out=out[0])
+    np.add(d_c[0], d_c[1], out=out[2])
+    if mean_slopes:
+        np.add(np.sign(mu_0) * _INV_SQRT_2PI * integral[0, :, 1],
+               _INV_SQRT_2PI * integral[1, :, 1], out=out[1])
+    return out
 
 
-def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
-                      mean_slope: bool = True):
-    # 1 - b_region_probability at means (mu_0, mu_1), with its slopes in c
-    # and, when `mean_slope` is set, in mu_0 (else that row is 0): the two
-    # coordinates' selection events split the sample space, so their
-    # conditional integrals over all t sum to 1.  Elements go through the
-    # rule _CHUNK at a time, which bounds its temporaries.
-    out = np.zeros((3, len(mu_0)))
+def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
+                      mean_slope: bool = True) -> np.ndarray:
+    # _tail_rule over any number of elements, _CHUNK at a time, which bounds
+    # its temporaries
+    out = np.empty((3, len(mu_0)))
     for lo in range(0, len(mu_0), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        n = len(mu_0[part])
-        term, d_mu_i, d_mu_j, d_c = _tail_rule(np.concatenate([mu_0[part], mu_1[part]]),
-                                               np.concatenate([mu_1[part], mu_0[part]]),
-                                               np.concatenate([c[part], c[part]]), mean_slope)
-        out[0, part] = term[:n] + term[n:]
-        out[2, part] = d_c[:n] + d_c[n:]
-        if mean_slope:
-            out[1, part] = d_mu_i[:n] + d_mu_j[n:]
+        out[:, part] = _tail_rule(mu_0[part], None if mu_1 is None else mu_1[part], c[part],
+                                  mean_slope)
     return out
 
 
@@ -244,33 +266,33 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     # where a is near c_plus(a) the reading is off by up to 2e-6, and a
     # second step is needed.
     # An element is frozen once its step is below _STEP_TOL, so each result
-    # is the one a batch of that element alone would give.
+    # is the one a batch of that element alone would give; the arrays a, c,
+    # slope and w hold the elements still moving, and `todo` their places.
     # With every slope 0 (calibration), g is 0 from the start and stays 0,
     # and f_a enters the step only through g and slope: its quadrature is
     # skipped, and the 0 that stands in for it leaves every step's bits as
     # they would be with it.
-    a, c = a.copy(), c.copy()
     log_alpha = math.log(alpha)
-    mean_slope = bool(np.any(slope))
+    mean_slope = bool(slope.any())
     todo = np.arange(len(a))
+    out_a, out_c = np.empty(len(a)), np.empty(len(a))
     for _ in range(_MAX_STEPS):
-        at, ct, st = a[todo], c[todo], slope[todo]
-        inside = np.abs(at) < _A_FLAT
-        miss, miss_a, miss_c = _miss_probability(
-            np.where(inside, np.abs(at), _A_FLAT), np.zeros(len(todo)), ct, mean_slope)
+        size = np.abs(a)
+        miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), None, c, mean_slope)
         f = np.log(miss) - log_alpha
-        g = at + st * ct - w[todo]
-        f_a = np.where(inside, np.sign(at) * miss_a / miss, 0.0)
+        g = a + slope * c - w
+        f_a = np.sign(a) * (size < _A_FLAT) * miss_a / miss  # 0 where miss is flat in a
         f_c = miss_c / miss
-        det = st * f_a - f_c
-        step_a = (f_c * g - st * f) / det
+        det = slope * f_a - f_c
+        step_a = (f_c * g - slope * f) / det
         step_c = (f - f_a * g) / det
-        a[todo] = at + step_a
-        c[todo] = ct + step_c
+        a, c = a + step_a, c + step_c
+        out_a[todo], out_c[todo] = a, c
         # a NaN step never counts as converged
-        todo = todo[~(np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL)]
-        if not len(todo):
-            return a, c
+        moving = ~(np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL)
+        if not moving.any():
+            return out_a, out_c
+        todo, a, c, slope, w = todo[moving], a[moving], c[moving], slope[moving], w[moving]
     raise OptimizationError(
         f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
 
@@ -317,6 +339,9 @@ class CPlusCurve:
     passed in, and both arrays are read-only: `cplus_curve` hands one cached
     curve to every caller, and `abs_max_interval` starts its endpoint solves
     on it, so a_max and step move where a solve starts, never an endpoint.
+    Construction also forms, once, what every such start reads: the lines
+    grid_a + grid_c and grid_a - grid_c, and the quintic coefficients of
+    each run of 6 knots.
     """
 
     alpha: float
@@ -324,15 +349,31 @@ class CPlusCurve:
     step: float = 0.01
     grid_a: np.ndarray = field(init=False)
     grid_c: np.ndarray = field(init=False)
+    # the start tables (see _curve_start), read-only like the grids
+    _plus: np.ndarray = field(init=False, repr=False)
+    _minus: np.ndarray = field(init=False, repr=False)
+    _quintic: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _check_grid(self.alpha, self.a_max, self.step)
         grid_a = np.linspace(0.0, n * self.step, n + 1)
         grid_c = _calibrate(grid_a, self.alpha)
-        grid_a.flags.writeable = grid_c.flags.writeable = False
+        # row s holds the power coefficients in v of the quintic through
+        # knots |s - 2|, ..., |s + 3| (knots mirrored across 0, so it is even
+        # there), v = 0 midway between knots s and s + 1; einsum, not
+        # matmul: a BLAS call would grow the process by its buffers
+        quintic = np.empty((0, 6))
+        if n >= 5:
+            mirrored = np.concatenate([grid_c[2:0:-1], grid_c])
+            quintic = np.einsum("sk,kj->sj", np.lib.stride_tricks.sliding_window_view(
+                mirrored, 6), _QUINTIC)
+        derived = (("a_max", float(grid_a[-1])), ("step", float(self.step)),
+                   ("grid_a", grid_a), ("grid_c", grid_c), ("_plus", grid_a + grid_c),
+                   ("_minus", grid_a - grid_c), ("_quintic", quintic))
         # frozen: each derived field is set once, here
-        for name, value in (("a_max", float(grid_a[-1])), ("step", float(self.step)),
-                            ("grid_a", grid_a), ("grid_c", grid_c)):
+        for name, value in derived:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -358,41 +399,41 @@ def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
     #   b + sigma c(b) = r:  the lower one, a = b >= 0 when w >= c(0), as
     #   (sigma, r) = (1, w), else a = -b as (-1, -w); the upper one as (-1, w).
     # b + c(b) and b - c(b) are increasing (c's slope lies in (-1, 0]), so
-    # np.interp inverts the table's linear reading exactly, with c held at
-    # its last knot past a_max.  Where 6 knots fit around that root, Newton
-    # steps on their quintic p then move it to within about 1e-14 of the
-    # root on exact c_plus, except where a is near c_plus(a) (a in 2.03 to
-    # 2.18 at alpha = 0.05): there the rule's kink panel opens, c_plus is
-    # less smooth, and p can be off by up to 2e-6.  Knots mirrored across 0
-    # make p even there.  Past a_max, or on a curve of under 6 knots, the
-    # linear root is the start.
-    grid_a, grid_c, step = curve.grid_a, curve.grid_c, curve.step
-    last, c_end = len(grid_a) - 1, float(grid_c[-1])
-    sign = 1.0 if w >= grid_c[0] else -1.0
-    sigma, r = np.array([sign, -1.0]), np.array([sign * w, w])
-    b = np.array([np.interp(sign * w, grid_a + sign * grid_c, grid_a, right=sign * (w - c_end)),
-                  np.interp(w, grid_a - grid_c, grid_a, right=w + c_end)])
-    if last >= 5:
-        # the stencil's knots j0, ..., j0 + 5 and v = b / step - (j0 + 2.5);
-        # g holds the power coefficients in v of b + sigma p(b) - r, and of
-        # its slope in v
-        x = np.minimum(b, curve.a_max) / step
-        j0 = np.minimum(np.floor(x) - 2.0, last - 5.0)
-        knots = np.abs(j0[:, None] + np.arange(6.0)).astype(int)
-        # einsum, not matmul: a BLAS call would grow the process by its buffers
-        g = sigma[:, None, None] * np.einsum("ik,kjl->ijl", grid_c[knots], _QUINTIC)
-        center = j0 + 2.5
-        g[:, 0, 0] += step * center - r
-        g[:, 0, 1] += step
-        g[:, 1, 0] += step
-        v = x - center
-        for _ in range(_START_STEPS):
-            f, f_v = np.einsum("ij,ijl->li", v[:, None] ** np.arange(6.0), g)
-            v -= f / f_v
-        b = np.where(b <= curve.a_max, step * (v + center), b)
-    # c is held within the table's range: beside a huge step, b loses its
-    # low bits to v and the quintic's c can leave it
-    return np.clip(sigma * (r - b), c_end, grid_c[0])
+    # np.interp on the curve's line b + sigma c(b) inverts the table's linear
+    # reading exactly, with c held at its last knot past a_max.  Where 6
+    # knots fit around that root, Newton steps on their quintic p (the
+    # curve's row of coefficients, read by Horner's rule) then move it to
+    # within about 1e-14 of the root on exact c_plus, except where a is near
+    # c_plus(a) (a in 2.03 to 2.18 at alpha = 0.05): there the rule's kink
+    # panel opens, c_plus is less smooth, and p can be off by up to 2e-6.
+    # Past a_max, or on a curve of under 6 knots, the linear root is the
+    # start.
+    c_0, c_end = float(curve.grid_c[0]), float(curve.grid_c[-1])
+    step, stencils = curve.step, curve._quintic
+    sign = 1.0 if w >= c_0 else -1.0
+    start = np.empty(2)
+    for i, (sigma, r) in enumerate(((sign, sign * w), (-1.0, w))):
+        line = curve._plus if sigma > 0.0 else curve._minus
+        b = float(np.interp(r, line, curve.grid_a, right=r - sigma * c_end))
+        if b <= curve.a_max and len(stencils):
+            # the row's knots j0, ..., j0 + 5 and v = b / step - (j0 + 2.5);
+            # q holds the coefficients in v of b + sigma p(b) - r
+            x = b / step
+            j0 = min(math.floor(x) - 2, len(stencils) - 3)
+            center = j0 + 2.5
+            q0, q1, q2, q3, q4, q5 = (sigma * stencils[j0 + 2]).tolist()
+            q0 += step * center - r
+            q1 += step
+            v = x - center
+            for _ in range(_START_STEPS):
+                f = q0 + v * (q1 + v * (q2 + v * (q3 + v * (q4 + v * q5))))
+                f_v = q1 + v * (2.0 * q2 + v * (3.0 * q3 + v * (4.0 * q4 + v * 5.0 * q5)))
+                v -= f / f_v
+            b = step * (v + center)
+        # c is held within the table's range: beside a huge step, b loses its
+        # low bits to v and the quintic's c can leave it
+        start[i] = min(max(sigma * (r - b), c_end), c_0)
+    return start
 
 
 def _invert_endpoints(w: float, alpha: float,
@@ -409,8 +450,8 @@ def _invert_endpoints(w: float, alpha: float,
     # curve sets where the solve starts and nothing else.
     slope = np.array([1.0, -1.0])
     c = np.full(2, sidak_halfwidth(2, alpha)) if curve is None else _curve_start(curve, w)
-    a, _ = _newton(w - slope * c, c, slope, np.array([w, w]), alpha)
-    return float(a[0]), float(a[1])
+    lo, hi = _newton(w - slope * c, c, slope, np.array([w, w]), alpha)[0].tolist()
+    return lo, hi
 
 
 def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> ConfidenceInterval:

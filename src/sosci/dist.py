@@ -108,6 +108,14 @@ _MAX_DIM = 4096
 _MAX_JOBS = 64  # the most worker threads a coverage run may start
 
 
+def _int_text(number: int) -> str:
+    # an int past the float range is named by its size: str() refuses one of
+    # more than 4300 digits, and a message needs no more than its size
+    if abs(number) > sys.float_info.max:
+        return f"an integer of {number.bit_length()} bits"
+    return str(number)
+
+
 def _check_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
     """`value` as an int in [`least`, `most`] (either bound may be None);
     bools and fractions raise ValueError."""
@@ -118,9 +126,9 @@ def _check_int(value, name: str, least: int | None = None, most: int | None = No
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and number < least:
-        raise ValueError(f"{name} must be >= {least}, got {number}")
+        raise ValueError(f"{name} must be >= {least}, got {_int_text(number)}")
     if most is not None and number > most:
-        raise ValueError(f"{name} must be at most {most}, got {number}")
+        raise ValueError(f"{name} must be at most {most}, got {_int_text(number)}")
     return number
 
 
@@ -149,9 +157,13 @@ def _check_real_array(values, name: str) -> np.ndarray:
 
 
 def _check_unit(value, name: str) -> None:
-    # written out, not through _check_real: every t quantile call runs it
+    # written out, not through _check_real: every t quantile call runs it.
+    # A float takes the first test; anything else must be a scalar, since
+    # an array of one element would pass the comparison
+    if isinstance(value, float) and 0.0 < value < 1.0:
+        return
     try:
-        if 0.0 < value < 1.0:
+        if np.ndim(value) == 0 and 0.0 < value < 1.0:
             return
     except (TypeError, ValueError):
         pass
@@ -159,12 +171,10 @@ def _check_unit(value, name: str) -> None:
 
 
 def _check_mk(m: int, k: int) -> None:
-    m, k = _check_int(m, "m"), _check_int(k, "k")
-    if m > sys.float_info.max:  # tail levels divide alpha by m as a float
-        raise ValueError(f"m must be at most {sys.float_info.max!r}, "
-                         f"got an integer of {m.bit_length()} bits")
+    # tail levels divide alpha by m as a float
+    m, k = _check_int(m, "m", most=sys.float_info.max), _check_int(k, "k")
     if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+        raise ValueError(f"need 1 <= k <= m, got k={_int_text(k)}, m={m}")
 
 
 def _check_family(family) -> None:

@@ -146,6 +146,10 @@ def build_covariance(scenario: Scenario) -> np.ndarray:
 
 
 def resolve_theta(scenario: Scenario) -> np.ndarray:
+    """The scenario's parameter vector: its `theta` if given, else m draws
+    from the theta stream of its seed, uniform on [-eta, eta]."""
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"scenario must be a Scenario, got {scenario!r}")
     if scenario.theta is not None:
         return np.asarray(scenario.theta, dtype=float)
     rng = seeded_rng(scenario.seed, _STREAM_THETA)

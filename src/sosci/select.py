@@ -73,7 +73,7 @@ def _check_values(y) -> np.ndarray:
     y = _check_real_array(y, "y")
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a non-empty 1-d array")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("y must be finite")
     return y
 

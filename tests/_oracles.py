@@ -8,8 +8,10 @@ over math.erfc (the package uses a fixed Gauss-Legendre rule over scipy's
 ndtr).  The exact top-k miss rates of independent normal estimators are a
 one-dimensional integral that the package never forms: its coverage engine,
 which they check, samples them and calls no normal CDF.  That integral
-borrows the package's Gauss-Legendre nodes and scipy's ndtr.  Expected
-values frozen into tests were produced by these functions.
+borrows the package's Gauss-Legendre nodes and scipy's ndtr.  The abs-max
+start, `curve_start`, borrows the package's quintic basis but none of a
+curve's precomputed tables: it gathers and contracts each stencil per call.
+Expected values frozen into tests were produced by these functions.
 
 The one exception is `estimate_b_probability`, a Monte-Carlo check of the
 abs-max region probability.  It reuses the package's sampler, abs-max
@@ -23,7 +25,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from sosci.bivariate import _GL_W, _GL_X
+from sosci.bivariate import _GL_W, _GL_X, _QUINTIC
 from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
 from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
 from sosci.select import abs_max_index
@@ -130,6 +132,40 @@ def larger_of_two_miss_quad(g: float, c: float) -> float:
 
     return sum(integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                for lo, hi in ((-math.inf, -c), (c, math.inf)))
+
+
+def curve_start(curve, w: float) -> np.ndarray:
+    """c at the start of the abs-max endpoint solves (lower, upper) for
+    w >= 0, read off a tabulated curve in a vectorized form that shares no
+    table with the package's start: both endpoints at once, each one's 6
+    knots gathered from the curve's grid and contracted with the quintic
+    basis and its slope basis, and two Newton steps in the power basis.
+    Past a_max, or on a curve of under 6 knots, the root of the linear
+    reading is the start."""
+    grid_a, grid_c, step = curve.grid_a, curve.grid_c, curve.step
+    basis = np.zeros((6, 6, 2))
+    basis[:, :, 0] = _QUINTIC
+    basis[:, :5, 1] = _QUINTIC[:, 1:] * np.arange(1.0, 6.0)
+    last, c_end = len(grid_a) - 1, float(grid_c[-1])
+    sign = 1.0 if w >= grid_c[0] else -1.0
+    sigma, r = np.array([sign, -1.0]), np.array([sign * w, w])
+    b = np.array([np.interp(sign * w, grid_a + sign * grid_c, grid_a, right=sign * (w - c_end)),
+                  np.interp(w, grid_a - grid_c, grid_a, right=w + c_end)])
+    if last >= 5:
+        x = np.minimum(b, curve.a_max) / step
+        j0 = np.minimum(np.floor(x) - 2.0, last - 5.0)
+        knots = np.abs(j0[:, None] + np.arange(6.0)).astype(int)
+        g = sigma[:, None, None] * np.einsum("ik,kjl->ijl", grid_c[knots], basis)
+        center = j0 + 2.5
+        g[:, 0, 0] += step * center - r
+        g[:, 0, 1] += step
+        g[:, 1, 0] += step
+        v = x - center
+        for _ in range(2):
+            f, f_v = np.einsum("ij,ijl->li", v[:, None] ** np.arange(6.0), g)
+            v -= f / f_v
+        b = np.where(b <= curve.a_max, step * (v + center), b)
+    return np.clip(sigma * (r - b), c_end, grid_c[0])
 
 
 def estimate_b_probability(mu, c: float, reps: int, seed: int) -> float:

@@ -28,7 +28,12 @@ from sosci import bivariate
 from sosci.mc import Scenario
 from sosci.sos import OptimizationError
 
-from _oracles import b_region_quad, estimate_b_probability, larger_of_two_miss_quad
+from _oracles import (
+    b_region_quad,
+    curve_start,
+    estimate_b_probability,
+    larger_of_two_miss_quad,
+)
 
 Z975 = 1.959963985
 SIDAK2 = 2.236476645  # oracle: bisection solve of (1-(1-0.05)^(1/2))/2 tail
@@ -136,6 +141,21 @@ def test_miss_slopes_bits_are_pinned():
     assert out.shape == (3, 375)
     assert hashlib.sha256(out.tobytes()).hexdigest() == (
         "b0f3f221bcbd897ea69610aa6c4d3a519e7385ac8d24eb7d073e2a221e98b795")
+
+
+@pytest.mark.parametrize("mean_slopes", [False, True])
+def test_mean_zero_rows_keep_the_general_rules_bits(mean_slopes):
+    # mu_1 = None runs coordinate 1's ndtr on its upper panel and edges and
+    # mirrors the rest; every output keeps the bits of mu_1 = 0 passed in,
+    # for c from 0.5 past _C_UNDERFLOW and mu_0 (coordinate 1's mu_j) on
+    # both sides of each node's |t|, over more than one _CHUNK
+    mu_0, c = (np.ravel(v) for v in np.meshgrid(
+        [-4.0, -0.3, 0.0, 0.2, 1.0, 2.1, 2.5, 4.0, 9.0, 30.0, 45.0, 100.0],
+        [0.5, 1.0, 1.96, 2.24, 3.0, 6.0, 20.0, 39.5, 40.0, 41.0, 1e3]))
+    mirrored = bivariate._miss_probability(mu_0, None, c, mean_slopes)
+    general = bivariate._miss_probability(mu_0, np.zeros(len(mu_0)), c, mean_slopes)
+    assert mirrored.shape == (3, 132) and np.all(np.isfinite(mirrored))
+    assert mirrored.tobytes() == general.tobytes()
 
 
 def test_b_region_zero_mean_factorizes():
@@ -598,13 +618,26 @@ def test_curve_start_at_huge_curve_a_max():
 
 def test_quintic_reading_reproduces_every_quintic():
     # the written-out basis at v = -2.5, ..., 2.5: the quintic through the
-    # values of v^j at the knots is v^j, and its slope is j v^(j - 1)
+    # values of v^j at the knots is v^j
     knots = np.arange(6.0) - 2.5
     values = np.vander(knots, 6, increasing=True).T
-    np.testing.assert_allclose(values @ bivariate._QUINTIC[:, :, 0], np.eye(6),
-                               rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(values @ bivariate._QUINTIC[:, :, 1],
-                               np.eye(6, k=-1) * np.arange(6.0)[:, None], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(values @ bivariate._QUINTIC, np.eye(6), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6])
+def test_curve_start_matches_the_vectorized_start(alpha):
+    # the start read from a curve's tables, one endpoint at a time in floats,
+    # against the vectorized oracle that gathers and contracts each stencil
+    # per call: the default curve, a 0.5-step curve to 3 and one of 3 knots
+    # (under 6, so the start is the linear root)
+    curves = (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5),
+              CPlusCurve.build(alpha, a_max=1.0, step=0.5))
+    for curve in curves:
+        for w in np.arange(0.0, 6.0 + 1e-12, 0.01):
+            start = bivariate._curve_start(curve, float(w))
+            assert start.shape == (2,)
+            np.testing.assert_allclose(start, curve_start(curve, float(w)), rtol=0.0,
+                                       atol=1e-14, err_msg=f"a_max={curve.a_max}, w={w}")
 
 
 def test_curve_start_saves_newton_evaluations(monkeypatch):

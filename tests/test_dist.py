@@ -222,6 +222,34 @@ def test_families():
         dist.ShiftFamily(1, dist.std_normal_quantile)
 
 
+def test_unit_check_reads_real_scalars():
+    # a level may be any real scalar, a 0-d array included, but no array of
+    # one element, whose comparison would otherwise pass
+    for p in (0.5, np.float64(0.5), np.float32(0.5), np.array(0.5), 1e-300):
+        dist._check_unit(p, "p")
+    for p in (np.array([0.5]), [0.5], np.array([[0.5]]), 0.0, 1.0, math.nan, True, "0.5"):
+        with pytest.raises(ValueError, match="^p must lie in"):
+            dist._check_unit(p, "p")
+
+
+def test_integers_past_the_str_limit_are_named_by_their_size():
+    # str() refuses an int of more than 4300 digits; the message names the
+    # argument and its bit length instead
+    big = 10**5000
+    assert big.bit_length() == 16610
+    with pytest.raises(ValueError, match="^df must be at most .*, got an integer of 16610 bits$"):
+        dist.student_t_quantile(0.3, big)
+    with pytest.raises(ValueError, match="^reps must be >= 1, got an integer of 16610 bits$"):
+        dist.sample_mvn(np.zeros(2), _I2, -big, 1)
+    with pytest.raises(ValueError, match="^need 1 <= k <= m, got k=an integer of 16610 bits, m=3$"):
+        sosci.select_top_k([1.0, 2.0, 3.0], big)
+    with pytest.raises(ValueError, match="^m must be at most .*, got an integer of 16610 bits$"):
+        sosci.sidak_halfwidth(big, 0.05)
+    # within the float range the value itself is printed
+    with pytest.raises(ValueError, match="^m must be at most 4096, got 200000$"):
+        sosci.Scenario(m=200000, covariance=dist.CovarianceModel("ar"), reps=1, seed=1)
+
+
 def test_t_quantile_at_the_largest_df_is_normal():
     # the df cap is the largest float, where stdtrit gives the normal quantile
     df = int(sys.float_info.max)
@@ -478,6 +506,12 @@ _BAD_ARGUMENTS = {
     "covariance None, Scenario": (
         lambda: sosci.Scenario(m=2, reps=10, seed=1, covariance=None), "covariance"),
     "scenario None, run_coverage": (lambda: sosci.run_coverage(None, 1, "sidak"), "scenario"),
+    "scenario None, resolve_theta": (lambda: sosci.resolve_theta(None), "scenario"),
+    # a level is one number: an array of one element is refused, not read
+    "p array, std_normal_quantile": (lambda: dist.std_normal_quantile(np.array([0.5])), "p"),
+    "alpha array, method_offsets": (
+        lambda: sosci.method_offsets("sidak", 10, 1, np.array([0.05])), "alpha"),
+    "alpha array, c_plus": (lambda: sosci.c_plus(1.0, np.array([0.05])), "alpha"),
     # array arguments holding strings are not parsed
     "y str, select_top_k": (lambda: sosci.select_top_k(["3", "1"], 1), "y"),
     "y str, select_abs_max": (lambda: sosci.select_abs_max(["3", "1"]), "y"),
