@@ -183,7 +183,7 @@ def fcw_constants(m: int, k: int, alpha: float, mode: str = "symmetric") -> tupl
     the mend.
     """
     _check_mk(m, k)
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     if mode not in ("symmetric", "shortest"):
         raise ValueError(f"unknown mode {mode!r}")
     # the coverage rounds Phi(c) near 1 (one unit) and raises it to powers
@@ -231,7 +231,7 @@ def method_tail_levels(method, m: int, k: int, alpha: float,
     """
     method = MethodLabel(method)
     _check_mk(m, k)
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     if method is MethodLabel.UNADJUSTED:
         levels = alpha / 2.0, alpha / 2.0
     elif method is MethodLabel.BONFERRONI:

@@ -94,7 +94,14 @@ _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _START_STEPS = 2  # Newton steps on a curve's quintic reading before an endpoint solve
-_CHUNK = 32  # elements per pass of the quadrature rule
+# elements per pass of the quadrature rule, set by the pass's largest array:
+# a calibration pass's integrand rows, 8 bytes at each of the 2 coordinates'
+# 3 panels of len(_GL_X) nodes per element.  The pass keeps them under
+# glibc's default 128 KB mmap threshold.  An array above it is mapped fresh
+# and unmapped when freed, so every pass would page-fault on each of its
+# pages (the page-fault cliff): at 128 elements a default build took about
+# 5000 minor faults
+_CHUNK = 128 * 1024 // (2 * 3 * len(_GL_X) * 8)
 
 
 def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> ConfidenceInterval:
@@ -115,7 +122,33 @@ def larger_of_two_interval(y, alpha: float, family: ShiftFamily = NORMAL) -> Con
     return ConfidenceInterval(idx, w - c, w + c, "larger_of_two")
 
 
-def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
+def _panels(mu_i: np.ndarray, c: np.ndarray):
+    # The rule's panels for coordinates at |means| mu_i (elements on the last
+    # axis): c held at _C_UNDERFLOW, c^2, each coordinate's panel bounds
+    # (lo, hi) as (-far, left), (left, -c), (c, far), where
+    # left = min(max(-mu_i, -far), -c) is the kink held within the tail, and
+    # each panel's nodes and weights, phi(node) folded into the weights.
+    # The upper panel does not depend on mu_i.
+    c = np.minimum(c, _C_UNDERFLOW)
+    c_2 = c * c
+    far = c + 80.0 / (np.sqrt(c_2 + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
+    bounds = np.empty(mu_i.shape + (6,))
+    np.negative(far, out=bounds[..., 0])
+    np.negative(c, out=bounds[..., 3])
+    np.minimum(np.maximum(-mu_i, bounds[..., 0]), bounds[..., 3], out=bounds[..., 1])
+    bounds[..., 2], bounds[..., 4], bounds[..., 5] = bounds[..., 1], c, far
+    lo, hi = bounds[..., 0::2], bounds[..., 1::2]
+    half = 0.5 * (hi - lo)[..., None]
+    panels = half * _GL_X  # the nodes, each panel's q in a row
+    panels += 0.5 * (hi + lo)[..., None]
+    weight = -0.5 * panels
+    weight *= panels
+    np.exp(weight, out=weight)
+    weight *= half * _GL_W
+    return c, c_2, bounds, panels, weight
+
+
+def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
                mean_slopes: bool) -> np.ndarray:
     # For each element, 1 - b_region_probability at means (mu_0, mu_1), and
     # its slopes in mu_0 (when `mean_slopes` is set, else 0) and in c, as
@@ -134,46 +167,19 @@ def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
     # outside it leaves one panel empty); the integrand and its mu slopes are
     # smooth on each panel, so a fixed Gauss-Legendre rule is exact to
     # rounding.  The c slope is the integrand at the two tail edges,
-    # -phi(c) [h(c) + h(-c)], and needs no quadrature.
-    # mu_1 = None stands for mu_1 = 0 with c >= 0, as in every Newton solve
-    # (its c stays near c_plus).  Coordinate 1's h is then even in t, and so
-    # are its nodes: the rule's nodes are antisymmetric and its weights
-    # symmetric, and rounding is sign-symmetric, so its lower panel holds
-    # the upper one's nodes negated and reversed, and its kink panel
-    # [-c, -c] has weight 0.  ndtr runs on its upper panel and two edges
-    # alone (30 of 86 points); the lower panel's values are copied in
-    # mirrored and the kink panel's are 0, so each element keeps every bit
-    # it has with mu_1 = 0 passed in.
+    # -phi(c) [h(c) + h(-c)], and needs no quadrature.  Every Newton solve
+    # holds mu_1 at 0: there _zero_mean_rule gives these bits with each
+    # distinct value computed once.  z and cdf here take 2752 bytes per
+    # element (2 x 2 x 86 floats) and _zero_mean_rule's largest array, its
+    # integrand rows, 1344, so the elements per pass (_CHUNK) set whether a
+    # pass's arrays stay under the size at which each is mapped afresh.
     from scipy import special  # imported here: only the abs-max rule needs ndtr
 
-    n, q = len(mu_0), len(_GL_X)
-    nodes = 3 * q
-    general = 1 if mu_1 is None else 2  # coordinates that take the full rule
-    # each array runs over (coordinate i, element, ...); c's quantities are
-    # shared by both coordinates
-    means = np.zeros((2, n))
-    means[0] = mu_0
-    if mu_1 is not None:
-        means[1] = mu_1
+    n, nodes = len(mu_0), 3 * len(_GL_X)
+    # each array runs over (coordinate i, element, ...)
+    means = np.stack([mu_0, mu_1])
     mu_i, mu_j = np.abs(means), means[::-1]
-    c = np.minimum(c, _C_UNDERFLOW)
-    c_2 = c * c
-    far = c + 80.0 / (np.sqrt(c_2 + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
-    # (lo, hi) of each panel: (-far, left), (left, -c), (c, far), where
-    # left = min(max(-mu_i, -far), -c) is the kink held within the tail
-    bounds = np.empty((2, n, 6))
-    np.negative(far, out=bounds[..., 0])
-    np.negative(c, out=bounds[..., 3])
-    np.minimum(np.maximum(-mu_i, bounds[..., 0]), bounds[..., 3], out=bounds[..., 1])
-    bounds[..., 2], bounds[..., 4], bounds[..., 5] = bounds[..., 1], c, far
-    lo, hi = bounds[..., 0::2], bounds[..., 1::2]
-    half = 0.5 * (hi - lo)[..., None]
-    panels = half * _GL_X  # the nodes, each panel's q in a row
-    panels += 0.5 * (hi + lo)[..., None]
-    weight = -0.5 * panels
-    weight *= panels
-    np.exp(weight, out=weight)
-    weight *= half * _GL_W
+    c, c_2, bounds, panels, weight = _panels(mu_i, c)
     # each t + mu_i: its 3 panels of nodes, then the tail edges c and -c
     t = np.empty((2, n, nodes + 2))
     np.add(panels.reshape(2, n, nodes), mu_i[..., None], out=t[..., :nodes])
@@ -182,49 +188,139 @@ def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
     # sign, element, node)
     z = np.abs(t)[:, None] * _SIGNS
     z -= mu_j[:, None, :, None]
-    cdf = np.zeros(z.shape)
-    special.ndtr(z[:general], out=cdf[:general])
-    upper = cdf[general:, ..., 2 * q:]
-    special.ndtr(z[general:, ..., 2 * q:], out=upper)
-    cdf[general:, ..., :q] = upper[..., q - 1::-1]
+    cdf = special.ndtr(z)
     h = cdf[:, 0] - cdf[:, 1]
-    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c_2) * (h[..., nodes] + h[..., nodes + 1])
+    rows = np.empty((2, n, 1 + mean_slopes, nodes))
+    rows[..., 0, :] = h[..., :nodes]
     if mean_slopes:
-        # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j)
+        # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j);
+        # each coordinate's slope in the mean the miss moves with:
+        # coordinate 0's in its mu_i, coordinate 1's in its mu_j
         near = z ** 2
         near *= -0.5
         np.exp(near, out=near)
         near, away = near[:, 0, :, :nodes], near[:, 1, :, :nodes]
-        # each coordinate's integrand, then its slope in the mean the miss
-        # moves with: coordinate 0's in its mu_i, coordinate 1's in its mu_j
-        rows = np.empty((2, n, 2, nodes))
-        rows[..., 0, :] = h[..., :nodes]
         np.multiply(np.sign(t[0])[:, :nodes], near[0] + away[0], out=rows[0, :, 1])
         np.subtract(away[1], near[1], out=rows[1, :, 1])
-        rows *= weight.reshape(2, n, 1, nodes)
-    else:
-        rows = weight.reshape(2, n, 1, nodes) * h[..., None, :nodes]
-    # one pairwise sum per element and integral over its contiguous nodes,
-    # so an element's value does not depend on the batch it is evaluated in
-    integral = _INV_SQRT_2PI * np.add.reduce(rows, axis=-1)
-    out = np.zeros((3, n))
-    np.add(integral[0, :, 0], integral[1, :, 0], out=out[0])
-    np.add(d_c[0], d_c[1], out=out[2])
+    rows *= weight.reshape(2, n, 1, nodes)
+    return _sum_rows(rows, h[..., nodes] + h[..., nodes + 1], c_2, mu_0)
+
+
+def _zero_mean_rule(a: np.ndarray, c: np.ndarray, mean_slopes: bool) -> np.ndarray:
+    # _tail_rule at means (a, 0) for a >= 0 and c >= 0, as every Newton solve
+    # calls it, with every bit the same and each distinct value computed
+    # once.  Coordinate 1 (at mean 0) has the upper panel (c, far) that
+    # coordinate 0 has, and its lower panel is that one mirrored: the rule's
+    # nodes are antisymmetric and its weights symmetric, and rounding is
+    # sign-symmetric, so the lower panel holds the upper one's nodes negated
+    # and reversed, with the same weights and integrand.  Its kink panel
+    # [-c, -c] has weight 0 and every node at -c, so its products are its
+    # edge values times 0 (a zero keeps the sign the full rule gives it), and
+    # its edges c and -c give the same h.  On the upper panel its lower-sign
+    # argument -node - a is coordinate 0's -(node + a), to the bit, so
+    # coordinate 1 runs ndtr only on its upper sign's node - a, over the
+    # panel and the edge c.  Coordinate 0's other mean is 0, so its two
+    # arguments are -|t + a| and |t + a|; where |t + a| >= 1, scipy's ndtr
+    # takes its erfc branch and returns exactly 1 - ndtr(-|t + a|), so ndtr
+    # runs there on the lower sign alone.  That leaves 115 ndtr points per
+    # element, plus those within 1 of coordinate 0's kink (137 in all on
+    # average over a default build), of the general rule's 232, and 84
+    # weight exps of its 168.
+    from scipy import special  # imported here: only the abs-max rule needs ndtr
+
+    n, q = len(a), len(_GL_X)
+    nodes = 3 * q
+    c, c_2, bounds, panels, weight = _panels(a, c)
+    # coordinate 0's t + a at its nodes and edges c + a, -c + a
+    t = np.empty((n, nodes + 2))
+    np.add(panels.reshape(n, nodes), a[:, None], out=t[:, :nodes])
+    np.add(bounds[:, 4:2:-1], a[:, None], out=t[:, nodes:])
+    size = np.abs(t)
+    # one ndtr pass: coordinate 0's lower sign, then coordinate 1's upper
+    # sign on its upper panel and at the edge c
+    z = np.empty((n, nodes + 2 + q + 1))
+    np.negative(size, out=z[:, :nodes + 2])
+    np.subtract(panels[:, 2], a[:, None], out=z[:, nodes + 2:-1])
+    np.subtract(c, a, out=z[:, -1])
+    cdf = special.ndtr(z)
+    lower, own = cdf[:, :nodes + 2], cdf[:, nodes + 2:]
+    shared = lower[:, 2 * q:nodes + 1]  # coordinate 1's lower sign: upper panel, edge c
+    h = np.subtract(1.0, lower)  # coordinate 0's upper sign, then its h
+    close = size < 1.0
+    h[close] = special.ndtr(size[close])
+    h -= lower
+    # coordinate 1's integrand (row 0) and mean slope (row 1) on its upper
+    # panel and at the edge c
+    k = 1 + mean_slopes
+    upper = np.empty((n, k, q + 1))
+    np.subtract(own, shared, out=upper[:, 0])
+    rows = np.empty((2, n, k, nodes))
+    rows[0, :, 0] = h[:, :nodes]
     if mean_slopes:
-        np.add(np.sign(mu_0) * _INV_SQRT_2PI * integral[0, :, 1],
-               _INV_SQRT_2PI * integral[1, :, 1], out=out[1])
+        # sqrt(2 pi) phi at each argument: coordinate 0's two signs share it
+        gauss = z ** 2
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
+        at_t = gauss[:, :nodes]
+        np.multiply(np.sign(t[:, :nodes]), at_t + at_t, out=rows[0, :, 1])
+        np.subtract(gauss[:, 2 * q:nodes + 1], gauss[:, nodes + 2:], out=upper[:, 1])
+    rows[0] *= weight.reshape(n, 1, nodes)
+    np.multiply(upper[..., :q], weight[:, None, 2], out=rows[1, ..., 2 * q:])
+    np.multiply(upper[..., q:], 0.0, out=rows[1, ..., q:2 * q])
+    rows[1, ..., :q] = rows[1, ..., nodes - 1:2 * q - 1:-1]
+    edges = np.empty((2, n))
+    np.add(h[:, nodes], h[:, nodes + 1], out=edges[0])
+    np.add(upper[:, 0, q], upper[:, 0, q], out=edges[1])
+    return _sum_rows(rows, edges, c_2, a)
+
+
+def _sum_rows(rows: np.ndarray, edges: np.ndarray, c_2: np.ndarray,
+              mu_0: np.ndarray) -> np.ndarray:
+    # the rule's (3, n) output from each coordinate's weighted integrand rows
+    # (and mean-slope rows, if any) and the integrand's sum over its two
+    # tail edges.  One pairwise sum per element and integral over its
+    # contiguous nodes, so an element's value does not depend on the batch
+    # it is evaluated in
+    n, k = rows.shape[1:3]
+    integral = _INV_SQRT_2PI * np.add.reduce(rows, axis=-1)
+    out = np.empty((3, n))
+    if k > 1:
+        integral[0, :, 1] *= np.sign(mu_0) * _INV_SQRT_2PI
+        integral[1, :, 1] *= _INV_SQRT_2PI
+    else:
+        out[1] = 0.0
+    np.add(integral[0], integral[1], out=out[:k].T)
+    d_c = -_INV_SQRT_2PI * np.exp(-0.5 * c_2) * edges
+    np.add(d_c[0], d_c[1], out=out[2])
     return out
 
 
 def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
                       mean_slope: bool = True) -> np.ndarray:
-    # _tail_rule over any number of elements, _CHUNK at a time, which bounds
-    # its temporaries
+    # the rule over any number of elements, _CHUNK at a time, so that no
+    # pass maps fresh pages (see _CHUNK); a batch of one pass, such as an
+    # endpoint solve's two elements, gets the rule's own array back.
+    # mu_1 = None stands for a second mean of 0 with c >= 0 (every Newton
+    # solve), which _zero_mean_rule serves where mu_0 >= 0 (a solve passes
+    # |a|); an element with a negative mu_0 takes the general rule
+    if mu_1 is None:
+        negative = mu_0 < 0.0
+        if negative.any():
+            out = np.empty((3, len(mu_0)))
+            rest = ~negative
+            out[:, rest] = _miss_probability(mu_0[rest], None, c[rest], mean_slope)
+            out[:, negative] = _miss_probability(
+                mu_0[negative], np.zeros(negative.sum()), c[negative], mean_slope)
+            return out
+        if len(mu_0) <= _CHUNK:
+            return _zero_mean_rule(mu_0, c, mean_slope)
+    elif len(mu_0) <= _CHUNK:
+        return _tail_rule(mu_0, mu_1, c, mean_slope)
     out = np.empty((3, len(mu_0)))
     for lo in range(0, len(mu_0), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        out[:, part] = _tail_rule(mu_0[part], None if mu_1 is None else mu_1[part], c[part],
-                                  mean_slope)
+        out[:, part] = (_zero_mean_rule(mu_0[part], c[part], mean_slope) if mu_1 is None
+                        else _tail_rule(mu_0[part], mu_1[part], c[part], mean_slope))
     return out
 
 
@@ -267,15 +363,15 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     # second step is needed.
     # An element is frozen once its step is below _STEP_TOL, so each result
     # is the one a batch of that element alone would give; the arrays a, c,
-    # slope and w hold the elements still moving, and `todo` their places.
+    # slope and w hold the elements still moving, and `todo` their places
+    # once one has frozen (until then nothing is gathered or scattered).
     # With every slope 0 (calibration), g is 0 from the start and stays 0,
     # and f_a enters the step only through g and slope: its quadrature is
     # skipped, and the 0 that stands in for it leaves every step's bits as
     # they would be with it.
     log_alpha = math.log(alpha)
     mean_slope = bool(slope.any())
-    todo = np.arange(len(a))
-    out_a, out_c = np.empty(len(a)), np.empty(len(a))
+    out = todo = None  # every element's (a, c) and the places still moving, once one freezes
     for _ in range(_MAX_STEPS):
         size = np.abs(a)
         miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), None, c, mean_slope)
@@ -287,20 +383,31 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
         step_a = (f_c * g - slope * f) / det
         step_c = (f - f_a * g) / det
         a, c = a + step_a, c + step_c
-        out_a[todo], out_c[todo] = a, c
+        if todo is not None:
+            out[0][todo], out[1][todo] = a, c
         # a NaN step never counts as converged
-        moving = ~(np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL)
-        if not moving.any():
-            return out_a, out_c
+        done = np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL
+        if done.all():
+            return (a, c) if out is None else out
+        if todo is None:
+            if not done.any():
+                continue
+            out, todo = (a, c), np.arange(len(a))
+        moving = ~done
         todo, a, c, slope, w = todo[moving], a[moving], c[moving], slope[moving], w[moving]
     raise OptimizationError(
         f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
 
 
 def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a >= 0: the constraint a = a_i holds from the start
-    start = np.full(len(grid_a), sidak_halfwidth(2, alpha))
-    return _newton(grid_a, start, np.zeros(len(grid_a)), grid_a, alpha)[1]
+    # c_plus at each a >= 0: the constraint a = a_i holds from the start.
+    # With slope 0, _newton reads a only through min(|a|, _A_FLAT) (its a
+    # step is 0), so each distinct such value is solved once and its c is
+    # copied to every a that shares it: exact, and a long flat run costs one
+    # solve
+    flat, where = np.unique(np.minimum(grid_a, _A_FLAT), return_inverse=True)
+    start = np.full(len(flat), sidak_halfwidth(2, alpha))
+    return _newton(flat, start, np.zeros(len(flat)), flat, alpha)[1][where]
 
 
 def c_plus(a: float, alpha: float) -> float:
@@ -313,20 +420,22 @@ def c_plus(a: float, alpha: float) -> float:
     """
     a = _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
                     "be finite and >= 0 (the curve is even: use |a|)")
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     return float(_calibrate(np.array([a]), alpha)[0])
 
 
-def _check_grid(alpha: float, a_max: float, step: float) -> int:
-    # the number of steps from 0 to a_max; its knots are counted before any is allocated
-    _check_unit(alpha, "alpha")
-    if not 0.0 < _check_real(step, "step") <= _check_real(a_max, "a_max"):
+def _check_grid(alpha: float, a_max: float, step: float) -> tuple[float, float, int]:
+    # alpha and step as floats, and the number of steps from 0 to a_max; its
+    # knots are counted before any is allocated
+    alpha, step_f = _check_unit(alpha, "alpha"), _check_real(step, "step")
+    a_max_f = _check_real(a_max, "a_max")
+    if not 0.0 < step_f <= a_max_f:
         raise ValueError(f"need 0 < step <= a_max, got step={step!r}, a_max={a_max!r}")
-    steps = a_max / step  # inf once the ratio overflows
+    steps = a_max_f / step_f  # inf once the ratio overflows
     if not (math.isfinite(steps) and round(steps) < _MAX_GRID):
         raise ValueError(f"a grid from 0 to a_max={a_max!r} by step={step!r} "
                          f"has more than {_MAX_GRID} knots")
-    return round(steps)
+    return alpha, step_f, round(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +464,9 @@ class CPlusCurve:
     _quintic: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = _check_grid(self.alpha, self.a_max, self.step)
-        grid_a = np.linspace(0.0, n * self.step, n + 1)
-        grid_c = _calibrate(grid_a, self.alpha)
+        alpha, step, n = _check_grid(self.alpha, self.a_max, self.step)
+        grid_a = np.linspace(0.0, n * step, n + 1)
+        grid_c = _calibrate(grid_a, alpha)
         # row s holds the power coefficients in v of the quintic through
         # knots |s - 2|, ..., |s + 3| (knots mirrored across 0, so it is even
         # there), v = 0 midway between knots s and s + 1; einsum, not
@@ -367,7 +476,7 @@ class CPlusCurve:
             mirrored = np.concatenate([grid_c[2:0:-1], grid_c])
             quintic = np.einsum("sk,kj->sj", np.lib.stride_tricks.sliding_window_view(
                 mirrored, 6), _QUINTIC)
-        derived = (("a_max", float(grid_a[-1])), ("step", float(self.step)),
+        derived = (("alpha", alpha), ("a_max", float(grid_a[-1])), ("step", step),
                    ("grid_a", grid_a), ("grid_c", grid_c), ("_plus", grid_a + grid_c),
                    ("_minus", grid_a - grid_c), ("_quintic", quintic))
         # frozen: each derived field is set once, here
@@ -467,7 +576,7 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     solve starts at the Sidak box.  Either start gives the same endpoints to
     within the solve's step tolerance.
     """
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     idx = select_abs_max(y)
     w = float(np.asarray(y, dtype=float)[idx])
     if curve is not None:

@@ -175,7 +175,7 @@ def cmd_compare(args) -> OutputTable:
 
 def cmd_cplus_curve(args) -> OutputTable:
     curve = cplus_curve(args.alpha, args.a_max, args.step)
-    rows = [(float(a), float(c)) for a, c in zip(curve.grid_a, curve.grid_c)]
+    rows = list(zip(curve.grid_a.tolist(), curve.grid_c.tolist()))
     meta = {"command": "cplus-curve", "alpha": args.alpha,
             "a_max": curve.a_max, "step": curve.step,
             "quadrature_nodes_per_panel": len(_GL_X)}

@@ -77,8 +77,7 @@ def std_normal_quantile(p: float) -> float:
     anything else raises `_check_unit`'s ValueError.
     """
     if p.__class__ is not float:  # numpy scalars, ints, bools, strings
-        _check_unit(p, "p")
-        p = float(p)
+        p = _check_unit(p, "p")
     # the checks below are _check_unit's, written out for floats: every offset
     # calls this.  5/64 is a double whose complement 59/64 is one too, so the
     # upper tail is exactly the mirror image of the lower
@@ -156,15 +155,17 @@ def _check_real_array(values, name: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _check_unit(value, name: str) -> None:
-    # written out, not through _check_real: every t quantile call runs it.
-    # A float takes the first test; anything else must be a scalar, since
-    # an array of one element would pass the comparison
+def _check_unit(value, name: str) -> float:
+    # `value` as a float in (0, 1); written out, not through _check_real:
+    # every t quantile call runs it.  A float takes the first test; anything
+    # else must be a scalar, since an array of one element would pass the
+    # comparison, and comes back as a float: a Fraction or a Decimal
+    # compares like one but does not mix with floats in arithmetic
     if isinstance(value, float) and 0.0 < value < 1.0:
-        return
+        return float(value)
     try:
         if np.ndim(value) == 0 and 0.0 < value < 1.0:
-            return
+            return float(value)
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
@@ -196,7 +197,7 @@ def student_t_quantile(p: float, df: int) -> float:
 
     # stdtrit reads df as a float; at the largest one it gives the normal quantile
     df = _check_int(df, "df", 1, sys.float_info.max)
-    _check_unit(p, "p")
+    p = _check_unit(p, "p")
     return float(special.stdtrit(df, p))
 
 
@@ -252,7 +253,9 @@ class CovarianceModel:
         if self.kind not in _COV_KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
         _check_int(self.block_size, "block_size", 1)
-        _check_real(self.rho, "rho")
+        rho = _check_real(self.rho, "rho")
+        if self.rho.__class__ not in (int, float):  # a Decimal, say, is kept as its float
+            object.__setattr__(self, "rho", rho)
         if self.kind == "ar" and not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar rho must lie in (-1, 1), got {self.rho!r}")
         if self.kind == "block" and not 0.0 <= self.rho < 1.0:

@@ -104,7 +104,9 @@ class Scenario:
         if self.covariance.kind == "block" and self.m % self.covariance.block_size:
             raise ValueError(f"m must be a multiple of block_size, got m={self.m}, "
                              f"block_size={self.covariance.block_size}")
-        _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+        eta = _check_real(self.eta, "eta", lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+        if self.eta.__class__ not in (int, float):  # a Decimal, say, is kept as its float
+            object.__setattr__(self, "eta", eta)
         if self.theta is not None:
             if np.ndim(self.theta) != 1 or len(self.theta) != self.m:
                 raise ValueError(f"theta must be a sequence of length m={self.m}, "
@@ -301,7 +303,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     if not isinstance(labels, Sequence) or not labels:
         raise ValueError(f"method must be a label or a non-empty sequence, got {method!r}")
     _check_mk(scenario.m, k)
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     _check_int(n_jobs, "n_jobs", 1, _MAX_JOBS)
     sigma = build_covariance(scenario)
     theta = resolve_theta(scenario)

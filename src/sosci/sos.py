@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_unit
+from .dist import NORMAL, ShiftFamily, _check_family, _check_mk, _check_real, _check_unit
 from .select import select_top_k
 
 __all__ = [
@@ -60,9 +60,16 @@ class ConfidenceInterval:
     method: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
+        lo, hi = self.lo, self.hi
+        if not (lo.__class__ is float is hi.__class__ and math.isfinite(lo) and math.isfinite(hi)):
+            # anything but two finite floats is checked, and a real that is
+            # not an int or a float (a Decimal, say) is kept as its float
+            lo, hi = _check_real(lo, "lo"), _check_real(hi, "hi")
+            if self.lo.__class__ not in (int, float):
+                object.__setattr__(self, "lo", lo)
+            if self.hi.__class__ not in (int, float):
+                object.__setattr__(self, "hi", hi)
+        if lo > hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     @property
@@ -108,8 +115,8 @@ def _checked_offsets(m: int, k: int, alpha: float, delta: float,
                      family: ShiftFamily) -> tuple[float, float]:
     # a caller-given delta: interval_length and the fixed policy
     _check_mk(m, k)
-    _check_unit(alpha, "alpha")
-    _check_unit(delta, "delta")
+    alpha = _check_unit(alpha, "alpha")
+    delta = _check_unit(delta, "delta")
     _check_family(family)
     return _delta_offsets(m, k, alpha, delta, family)
 
@@ -148,7 +155,7 @@ def optimize_delta(m: int, k: int, alpha: float,
     golden-section search over (DELTA_EPS, 1 - DELTA_EPS) suffices.
     """
     _check_mk(m, k)
-    _check_unit(alpha, "alpha")
+    alpha = _check_unit(alpha, "alpha")
     _check_family(family)
 
     def length(delta: float) -> float:

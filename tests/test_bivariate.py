@@ -158,6 +158,72 @@ def test_mean_zero_rows_keep_the_general_rules_bits(mean_slopes):
     assert mirrored.tobytes() == general.tobytes()
 
 
+@pytest.mark.parametrize("mean_slopes", [False, True])
+def test_zero_mean_rule_keeps_the_general_rules_bits(monkeypatch, mean_slopes):
+    # every element with a >= 0 and mu_1 = None goes through _zero_mean_rule,
+    # in more than one pass, and keeps the bits of the general rule at
+    # (a, 0): c from 0.5 past _C_UNDERFLOW, a on both sides of the kink
+    # panel's edge c and of the |t + a| = 1 switch between ndtr and its
+    # complement, and up to _A_FLAT
+    a, c = (np.ravel(v) for v in np.meshgrid(
+        [0.0, 0.5, 0.99, 1.0, 1.01, 1.9, 1.95, 1.96, 2.0, 2.24, 2.3, 3.0, 6.5, 9.0,
+         19.5, 21.0, 39.0, 40.5, 42.0, 100.0],
+        [0.5, 1.0, 1.96, 2.24, 3.0, 6.0, 20.0, 39.5, 40.0, 41.0, 1e3]))
+    served = []
+    rule = bivariate._zero_mean_rule
+
+    def recorded(a, *args):
+        served.append(len(a))
+        return rule(a, *args)
+
+    monkeypatch.setattr(bivariate, "_zero_mean_rule", recorded)
+    shared = bivariate._miss_probability(a, None, c, mean_slopes)
+    assert len(served) > 1 and sum(served) == len(a) == 220
+    general = bivariate._miss_probability(a, np.zeros(len(a)), c, mean_slopes)
+    assert sum(served) == len(a)  # mu_1 = 0 passed in takes the general rule
+    assert np.all(np.isfinite(shared))
+    assert shared.tobytes() == general.tobytes()
+
+
+def test_ndtr_complement_is_exact_where_the_rule_reads_it():
+    # the mean-0 rule takes coordinate 0's upper-sign cdf as 1 - ndtr(-x)
+    # wherever x = |t + a| >= 1, which keeps the general rule's bits only
+    # while scipy's ndtr returns exactly that there (its erfc branch).  x
+    # reaches at most far + _A_FLAT <= 41 + 100, so the grid spans [1, 142]
+    import scipy
+
+    x = np.linspace(1.0, 142.0, 2_000_001)
+    upper, complement = special.ndtr(x), 1.0 - special.ndtr(-x)
+    differ = x[upper != complement]
+    assert upper.tobytes() == complement.tobytes(), (
+        f"scipy {scipy.__version__}: ndtr(x) != 1 - ndtr(-x) at {differ.size} points "
+        f"in [1, 142], first x = {differ[:3].tolist()}")
+
+
+def test_flat_knots_are_solved_once(monkeypatch):
+    # past _A_FLAT every knot has the bits of c_plus(_A_FLAT): the calibration
+    # solves each distinct min(a, _A_FLAT) once and copies it out, so the
+    # rule sees no mean past _A_FLAT and, on its first step, one element per
+    # knot below it plus one for the flat run.  Every knot is c_plus at its a
+    batches = []
+    miss = bivariate._miss_probability
+
+    def recorded(mu_0, *args):
+        batches.append(mu_0.copy())
+        return miss(mu_0, *args)
+
+    monkeypatch.setattr(bivariate, "_miss_probability", recorded)
+    curve = CPlusCurve(0.05, a_max=1000.0, step=0.1)
+    monkeypatch.undo()
+    below = np.count_nonzero(curve.grid_a < bivariate._A_FLAT)
+    assert len(curve.grid_a) == 10001 and below == 1000
+    assert len(batches[0]) == below + 1
+    assert max(batch.max() for batch in batches) == bivariate._A_FLAT
+    sample = np.r_[0:10001:89, 995:1006, 10000]
+    assert [curve.grid_c[i] for i in sample] == [
+        c_plus(float(curve.grid_a[i]), 0.05) for i in sample]
+
+
 def test_b_region_zero_mean_factorizes():
     # oracle: at mu = (0, 0) the region probability is (2*Phi(c) - 1)^2
     assert b_region_probability((0.0, 0.0), SIDAK2) == pytest.approx(0.95, abs=1e-4)

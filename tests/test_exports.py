@@ -1,12 +1,18 @@
 import ast
 import importlib
+import itertools
+import json
+import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
-from pathlib import Path
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path, PurePath
 
+import numpy as np
 import pytest
 
 import sosci
@@ -91,3 +97,118 @@ def test_readme_public_api_lists_every_export():
     for name, module in listed.items():
         owner = sosci if module == "sosci" else importlib.import_module(f"sosci.{module}")
         assert name in vars(owner), (name, module)
+
+
+# -- the two-outcome contract over the whole public API ---------------------
+
+_SCENARIO = sosci.Scenario(4, sosci.CovarianceModel("ar", 0.3), 100, 1, 0.5)
+_CONFIG = {"m": 4, "covariance": {"kind": "ar", "rho": 0.3}, "reps": 100, "seed": 1}
+# values no entry point should take where a real, an integer, a label, an
+# array or a path is due: bools, strs, None, non-finite and huge numbers,
+# numpy scalars, lists, 2-d and non-finite arrays, complex, exact rationals
+# and decimals, bytes and a path
+_HOSTILE = [
+    True, "1", None, math.nan, math.inf, -math.inf, -0.0, 1e308, 10**400,
+    np.float32(0.5), [1.0], np.ones((2, 2)), np.array([math.nan, 1.0]),
+    np.array([math.inf, 1.0]), 1j, np.int64(3), Fraction(1, 3), Decimal("0.5"), b"1",
+    PurePath("no-such-file"),
+]
+
+
+def _valid_calls(config_path):
+    # one valid call of each callable in sosci.__all__: name -> (args, kwargs);
+    # the Monte-Carlo calls stay at 100 reps and the curves at step 0.5
+    normal = sosci.NORMAL
+    return {
+        "ShiftFamily": (("custom", sosci.std_normal_quantile), {}),
+        "CovarianceModel": (("block", 0.3, 2), {}),
+        "NotPositiveDefiniteError": (("not positive definite",), {}),
+        "student_t_family": ((5,), {}),
+        "std_normal_cdf": ((0.3,), {}),
+        "std_normal_quantile": ((0.3,), {}),
+        "student_t_quantile": ((0.3, 5), {}),
+        "cholesky": ((np.eye(2),), {}),
+        "sample_mvn": ((np.zeros(2), np.eye(2), 3, 1), {}),
+        "seeded_rng": ((1, 2), {}),
+        "select_top_k": (([3.0, 1.0, 2.0], 2), {}),
+        "select_abs_max": (([3.0, -4.0],), {}),
+        "ConfidenceInterval": ((0, -1.0, 1.0, "x"), {}),
+        "OptimizationError": (("no root",), {}),
+        "interval_length": ((10, 2, 0.05, 0.5, normal), {}),
+        "optimize_delta": ((10, 2, 0.05, normal), {}),
+        "CPlusCurve": ((0.05, 1.0, 0.5), {}),
+        "larger_of_two_interval": (([1.0, 2.0], 0.05, normal), {}),
+        "b_region_probability": (((1.0, 0.5), 2.0), {}),
+        "c_plus": ((1.0, 0.05), {}),
+        "cplus_curve": ((0.05, 1.0, 0.5), {}),
+        "abs_max_interval": (([1.0, 0.3], 0.05, sosci.cplus_curve(0.05, 1.0, 0.5)), {}),
+        "MethodLabel": (("sidak",), {}),
+        "sidak_halfwidth": ((10, 0.05, normal), {}),
+        "fcw_constants": ((10, 2, 0.05, "symmetric"), {}),
+        "method_tail_levels": (("sidak", 10, 2, 0.05, normal), {}),
+        "method_offsets": (("sidak", 10, 2, 0.05, normal), {}),
+        "k_of_m_intervals": (([1.0, 2.0, 3.0], 2, 0.05, "fixed"),
+                             {"delta": 0.5, "family": normal}),
+        "Scenario": ((4, sosci.CovarianceModel("ar", 0.3), 100, 1, 0.5, None, "all_normal"), {}),
+        "CoverageReport": (("sidak", 1, 0.05, 100, 1, 0, 0, 0, 0), {}),
+        "build_covariance": ((_SCENARIO,), {}),
+        "resolve_theta": ((_SCENARIO,), {}),
+        "run_coverage": ((_SCENARIO, 1, "sidak", 0.05, 1), {}),
+        "scenario_from_dict": ((_CONFIG,), {}),
+        "load_scenario": ((config_path,), {}),
+    }
+
+
+# what a constructed value is for: a hostile argument the constructor takes
+# must not fail later, where the value is used
+_USES = {
+    "ShiftFamily": lambda family: sosci.interval_length(10, 2, 0.05, 0.5, family),
+    "student_t_family": lambda family: sosci.interval_length(10, 2, 0.05, 0.5, family),
+    "CovarianceModel": lambda model: sosci.build_covariance(sosci.Scenario(4, model, 100, 1)),
+    "seeded_rng": lambda rng: rng.standard_normal(2),
+    "CPlusCurve": lambda curve: sosci.abs_max_interval([1.0, 0.3], curve.alpha, curve),
+    "cplus_curve": lambda curve: sosci.abs_max_interval([1.0, 0.3], curve.alpha, curve),
+    "ConfidenceInterval": lambda ci: (ci.length, ci.contains(0.0)),
+    "Scenario": lambda scenario: sosci.run_coverage(scenario, 1, "sidak"),
+    "scenario_from_dict": lambda scenario: sosci.run_coverage(scenario, 1, "sidak"),
+    "load_scenario": lambda scenario: sosci.run_coverage(scenario, 1, "sidak"),
+}
+
+
+def test_every_export_has_two_outcomes_for_hostile_arguments(tmp_path, monkeypatch):
+    # the library's contract for bad input: a ValueError, or a named
+    # numerical error, never a stray exception.  One valid call per
+    # callable, then each argument in turn swapped for each hostile value;
+    # a value a constructor returns is then put to its use (_USES).
+    # load_scenario reads a file, so a str or path naming none is the OSError
+    # of `open` (the CLI reports it as exit 2 too); the run starts in an
+    # empty directory so that "1" names no file
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    calls = _valid_calls(config_path)
+    callables = [name for name in sosci.__all__ if callable(getattr(sosci, name))]
+    assert sorted(calls) == sorted(callables)
+    allowed = (ValueError, sosci.OptimizationError, sosci.NotPositiveDefiniteError)
+    escaped = []
+    for name, (args, kwargs) in calls.items():
+        function = getattr(sosci, name)
+        use = _USES.get(name, lambda value: None)
+        use(function(*args, **kwargs))  # the valid call must succeed
+        swaps = [(i, None) for i in range(len(args))] + [(None, key) for key in kwargs]
+        for (i, key), value in itertools.product(swaps, _HOSTILE):
+            bad_args = args if i is None else args[:i] + (value,) + args[i + 1:]
+            bad_kwargs = kwargs if key is None else {**kwargs, key: value}
+            try:
+                use(function(*bad_args, **bad_kwargs))
+            except allowed:
+                pass
+            except OSError:
+                if name != "load_scenario" or not isinstance(value, (str, os.PathLike)):
+                    escaped.append(f"{name} arg {i if key is None else key} = {value!r}: OSError")
+            except Exception as exc:  # anything else breaks the contract
+                escaped.append(f"{name} arg {i if key is None else key} = {value!r}: "
+                               f"{type(exc).__name__}: {exc}")
+    assert escaped == [], "\n".join(escaped)
+    for fd in (0, 1, 2):
+        os.fstat(fd)  # no call closed a standard stream
