@@ -458,10 +458,13 @@ class CPlusCurve:
     step: float = 0.01
     grid_a: np.ndarray = field(init=False)
     grid_c: np.ndarray = field(init=False)
-    # the start tables (see _curve_start), read-only like the grids
+    # the start tables (see _curve_start), read-only like the grids, and the
+    # unadjusted constant, c_plus's limit as a grows, which bounds a start
+    # past a_max
     _plus: np.ndarray = field(init=False, repr=False)
     _minus: np.ndarray = field(init=False, repr=False)
     _quintic: np.ndarray = field(init=False, repr=False)
+    _c_inf: float = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha, step, n = _check_grid(self.alpha, self.a_max, self.step)
@@ -478,7 +481,8 @@ class CPlusCurve:
                 mirrored, 6), _QUINTIC)
         derived = (("alpha", alpha), ("a_max", float(grid_a[-1])), ("step", step),
                    ("grid_a", grid_a), ("grid_c", grid_c), ("_plus", grid_a + grid_c),
-                   ("_minus", grid_a - grid_c), ("_quintic", quintic))
+                   ("_minus", grid_a - grid_c), ("_quintic", quintic),
+                   ("_c_inf", -NORMAL.quantile(alpha / 2.0)))
         # frozen: each derived field is set once, here
         for name, value in derived:
             if isinstance(value, np.ndarray):
@@ -515,8 +519,12 @@ def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
     # within about 1e-14 of the root on exact c_plus, except where a is near
     # c_plus(a) (a in 2.03 to 2.18 at alpha = 0.05): there the rule's kink
     # panel opens, c_plus is less smooth, and p can be off by up to 2e-6.
-    # Past a_max, or on a curve of under 6 knots, the linear root is the
-    # start.
+    # On a curve of under 6 knots the linear root is the start.
+    # Past a_max c_plus still moves at small alpha (by 2.3e-11 beyond the
+    # default a_max = 8 at alpha = 1e-6), so there the start is the last
+    # quintic read at the linear root, held between c_end and c_plus's limit
+    # as a grows (`_c_inf`, the unadjusted constant); the order of max and
+    # min sends a NaN, from a quintic read far past the table, to c_end.
     c_0, c_end = float(curve.grid_c[0]), float(curve.grid_c[-1])
     step, stencils = curve.step, curve._quintic
     sign = 1.0 if w >= c_0 else -1.0
@@ -539,6 +547,12 @@ def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
                 f_v = q1 + v * (2.0 * q2 + v * (3.0 * q3 + v * (4.0 * q4 + v * 5.0 * q5)))
                 v -= f / f_v
             b = step * (v + center)
+        elif len(stencils):
+            q0, q1, q2, q3, q4, q5 = stencils[-1].tolist()
+            v = b / step - (len(stencils) - 0.5)
+            p = q0 + v * (q1 + v * (q2 + v * (q3 + v * (q4 + v * q5))))
+            start[i] = max(curve._c_inf, min(c_end, p))
+            continue
         # c is held within the table's range: beside a huge step, b loses its
         # low bits to v and the quintic's c can leave it
         start[i] = min(max(sigma * (r - b), c_end), c_0)

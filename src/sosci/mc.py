@@ -12,6 +12,14 @@ parameters once, and each method counts its misses on those, so a
 multi-method run reports the same counts as one run per method at the cost
 of one.
 
+Each block is drawn whole, then selected and counted in row chunks of about
+_CHUNK_BYTES: both selection rules and the miss counts read a row alone, so
+a block's counts are sums over its chunks and do not depend on where the
+chunks fall, while each chunk's selection copies and masks are small arrays
+rather than copies of the whole block.  The draws are not chunked: a chunk's
+product with the Cholesky factor need not have the bits of the block's
+product, as BLAS kernels are chosen by shape.
+
 Each thread draws its blocks into two float buffers that it keeps across
 blocks and calls, so a block reuses memory that is already mapped.  A thread
 keeps them after a call only while they hold at most 64 MiB together; the
@@ -69,6 +77,13 @@ _BLOCK = 4096
 _MAX_REPS = _MAX_GRID * _BLOCK  # reps expand to a list of blocks, capped like a grid
 _STREAM_COV, _STREAM_THETA, _STREAM_REPS = 1, 2, 3
 _KEEP_BYTES = 64 << 20  # block buffers a thread keeps between calls: m <= 1024 at 4096 rows
+# bytes of block rows that one chunk of selection and counting covers, at 8
+# per float (327 rows at m = 100).  Selecting and counting a 4096 x 100
+# block, whose partition copy alone is 3.3 MB, took up to 25% less time in
+# chunks of 256 or 512 KiB than whole on a machine with 2 MiB of L2 cache
+# per core, and more in chunks of 128 KiB or 1 MiB; at 256 KiB a warm call
+# allocates about 0.6 MB beside its kept buffers, against about 4 MB whole
+_CHUNK_BYTES = 256 << 10
 
 _PANELS = ("all_normal", "half_normal_half_t5")
 _T5_DF = 5  # the t half of the mixed panel, as its name states
@@ -329,19 +344,26 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
                               for p in method_tail_levels(label, scenario.m, k, alpha))
             scored.append((label, "top_k", scales * c_lo, scales * c_up))
     rules = dict.fromkeys(rule for _, rule, _, _ in scored)
+    rows = max(1, _CHUNK_BYTES // (8 * scenario.m))  # per chunk of selection and counting
 
-    def run_block(args) -> list[tuple[int, int, int, int]]:
+    def run_block(args) -> list[list[tuple[int, int, int, int]]]:
+        # each chunk's (sos, low, up, missed) counts, per scored method
         block, size = args
         rng = seeded_rng(scenario.seed, _STREAM_REPS, block)
         y, z = _BUFFERS.get(size, scenario.m)
         for half, th, lower, df in parts:
             draw_replicates(rng, th, lower, size, df, out=y[:, half],
                             normals=z[:size * th.size].reshape(size, th.size))
-        chosen = {}  # rule -> (y_sel, th_sel, cols), gathered once for every method
-        for rule in rules:
-            flat, cols = selected_entries(y, rule, k)
-            chosen[rule] = y.ravel()[flat], theta[cols], cols
-        return [_count_misses(*chosen[rule], c_lo, c_up) for _, rule, c_lo, c_up in scored]
+        counts = []
+        for start in range(0, size, rows):
+            chunk = y[start:start + rows]
+            chosen = {}  # rule -> (y_sel, th_sel, cols), gathered once for every method
+            for rule in rules:
+                flat, cols = selected_entries(chunk, rule, k)
+                chosen[rule] = chunk.ravel()[flat], theta[cols], cols
+            counts.append([_count_misses(*chosen[rule], c_lo, c_up)
+                           for _, rule, c_lo, c_up in scored])
+        return counts
 
     jobs = list(enumerate(_block_sizes(scenario.reps)))
     try:
@@ -353,9 +375,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     finally:
         _BUFFERS.trim()
 
+    chunks = [counts for block in results for counts in block]
     reports = []
-    for (label, *_), per_block in zip(scored, zip(*results)):
-        sos, low, up, missed = (sum(col) for col in zip(*per_block))
+    for (label, *_), per_chunk in zip(scored, zip(*chunks)):
+        sos, low, up, missed = (sum(col) for col in zip(*per_chunk))
         reports.append(CoverageReport(method=label, k=k, alpha=alpha, reps=scenario.reps,
                                       seed=scenario.seed, sos_misses=sos, lower_events=low,
                                       upper_events=up, missed_intervals=missed))

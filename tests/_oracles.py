@@ -25,6 +25,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from sosci.baselines import method_offsets
 from sosci.bivariate import _GL_W, _GL_X, _QUINTIC
 from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
 from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
@@ -140,8 +141,10 @@ def curve_start(curve, w: float) -> np.ndarray:
     table with the package's start: both endpoints at once, each one's 6
     knots gathered from the curve's grid and contracted with the quintic
     basis and its slope basis, and two Newton steps in the power basis.
-    Past a_max, or on a curve of under 6 knots, the root of the linear
-    reading is the start."""
+    On a curve of under 6 knots the root of the linear reading is the
+    start.  Past a_max the start is the quintic through the last 6 knots,
+    read at that root and held between the unadjusted constant and the
+    last knot's c."""
     grid_a, grid_c, step = curve.grid_a, curve.grid_c, curve.step
     basis = np.zeros((6, 6, 2))
     basis[:, :, 0] = _QUINTIC
@@ -164,7 +167,17 @@ def curve_start(curve, w: float) -> np.ndarray:
         for _ in range(2):
             f, f_v = np.einsum("ij,ijl->li", v[:, None] ** np.arange(6.0), g)
             v -= f / f_v
-        b = np.where(b <= curve.a_max, step * (v + center), b)
+        past = b > curve.a_max
+        b = np.where(past, b, step * (v + center))
+        v_end = b / step - (last - 2.5)  # v about the midpoint of the last 6 knots
+        c_past = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Horner's rule; einsum sums over the knots as the curve's table does
+            for coef in np.einsum("k,kj->j", grid_c[last - 5:], _QUINTIC)[::-1]:
+                c_past = c_past * v_end + coef
+        c_inf = method_offsets("unadjusted", 2, 1, curve.alpha)[0]
+        c_past = np.where(np.isnan(c_past), c_end, np.clip(c_past, c_inf, c_end))
+        return np.where(past, c_past, np.clip(sigma * (r - b), c_end, grid_c[0]))
     return np.clip(sigma * (r - b), c_end, grid_c[0])
 
 

@@ -726,6 +726,28 @@ def test_curve_start_saves_newton_evaluations(monkeypatch):
     assert len(calls) <= 1.1 * len(w_grid)
 
 
+def test_curve_start_past_the_table_saves_newton_evaluations(monkeypatch):
+    # at alpha = 1e-6 c_plus still moves past the default a_max = 8, where
+    # every upper endpoint above w of about 3.1 starts: a start held at the
+    # last knot needed about 1.5 evaluations of the rule per interval, the
+    # last quintic extrapolated at most 1.1; the endpoints stay the no-curve ones
+    alpha, calls = 1e-6, []
+    miss = bivariate._miss_probability
+
+    def counted(*args):
+        calls.append(1)
+        return miss(*args)
+
+    curve = cplus_curve(alpha)
+    w_grid = np.arange(0.0, 6.0 + 1e-12, 0.01)
+    plain = [abs_max_interval([w, 0.0], alpha) for w in w_grid]
+    monkeypatch.setattr(bivariate, "_miss_probability", counted)
+    for w, ci_plain in zip(w_grid, plain):
+        ci = abs_max_interval([w, 0.0], alpha, curve=curve)
+        assert abs(ci.lo - ci_plain.lo) <= 1e-9 and abs(ci.hi - ci_plain.hi) <= 1e-9, w
+    assert len(calls) <= 1.1 * len(w_grid)
+
+
 def test_abs_max_interval_at_huge_curve_a_max():
     # the inversion holds a at _A_FLAT beyond it, as c_plus does, so a huge
     # a_max must not overflow the rule; c_plus (about 2) vanishes beside 1e200

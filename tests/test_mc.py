@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -605,6 +607,51 @@ def test_run_coverage_drops_block_buffers_above_the_cap(monkeypatch):
     monkeypatch.setattr(mc, "_KEEP_BYTES", kept - 1)
     assert run_coverage(scn, 3, "sidak").to_dict() == first
     assert mc._BUFFERS.y.size == mc._BUFFERS.z.size == 0
+
+
+# the cases whose counts must not move with the chunk size: each panel,
+# per-coordinate scales and the abs-max rule at m = 2, over a full block and
+# a remainder block of 500 rows
+_CHUNK_CASES = {
+    "all_normal": _LIST_CASES["all_normal"],
+    "mixed_panel": _LIST_CASES["mixed_panel"],
+    "time_decay_scales": _TIED_CASES["time_decay_scales"],
+    "abs_max_and_unadjusted": _LIST_CASES["abs_max_and_unadjusted"],
+}
+
+
+@pytest.mark.parametrize("n_jobs", [1, 4])
+@pytest.mark.parametrize("name", sorted(_CHUNK_CASES))
+def test_run_coverage_counts_do_not_depend_on_the_chunk_size(monkeypatch, name, n_jobs):
+    # both selection rules and the miss counts are row-local, so a block's
+    # counts are the same whether it is selected and counted in chunks of 1,
+    # 7 or 333 rows or as a whole
+    scenario, k, methods = _CHUNK_CASES[name]
+    scenario = dataclasses.replace(scenario, reps=4596)
+    expected = [r.to_dict() for r in run_coverage(scenario, k, methods, n_jobs=n_jobs)]
+    for rows in (1, 7, 333, 4096):
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * scenario.m * rows)
+        got = [r.to_dict() for r in run_coverage(scenario, k, methods, n_jobs=n_jobs)]
+        assert got == expected, rows
+
+
+@pytest.mark.parametrize("panel", ["all_normal", "half_normal_half_t5"])
+def test_warm_run_coverage_allocates_under_a_block(panel):
+    # a block is selected and counted in row chunks, so a warm call
+    # allocates chunk-sized copies and masks beside its kept buffers, never
+    # a 3.3 MB copy of the 4096 x 100 block (about 4 MB when whole blocks
+    # were selected)
+    scn = Scenario(m=100, covariance=CovarianceModel("ar", 0.3), reps=4096, seed=5,
+                   eta=10.0, panel=panel)
+    methods = ["sos_symmetric", "sos_shortest"]
+    run_coverage(scn, 10, methods)  # the kept buffers grow to this block
+    tracemalloc.start()
+    try:
+        run_coverage(scn, 10, methods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
