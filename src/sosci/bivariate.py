@@ -72,7 +72,6 @@ _GL_W = np.array([
     0.04427293475900388, 0.03290142778230522, 0.02113211259277212,
     0.009124282593092585,
 ])
-_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the sign axis of the rule's (i, sign, element, t)
 # the quintic reading of a curve's table: for 6 evenly spaced knots at
 # v = -2.5, ..., 2.5 in units of the step, _QUINTIC[k, j] is the coefficient
 # of v^j in the quintic that is 1 at knot k and 0 at the others.  Written as
@@ -94,7 +93,7 @@ _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
 _MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
 _START_STEPS = 2  # Newton steps on a curve's quintic reading before an endpoint solve
-# elements per pass of the quadrature rule, set by the pass's largest array:
+# elements per pass of the mean-0 rule, set by the pass's largest array:
 # a calibration pass's integrand rows, 8 bytes at each of the 2 coordinates'
 # 3 panels of len(_GL_X) nodes per element.  The pass keeps them under
 # glibc's default 128 KB mmap threshold.  An array above it is mapped fresh
@@ -148,13 +147,10 @@ def _panels(mu_i: np.ndarray, c: np.ndarray):
     return c, c_2, bounds, panels, weight
 
 
-def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
-               mean_slopes: bool) -> np.ndarray:
-    # For each element, 1 - b_region_probability at means (mu_0, mu_1), and
-    # its slopes in mu_0 (when `mean_slopes` is set, else 0) and in c, as
-    # the rows of a (3, n) array.  The two coordinates' selection events
-    # split the sample space, so the miss is the sum over i (j the other
-    # coordinate) of the term
+def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # For each element, 1 - b_region_probability at means (mu_0, mu_1).  The
+    # two coordinates' selection events split the sample space, so the miss
+    # is the sum over i (j the other coordinate) of the term
     #   Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| }
     # for independent standard normal errors.  Conditioning on Y_i = mu_i + t,
     #   term = integral_{|t| > c} phi(t) h(t) dt,
@@ -164,52 +160,32 @@ def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
     # Integrating the two tails, not [-c, c], keeps full relative accuracy
     # when the miss probability is tiny.  Each tail ends where phi has fallen
     # by e^-40 from phi(c), and the lower one is split at the kink (a kink
-    # outside it leaves one panel empty); the integrand and its mu slopes are
-    # smooth on each panel, so a fixed Gauss-Legendre rule is exact to
-    # rounding.  The c slope is the integrand at the two tail edges,
-    # -phi(c) [h(c) + h(-c)], and needs no quadrature.  Every Newton solve
-    # holds mu_1 at 0: there _zero_mean_rule gives these bits with each
-    # distinct value computed once.  z and cdf here take 2752 bytes per
-    # element (2 x 2 x 86 floats) and _zero_mean_rule's largest array, its
-    # integrand rows, 1344, so the elements per pass (_CHUNK) set whether a
-    # pass's arrays stay under the size at which each is mapped afresh.
+    # outside it leaves one panel empty); the integrand is smooth on each
+    # panel, so a fixed Gauss-Legendre rule is exact to rounding.
     from scipy import special  # imported here: only the abs-max rule needs ndtr
 
     n, nodes = len(mu_0), 3 * len(_GL_X)
-    # each array runs over (coordinate i, element, ...)
+    # each array runs over (coordinate i, element, node)
     means = np.stack([mu_0, mu_1])
-    mu_i, mu_j = np.abs(means), means[::-1]
-    c, c_2, bounds, panels, weight = _panels(mu_i, c)
-    # each t + mu_i: its 3 panels of nodes, then the tail edges c and -c
-    t = np.empty((2, n, nodes + 2))
-    np.add(panels.reshape(2, n, nodes), mu_i[..., None], out=t[..., :nodes])
-    np.add(bounds[..., 4:2:-1], mu_i[..., None], out=t[..., nodes:])
-    # Phi(+/-|t + mu_i| - mu_j) at every node and edge, over (coordinate,
-    # sign, element, node)
-    z = np.abs(t)[:, None] * _SIGNS
-    z -= mu_j[:, None, :, None]
-    cdf = special.ndtr(z)
-    h = cdf[:, 0] - cdf[:, 1]
-    rows = np.empty((2, n, 1 + mean_slopes, nodes))
-    rows[..., 0, :] = h[..., :nodes]
-    if mean_slopes:
-        # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j);
-        # each coordinate's slope in the mean the miss moves with:
-        # coordinate 0's in its mu_i, coordinate 1's in its mu_j
-        near = z ** 2
-        near *= -0.5
-        np.exp(near, out=near)
-        near, away = near[:, 0, :, :nodes], near[:, 1, :, :nodes]
-        np.multiply(np.sign(t[0])[:, :nodes], near[0] + away[0], out=rows[0, :, 1])
-        np.subtract(away[1], near[1], out=rows[1, :, 1])
-    rows *= weight.reshape(2, n, 1, nodes)
-    return _sum_rows(rows, h[..., nodes] + h[..., nodes + 1], c_2, mu_0)
+    mu_i, mu_j = np.abs(means), means[::-1, :, None]
+    panels, weight = _panels(mu_i, c)[3:]
+    size = np.abs(panels.reshape(2, n, nodes) + mu_i[..., None])
+    h = special.ndtr(size - mu_j)
+    h -= special.ndtr(-size - mu_j)
+    h *= weight.reshape(2, n, nodes)
+    miss = _INV_SQRT_2PI * np.add.reduce(h, axis=-1)
+    return miss[0] + miss[1]
 
 
 def _zero_mean_rule(a: np.ndarray, c: np.ndarray, mean_slopes: bool) -> np.ndarray:
-    # _tail_rule at means (a, 0) for a >= 0 and c >= 0, as every Newton solve
-    # calls it, with every bit the same and each distinct value computed
-    # once.  Coordinate 1 (at mean 0) has the upper panel (c, far) that
+    # The rule at means (a, 0) for a >= 0 and c >= 0, as every Newton solve
+    # calls it: _tail_rule's miss, its slope in a (when `mean_slopes` is set,
+    # else 0) and its slope in c, as the rows of a (3, n) array.  The c slope
+    # is the integrand at the two tail edges, -phi(c) [h(c) + h(-c)], and
+    # needs no quadrature.  It computes each distinct value of the general
+    # rule at any two means, with its slopes, once, and keeps every bit of
+    # it: the test oracle `general_miss_rule` is that rule, the reference
+    # whose bits it keeps.  Coordinate 1 (at mean 0) has the upper panel (c, far) that
     # coordinate 0 has, and its lower panel is that one mirrored: the rule's
     # nodes are antisymmetric and its weights symmetric, and rounding is
     # sign-symmetric, so the lower panel holds the upper one's nodes negated
@@ -295,32 +271,16 @@ def _sum_rows(rows: np.ndarray, edges: np.ndarray, c_2: np.ndarray,
     return out
 
 
-def _miss_probability(mu_0: np.ndarray, mu_1: np.ndarray | None, c: np.ndarray,
-                      mean_slope: bool = True) -> np.ndarray:
-    # the rule over any number of elements, _CHUNK at a time, so that no
-    # pass maps fresh pages (see _CHUNK); a batch of one pass, such as an
-    # endpoint solve's two elements, gets the rule's own array back.
-    # mu_1 = None stands for a second mean of 0 with c >= 0 (every Newton
-    # solve), which _zero_mean_rule serves where mu_0 >= 0 (a solve passes
-    # |a|); an element with a negative mu_0 takes the general rule
-    if mu_1 is None:
-        negative = mu_0 < 0.0
-        if negative.any():
-            out = np.empty((3, len(mu_0)))
-            rest = ~negative
-            out[:, rest] = _miss_probability(mu_0[rest], None, c[rest], mean_slope)
-            out[:, negative] = _miss_probability(
-                mu_0[negative], np.zeros(negative.sum()), c[negative], mean_slope)
-            return out
-        if len(mu_0) <= _CHUNK:
-            return _zero_mean_rule(mu_0, c, mean_slope)
-    elif len(mu_0) <= _CHUNK:
-        return _tail_rule(mu_0, mu_1, c, mean_slope)
-    out = np.empty((3, len(mu_0)))
-    for lo in range(0, len(mu_0), _CHUNK):
+def _miss_probability(a: np.ndarray, c: np.ndarray, mean_slope: bool) -> np.ndarray:
+    # _zero_mean_rule over any number of elements, _CHUNK at a time, so that
+    # no pass maps fresh pages (see _CHUNK); a batch of one pass, such as an
+    # endpoint solve's two elements, gets the rule's own array back
+    if len(a) <= _CHUNK:
+        return _zero_mean_rule(a, c, mean_slope)
+    out = np.empty((3, len(a)))
+    for lo in range(0, len(a), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        out[:, part] = (_zero_mean_rule(mu_0[part], c[part], mean_slope) if mu_1 is None
-                        else _tail_rule(mu_0[part], mu_1[part], c[part], mean_slope))
+        out[:, part] = _zero_mean_rule(a[part], c[part], mean_slope)
     return out
 
 
@@ -342,7 +302,7 @@ def b_region_probability(mu, c: float) -> float:
         # Holding both there keeps the rule's squares finite at any mean
         lo = min(lo, _A_FLAT)
         mu = np.array([lo + min(hi - lo, _A_FLAT), lo])
-    miss = float(_miss_probability(mu[:1], mu[1:], np.array([float(c)]), False)[0, 0])
+    miss = float(_tail_rule(mu[:1], mu[1:], np.array([float(c)]))[0])
     return min(max(1.0 - miss, 0.0), 1.0)
 
 
@@ -374,7 +334,7 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     out = todo = None  # every element's (a, c) and the places still moving, once one freezes
     for _ in range(_MAX_STEPS):
         size = np.abs(a)
-        miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), None, c, mean_slope)
+        miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), c, mean_slope)
         f = np.log(miss) - log_alpha
         g = a + slope * c - w
         f_a = np.sign(a) * (size < _A_FLAT) * miss_a / miss  # 0 where miss is flat in a

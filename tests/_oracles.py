@@ -13,6 +13,14 @@ start, `curve_start`, borrows the package's quintic basis but none of a
 curve's precomputed tables: it gathers and contracts each stencil per call.
 Expected values frozen into tests were produced by these functions.
 
+`general_miss_rule` is the abs-max tail rule at any two means with its
+slopes in the first mean and in c, the rule the package's mean-0 rule
+(`bivariate._zero_mean_rule`) and its value-only rule (`bivariate._tail_rule`)
+must match to the bit.  It borrows the package's panels (`_panels`: bounds,
+nodes and weights) and row sums (`_sum_rows`), so a bit test compares only
+what each rule computes itself, and it evaluates every node and sign that
+the mean-0 rule mirrors or skips.
+
 The one exception is `estimate_b_probability`, a Monte-Carlo check of the
 abs-max region probability.  It reuses the package's sampler, abs-max
 selection and miss counter on purpose: what it checks is the quadrature, by
@@ -26,7 +34,7 @@ import numpy as np
 from scipy import integrate, special
 
 from sosci.baselines import method_offsets
-from sosci.bivariate import _GL_W, _GL_X, _QUINTIC
+from sosci.bivariate import _GL_W, _GL_X, _QUINTIC, _panels, _sum_rows
 from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
 from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
 from sosci.select import abs_max_index
@@ -133,6 +141,52 @@ def larger_of_two_miss_quad(g: float, c: float) -> float:
 
     return sum(integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                for lo, hi in ((-math.inf, -c), (c, math.inf)))
+
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the sign axis of the rule's (i, sign, element, t)
+
+
+def general_miss_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
+                      mean_slopes: bool) -> np.ndarray:
+    """The abs-max tail rule at any means (mu_0, mu_1), with its slopes: for
+    each element, 1 - b_region_probability, its slope in mu_0 (when
+    `mean_slopes` is set, else 0) and its slope in c, as the rows of a
+    (3, n) array.  It takes the package's panels and row sums, but forms
+    every coordinate's integrand, at both signs of |t + mu_i|, over all
+    three panels of both coordinates and at both tail edges, where the
+    package's mean-0 rule computes each distinct value once and mirrors the
+    rest.  The c slope is the integrand at the two tail edges,
+    -phi(c) [h(c) + h(-c)].
+    """
+    n, nodes = len(mu_0), 3 * len(_GL_X)
+    # each array runs over (coordinate i, element, ...)
+    means = np.stack([mu_0, mu_1])
+    mu_i, mu_j = np.abs(means), means[::-1]
+    c, c_2, bounds, panels, weight = _panels(mu_i, c)
+    # each t + mu_i: its 3 panels of nodes, then the tail edges c and -c
+    t = np.empty((2, n, nodes + 2))
+    np.add(panels.reshape(2, n, nodes), mu_i[..., None], out=t[..., :nodes])
+    np.add(bounds[..., 4:2:-1], mu_i[..., None], out=t[..., nodes:])
+    # Phi(+/-|t + mu_i| - mu_j) at every node and edge, over (coordinate,
+    # sign, element, node)
+    z = np.abs(t)[:, None] * _SIGNS
+    z -= mu_j[:, None, :, None]
+    cdf = special.ndtr(z)
+    h = cdf[:, 0] - cdf[:, 1]
+    rows = np.empty((2, n, 1 + mean_slopes, nodes))
+    rows[..., 0, :] = h[..., :nodes]
+    if mean_slopes:
+        # sqrt(2 pi) phi(|t + mu_i| - mu_j) and sqrt(2 pi) phi(-|t + mu_i| - mu_j);
+        # each coordinate's slope in the mean the miss moves with:
+        # coordinate 0's in its mu_i, coordinate 1's in its mu_j
+        near = z ** 2
+        near *= -0.5
+        np.exp(near, out=near)
+        near, away = near[:, 0, :, :nodes], near[:, 1, :, :nodes]
+        np.multiply(np.sign(t[0])[:, :nodes], near[0] + away[0], out=rows[0, :, 1])
+        np.subtract(away[1], near[1], out=rows[1, :, 1])
+    rows *= weight.reshape(2, n, 1, nodes)
+    return _sum_rows(rows, h[..., nodes] + h[..., nodes + 1], c_2, mu_0)
 
 
 def curve_start(curve, w: float) -> np.ndarray:

@@ -32,6 +32,7 @@ from _oracles import (
     b_region_quad,
     curve_start,
     estimate_b_probability,
+    general_miss_rule,
     larger_of_two_miss_quad,
 )
 
@@ -110,7 +111,7 @@ def test_quadrature_rule_is_converged(monkeypatch):
 
     def evaluate():
         return (np.array([bivariate._calibrate(knots, alpha) for alpha in alphas]),
-                bivariate._miss_probability(mu_0, mu_1, c, False)[0])
+                bivariate._tail_rule(mu_0, mu_1, c))
 
     shipped_c, shipped_miss = evaluate()
     # the shipped rule also matches adaptive quadrature at means up to 100,
@@ -131,40 +132,58 @@ def test_quadrature_rule_is_converged(monkeypatch):
     np.testing.assert_allclose(shipped_miss[keep], reference_miss[keep], rtol=1e-12, atol=0.0)
 
 
-def test_miss_slopes_bits_are_pinned():
-    # the rule with its mean slopes, as the endpoint solves call it, over
-    # means on both sides of the kink and c from 0.5 to 30 (375 elements,
-    # more than one _CHUNK): every value keeps the bits it had when pinned
-    mu_0, mu_1, c = (np.ravel(v) for v in np.meshgrid(
+def _slope_pin_grid():
+    # 375 general (mu_0, mu_1, c): means on both sides of the kink, c from 0.5 to 30
+    return (np.ravel(v) for v in np.meshgrid(
         np.linspace(-3.0, 9.0, 25), [-1.5, 0.0, 2.5], [0.5, 1.96, 2.24, 4.0, 30.0]))
-    out = bivariate._miss_probability(mu_0, mu_1, c, True)
+
+
+def test_miss_slopes_bits_are_pinned():
+    # the general rule with its mean slopes, the oracle the package's rules
+    # keep the bits of, over means on both sides of the kink and c from 0.5
+    # to 30 (375 elements): every value keeps the bits it had when pinned
+    mu_0, mu_1, c = _slope_pin_grid()
+    out = general_miss_rule(mu_0, mu_1, c, True)
     assert out.shape == (3, 375)
     assert hashlib.sha256(out.tobytes()).hexdigest() == (
         "b0f3f221bcbd897ea69610aa6c4d3a519e7385ac8d24eb7d073e2a221e98b795")
 
 
+def test_value_only_rule_keeps_the_general_rules_bits():
+    # b_region_probability's rule forms the miss alone, with the general
+    # rule's sums in its order: every value keeps the oracle's bits, on the
+    # pinned grid and at means up to +/-100 with c past _C_UNDERFLOW
+    pinned = np.array(list(_slope_pin_grid()))
+    far = np.array([np.ravel(v) for v in np.meshgrid(
+        [-100.0, -45.0, -9.0, 0.0, 2.5, 30.0, 100.0], [-100.0, -1.5, 0.0, 2.5, 100.0],
+        [0.5, 2.24, 39.5, 40.0, 41.0, 1e3])])
+    mu_0, mu_1, c = np.concatenate([pinned, far], axis=1)
+    miss = bivariate._tail_rule(mu_0, mu_1, c)
+    assert miss.shape == (585,) and np.all(np.isfinite(miss))
+    assert miss.tobytes() == general_miss_rule(mu_0, mu_1, c, False)[0].tobytes()
+
+
 @pytest.mark.parametrize("mean_slopes", [False, True])
 def test_mean_zero_rows_keep_the_general_rules_bits(mean_slopes):
-    # mu_1 = None runs coordinate 1's ndtr on its upper panel and edges and
-    # mirrors the rest; every output keeps the bits of mu_1 = 0 passed in,
-    # for c from 0.5 past _C_UNDERFLOW and mu_0 (coordinate 1's mu_j) on
-    # both sides of each node's |t|, over more than one _CHUNK
+    # the mean-0 rule runs coordinate 1's ndtr on its upper panel and edges
+    # and mirrors the rest; every output keeps the bits of the general rule
+    # at mu_1 = 0, for c from 0.5 past _C_UNDERFLOW and mu_0 (coordinate
+    # 1's mu_j) on both sides of each node's |t|, over more than one _CHUNK
     mu_0, c = (np.ravel(v) for v in np.meshgrid(
-        [-4.0, -0.3, 0.0, 0.2, 1.0, 2.1, 2.5, 4.0, 9.0, 30.0, 45.0, 100.0],
+        [0.0, 0.2, 1.0, 2.1, 2.5, 4.0, 9.0, 30.0, 45.0, 100.0],
         [0.5, 1.0, 1.96, 2.24, 3.0, 6.0, 20.0, 39.5, 40.0, 41.0, 1e3]))
-    mirrored = bivariate._miss_probability(mu_0, None, c, mean_slopes)
-    general = bivariate._miss_probability(mu_0, np.zeros(len(mu_0)), c, mean_slopes)
-    assert mirrored.shape == (3, 132) and np.all(np.isfinite(mirrored))
+    mirrored = bivariate._miss_probability(mu_0, c, mean_slopes)
+    general = general_miss_rule(mu_0, np.zeros(len(mu_0)), c, mean_slopes)
+    assert mirrored.shape == (3, 110) and np.all(np.isfinite(mirrored))
     assert mirrored.tobytes() == general.tobytes()
 
 
 @pytest.mark.parametrize("mean_slopes", [False, True])
 def test_zero_mean_rule_keeps_the_general_rules_bits(monkeypatch, mean_slopes):
-    # every element with a >= 0 and mu_1 = None goes through _zero_mean_rule,
-    # in more than one pass, and keeps the bits of the general rule at
-    # (a, 0): c from 0.5 past _C_UNDERFLOW, a on both sides of the kink
-    # panel's edge c and of the |t + a| = 1 switch between ndtr and its
-    # complement, and up to _A_FLAT
+    # every element goes through _zero_mean_rule, in more than one pass,
+    # and keeps the bits of the general rule at (a, 0): c from 0.5 past
+    # _C_UNDERFLOW, a on both sides of the kink panel's edge c and of the
+    # |t + a| = 1 switch between ndtr and its complement, and up to _A_FLAT
     a, c = (np.ravel(v) for v in np.meshgrid(
         [0.0, 0.5, 0.99, 1.0, 1.01, 1.9, 1.95, 1.96, 2.0, 2.24, 2.3, 3.0, 6.5, 9.0,
          19.5, 21.0, 39.0, 40.5, 42.0, 100.0],
@@ -177,12 +196,41 @@ def test_zero_mean_rule_keeps_the_general_rules_bits(monkeypatch, mean_slopes):
         return rule(a, *args)
 
     monkeypatch.setattr(bivariate, "_zero_mean_rule", recorded)
-    shared = bivariate._miss_probability(a, None, c, mean_slopes)
+    shared = bivariate._miss_probability(a, c, mean_slopes)
     assert len(served) > 1 and sum(served) == len(a) == 220
-    general = bivariate._miss_probability(a, np.zeros(len(a)), c, mean_slopes)
-    assert sum(served) == len(a)  # mu_1 = 0 passed in takes the general rule
+    general = general_miss_rule(a, np.zeros(len(a)), c, mean_slopes)
     assert np.all(np.isfinite(shared))
     assert shared.tobytes() == general.tobytes()
+
+
+def test_mean_zero_rule_sees_only_the_means_the_solves_pass(monkeypatch):
+    # the mean-0 rule serves every solve with no branch for a negative mean:
+    # c_plus, curves (one reaching past _A_FLAT), abs_max_interval at w in
+    # [-6, 6] with and without a curve, and abs_max coverage at a negative
+    # theta only ever pass a in [0, _A_FLAT] and a finite c > 0
+    seen = []
+    rule = bivariate._zero_mean_rule
+
+    def recorded(a, c, mean_slopes):
+        seen.append((a.min(), a.max(), c.min(), np.isfinite(c).all()))
+        return rule(a, c, mean_slopes)
+
+    monkeypatch.setattr(bivariate, "_zero_mean_rule", recorded)
+    scenario = Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
+                        reps=2000, seed=3, theta=(-3.0, 0.5))
+    for alpha in (1e-13, 0.05, 0.999):
+        for a in (0.0, 2.2, 150.0):
+            c_plus(a, alpha)
+        cplus_curve(alpha, a_max=120.0, step=0.5)
+        curve = CPlusCurve.build(alpha, a_max=8.0, step=0.05)
+        for w in np.linspace(-6.0, 6.0, 61):
+            abs_max_interval([w, 0.0], alpha)
+            abs_max_interval([w, 0.0], alpha, curve=curve)
+        run_coverage(scenario, k=1, method="abs_max", alpha=alpha)
+    a_min, a_max, c_min, finite = np.array(seen).T
+    assert len(seen) > 1000 and finite.all()
+    assert a_min.min() >= 0.0 and a_max.max() == bivariate._A_FLAT
+    assert c_min.min() > 0.0
 
 
 def test_ndtr_complement_is_exact_where_the_rule_reads_it():
@@ -293,16 +341,18 @@ def test_b_region_matches_quadrature_oracle():
 
 
 def test_miss_slopes_match_finite_differences():
-    # the Newton solver's slopes of the miss probability at mean (a, 0): the
-    # c slope from the tail edges, the a slope from the rule's nodes.  No
-    # grid point has |a| = c, where the slopes are continuous but the
-    # second derivatives jump, so a central difference is only O(h) there
+    # the Newton solver's slopes of the miss probability at mean (a, 0), from
+    # the mean-0 rule the solves call: the c slope from the tail edges, the
+    # a slope from the rule's nodes.  The solves pass |a|, and the miss is
+    # even in a, so at a = 0 the central difference reads the miss at h
+    # twice.  No grid point has |a| = c, where the slopes are continuous but
+    # the second derivatives jump, so a central difference is only O(h) there
     h = 1e-5
 
     def miss(a, c):
-        return bivariate._miss_probability(np.array([a]), np.zeros(1), np.array([c]))[:, 0]
+        return bivariate._miss_probability(np.array([abs(a)]), np.array([c]), True)[:, 0]
 
-    for a in (-3.0, -1.0, 0.0, 0.3, 1.0, 2.2, 5.0, 9.0):
+    for a in (0.0, 0.3, 1.0, 2.2, 5.0, 9.0):
         for c in (0.05, 0.5, 1.5, 2.5, 4.0, 7.0):
             p, slope_a, slope_c = miss(a, c)
             assert p == pytest.approx(1.0 - b_region_probability((a, 0.0), c), abs=1e-15)
@@ -387,13 +437,13 @@ def test_c_plus_flat_at_huge_a(alpha):
 
 @pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.05, 0.9, 0.999])
 def test_c_plus_matches_bracketed_root(alpha):
-    # reference: a bracketed root of the same tail-integrated miss
-    # probability, solved far tighter than the Newton step tolerance
+    # reference: a bracketed root of the mean-0 rule's miss probability,
+    # the one c_plus solves, far tighter than the Newton step tolerance
     z = sidak_halfwidth(1, alpha)
     s = sidak_halfwidth(2, alpha)
     for a in (0.0, 0.7, 2.2, 5.0, 12.0):
         def excess(c):
-            return bivariate._miss_probability(np.array([a]), np.zeros(1), np.array([c]))[0, 0] - alpha
+            return bivariate._miss_probability(np.array([a]), np.array([c]), False)[0, 0] - alpha
 
         root = brentq(excess, max(z - 0.05, 1e-6), s + 0.05, xtol=1e-14)
         assert c_plus(a, alpha) == pytest.approx(root, abs=1e-11), a
