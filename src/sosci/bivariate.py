@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 # the 28-node Gauss-Legendre rule on [-1, 1], scipy.special's to the bit,
 # written out because computing it would import scipy.linalg
 _GL_X = np.array([
@@ -284,6 +285,46 @@ def _miss_probability(a: np.ndarray, c: np.ndarray, mean_slope: bool) -> np.ndar
     return out
 
 
+def _coverage_rule(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # b_region_probability at means (a, 0) for a >= 0 and c > 0, and its
+    # slope in c, as the rows of a (2, n) array: the complement of
+    # _tail_rule's miss, integrated over [-c, c] itself, for calibrations at
+    # alpha > 1/2.  There the miss nears 1, and 1 - miss would keep the
+    # coverage to absolute, not relative, accuracy.  With h_i as in
+    # _tail_rule, the coverage is the sum over i of
+    #   integral_{-c}^{c} phi(t) h_i(t) dt,
+    #   h_0(t) = erf(|t + a| / sqrt 2),
+    #   h_1(t) = (erf((|t| + a) / sqrt 2) + erf((|t| - a) / sqrt 2)) / 2,
+    # written with erf, not as differences of ndtr values near 1/2, so that h
+    # keeps its relative accuracy as t and a near 0.  Coordinate 0 is split
+    # at its kink -a when a < c (else its first panel is empty); coordinate 1
+    # is even in t, so its split at 0 leaves two mirror images, and it is
+    # twice its integral over [0, c].  The c slope is the integrand at the
+    # two edges, phi(c) [h_0(c) + h_0(-c) + h_1(c) + h_1(-c)]: the tail rule's
+    # edge terms with the sign flipped.
+    from scipy import special  # imported here: only the abs-max rule needs erf
+
+    n, kink = len(a), np.maximum(-a, -c)
+    lo, hi = np.stack([-c, kink, np.zeros(n)], axis=-1), np.stack([kink, c, c], axis=-1)
+    half = 0.5 * (hi - lo)[..., None]
+    t = half * _GL_X  # the nodes, each panel's in a row
+    t += 0.5 * (hi + lo)[..., None]
+    weight = np.exp(-0.5 * t * t)
+    weight *= half * _GL_W
+    weight[:, 2] *= 2.0
+    size = t + a[:, None, None]
+    np.abs(size[:, :2], out=size[:, :2])
+    h = special.erf(size * _SQRT_HALF)
+    h[:, 2] += special.erf((t[:, 2] - a[:, None]) * _SQRT_HALF)
+    h[:, 2] *= 0.5
+    h *= weight
+    out = np.empty((2, n))
+    out[0] = _INV_SQRT_2PI * np.add.reduce(h.reshape(n, -1), axis=-1)
+    edges = special.erf(np.stack([c + a, np.abs(c - a), c - a]) * _SQRT_HALF)
+    out[1] = _INV_SQRT_2PI * np.exp(-0.5 * c * c) * (2.0 * edges[0] + edges[1] + edges[2])
+    return out
+
+
 def b_region_probability(mu, c: float) -> float:
     """Probability that the abs-max selected coordinate of Y ~ N(mu, I_2)
     lands within c of its own mean.
@@ -359,14 +400,43 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
         f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
 
 
+def _solve_coverage(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
+    # c_plus at each a >= 0 for alpha > 1/2: Newton steps in log c on
+    #   log coverage(a, c) = log1p(-alpha),
+    # the coverage from _coverage_rule, from the start c.  As alpha nears 1,
+    # c falls toward 0 like sqrt(1 - alpha) at a = 0 and like 1 - alpha for
+    # large a, and log coverage is close to linear in log c (slope 2 at
+    # a = 0, 1 for large a): steps in log c keep c positive from the Sidak
+    # start, and _STEP_TOL bounds each last step relative to c.  An element
+    # is frozen once its step is below _STEP_TOL, as in _newton
+    target = math.log1p(-alpha)
+    out, todo = np.empty(len(a)), np.arange(len(a))
+    for _ in range(_MAX_STEPS):
+        cover, cover_c = _coverage_rule(a, c)
+        step = (np.log(cover) - target) * cover / (c * cover_c)
+        c = c * np.exp(-step)
+        done = np.abs(step) <= _STEP_TOL  # a NaN step never counts as converged
+        out[todo[done]] = c[done]
+        if done.all():
+            return out
+        moving = ~done
+        todo, a, c = todo[moving], a[moving], c[moving]
+    raise OptimizationError(
+        f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
+
+
 def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
     # c_plus at each a >= 0: the constraint a = a_i holds from the start.
     # With slope 0, _newton reads a only through min(|a|, _A_FLAT) (its a
     # step is 0), so each distinct such value is solved once and its c is
     # copied to every a that shares it: exact, and a long flat run costs one
-    # solve
+    # solve.  Above alpha = 1/2 the solve is on the coverage, not the miss,
+    # _CHUNK elements at a time so that no pass maps fresh pages
     flat, where = np.unique(np.minimum(grid_a, _A_FLAT), return_inverse=True)
     start = np.full(len(flat), sidak_halfwidth(2, alpha))
+    if alpha > 0.5:
+        return np.concatenate([_solve_coverage(flat[lo:lo + _CHUNK], start[lo:lo + _CHUNK], alpha)
+                               for lo in range(0, len(flat), _CHUNK)])[where]
     return _newton(flat, start, np.zeros(len(flat)), flat, alpha)[1][where]
 
 
@@ -376,7 +446,9 @@ def c_plus(a: float, alpha: float) -> float:
     The miss probability falls in c from 1 at c = 0, so the calibration is
     its one root: Newton steps on the log miss probability, whose c slope is
     the integrand at the tail edges, started at the two-coordinate Sidak
-    constant (the value at a = 0, and the largest over a).
+    constant (the value at a = 0, and the largest over a).  Above
+    alpha = 1/2 the steps are in log c on the log coverage, integrated over
+    [-c, c], so c keeps its relative accuracy as alpha nears 1.
     """
     a = _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
                     "be finite and >= 0 (the curve is even: use |a|)")

@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 
 from . import __version__
@@ -54,6 +53,8 @@ class OutputTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        import json  # imported here: only --format json needs it
+
         def native(value):
             if isinstance(value, float):
                 return float(f"{value:.6g}")  # same 6-digit rendering as CSV

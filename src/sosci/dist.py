@@ -6,10 +6,13 @@ accurate far into the tails, and every sampler is a pure function of
 (parameters, seed) with byte-identical replay.
 
 The normal CDF and quantile need only the standard library: the quantile is
-Wichura's AS241 with one Newton step on `math.erfc` in the tails.  scipy is
+Wichura's AS241 with one Newton step on `math.erfc` in the tails.  AS241 is
+taken from `_statistics`, the C module behind `statistics.NormalDist`, which
+loads without `statistics`' own imports (`fractions`, `decimal`); where that
+module is missing, `statistics`' pure-Python AS241 stands in.  scipy is
 imported where it is used, so only a t family's quantile (`stdtrit`) loads
 `scipy.special`; the abs-max quadrature in `bivariate` does the same for
-`ndtr`.
+`ndtr` and `erf`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from math import erfc
-from statistics import _normal_dist_inv_cdf as _as241  # AS241, C where built
 from typing import Callable, Sequence
+
+try:  # AS241 in C: the function `statistics` re-exports, without its imports
+    from _statistics import _normal_dist_inv_cdf as _as241
+except ImportError:  # an interpreter built without the C module
+    from statistics import _normal_dist_inv_cdf as _as241
 
 import numpy as np
 
@@ -62,9 +69,10 @@ def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, within 4 ulp of a 40-digit root for p in (0, 1).
 
     The start is Wichura's AS241 (Appl. Statist. 37 (1988) 477-484), called
-    as the C routine behind `statistics.NormalDist.inv_cdf`.  AS241 alone
-    errs by up to 6 ulp in its tail branches, so where p or 1 - p is below
-    5/64 one Newton step on `math.erfc` follows.  The step takes the slope
+    as the C routine behind `statistics.NormalDist.inv_cdf`, from
+    `_statistics`.  AS241 alone errs by up to 6 ulp in its tail branches,
+    so where p or 1 - p is below 5/64 one Newton step on `math.erfc`
+    follows.  The step takes the slope
     phi(x) as p (|x| + 0.4): for |x| >= 1.4 the tail hazard phi(x) / Phi(-|x|)
     lies within 4.2% of |x| + 0.4, so the step removes all but 4.2% of
     AS241's error, and it needs no exp(x^2 / 2), which overflows at

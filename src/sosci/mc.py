@@ -32,12 +32,10 @@ replicate blocks.  Everything downstream is a pure function of the scenario.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -370,6 +368,9 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
         if n_jobs == 1:
             results = [run_block(j) for j in jobs]
         else:  # each worker's buffers go when its thread exits
+            # imported here: only n_jobs > 1 needs the pool (and its logging)
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 results = list(pool.map(run_block, jobs))
     finally:
@@ -441,5 +442,7 @@ def load_scenario(path) -> Scenario:
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"path must be a str or os.PathLike, got {path!r}")
+    import json  # imported here: only a config file needs it
+
     with open(path, encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))

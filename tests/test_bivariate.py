@@ -470,6 +470,53 @@ def test_c_plus_between_limits(alpha):
         assert z - 1e-9 <= c_plus(float(a), alpha) <= s + 1e-9, a
 
 
+_NEAR_ONE = [1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 1e-14]
+
+
+@pytest.mark.parametrize("alpha", _NEAR_ONE)
+def test_c_plus_near_alpha_one_lies_between_its_limits(alpha):
+    # above alpha = 1/2 the calibration solves on the coverage, which keeps
+    # its relative accuracy where the miss rounds to 1.  c_plus is the Sidak
+    # constant at a = 0 and the unadjusted one by a = 12 (coordinate 1 is
+    # then never selected), and for a > 0 its first order in 1 - alpha is
+    # (1 - alpha) / (2 phi(0) erf(a / sqrt 2)), coordinate 0's coverage at
+    # small c, whose relative error is of order 1 - alpha.  The limits come
+    # from erfinv, which keeps their relative accuracy as 1 - alpha nears 0:
+    # 2 Phi(c) - 1 = erf(c / sqrt 2) is 1 - alpha for the unadjusted z and
+    # sqrt(1 - alpha) for the Sidak s
+    gap = 1.0 - alpha
+    z = math.sqrt(2.0) * special.erfinv(gap)
+    s = math.sqrt(2.0) * special.erfinv(math.sqrt(gap))
+    for a in (0.0, 0.25, 1.0, 3.0, 12.0):
+        c = c_plus(a, alpha)
+        assert z * (1.0 - 1e-12) <= c <= s * (1.0 + 1e-12), a
+        if 0.0 < a < 12.0:
+            first = gap / (math.sqrt(2.0 / math.pi) * special.erf(a / math.sqrt(2.0)))
+            assert c == pytest.approx(first, rel=20.0 * gap), a
+    assert c_plus(0.0, alpha) == pytest.approx(s, rel=1e-12)
+    assert c_plus(12.0, alpha) == pytest.approx(z, rel=1e-12)
+    grid_c = CPlusCurve(alpha, a_max=2.0, step=0.5).grid_c
+    assert np.all((z * (1.0 - 1e-12) <= grid_c) & (grid_c <= s * (1.0 + 1e-12))), grid_c
+
+
+def test_coverage_solve_near_alpha_one_is_converged(monkeypatch):
+    # the shipped rule against a 96-node one, as in
+    # test_quadrature_rule_is_converged, on c_plus and a coarse curve at
+    # alpha near 1
+    knots = np.linspace(0.0, 8.0, 33)
+
+    def evaluate():
+        return np.array([[c_plus(float(a), alpha) for a in knots]
+                         + CPlusCurve(alpha, a_max=2.0, step=0.5).grid_c.tolist()
+                         for alpha in _NEAR_ONE])
+
+    shipped = evaluate()
+    x, w = special.roots_legendre(96)
+    monkeypatch.setattr(bivariate, "_GL_X", x)
+    monkeypatch.setattr(bivariate, "_GL_W", w)
+    np.testing.assert_allclose(shipped, evaluate(), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.2, 0.9, 0.999])
 def test_cplus_curve_slope_exceeds_minus_one(alpha):
     # a + c(|a|) and a - c(|a|) are then increasing, so each abs-max endpoint

@@ -43,9 +43,8 @@ def test_bench_tracer_wraps_names_that_exist():
     assert proc.returncode == 0, proc.stderr
 
 
-def _fresh_scipy_modules(code):
-    # the scipy modules loaded once `code` has run in a fresh interpreter
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _fresh_output(code):
+    # the last line `code` prints in a fresh interpreter, read as a literal
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -54,9 +53,38 @@ def _fresh_scipy_modules(code):
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
+def _fresh_modules(code, roots=("scipy",)):
+    # the modules under any of `roots` loaded once `code` has run in a fresh
+    # interpreter
+    return _fresh_output(
+        code + f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
+
+
+# standard library that only some runs read: the thread pool (with the
+# logging it imports) at n_jobs > 1, json for JSON output and config files,
+# and statistics (with fractions and decimal), whose AS241 comes from
+# _statistics instead
+_ON_USE_STDLIB = ("concurrent", "json", "statistics", "logging", "fractions", "decimal")
+
+
 def test_import_loads_no_heavy_scipy_module():
-    # the normal quantile is in-package, so an import loads no scipy at all
-    assert _fresh_scipy_modules("import sys, sosci, sosci.cli") == []
+    # the normal quantile is in-package, so an import loads no scipy at all,
+    # and none of the standard library that a default run does not read
+    assert _fresh_modules("import sys, sosci, sosci.cli") == []
+    assert _fresh_modules("import sys, sosci, sosci.cli", _ON_USE_STDLIB) == []
+
+
+def test_normal_quantile_without_the_c_statistics_module():
+    # where _statistics is missing, dist falls back to statistics' AS241,
+    # which matches the C routine to within 4 ulp after the tail step
+    probes = [1e-300, 1e-10, 0.025, 0.5, 1.0 - 2.0 ** -53]
+    code = ("import sys\nsys.modules['_statistics'] = None\n"
+            "import sosci.dist as d\n"
+            "assert hasattr(d._as241, '__code__')\n"  # the pure-Python routine
+            f"print([d.std_normal_quantile(p) for p in {probes!r}])")
+    for p, x in zip(probes, _fresh_output(code)):
+        accelerated = sosci.std_normal_quantile(p)
+        assert abs(x - accelerated) <= 4 * math.ulp(accelerated), (p, x, accelerated)
 
 
 # every command whose intervals need only the normal quantile, the offset
@@ -75,13 +103,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_normal_only_commands_load_no_scipy_and_the_rest_load_special():
-    assert _fresh_scipy_modules(_NORMAL_ONLY_RUN) == []
+    assert _fresh_modules(_NORMAL_ONLY_RUN) == []
     abs_max = ("import contextlib, io, sys\nfrom sosci import cli\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                "    assert cli.main(['cplus-curve', '--a-max', '1', '--step', '0.5']) == 0")
     t_family = "import sys, sosci\nsosci.student_t_family(5).quantile(0.9)"
     for code in (abs_max, t_family):
-        assert "scipy.special" in _fresh_scipy_modules(code)
+        assert "scipy.special" in _fresh_modules(code)
 
 
 def test_readme_public_api_lists_every_export():

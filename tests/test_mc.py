@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -299,7 +300,8 @@ def test_run_coverage_caps_n_jobs_before_building_anything(monkeypatch):
         raise PoolBuilt
 
     scn = iid_scenario(m=6, reps=100, seed=1)
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", pool)
+    # run_coverage imports the pool where it builds one, so it reads this name
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     with pytest.raises(PoolBuilt):
         run_coverage(scn, k=1, method="sidak", n_jobs=64)
 
