@@ -324,10 +324,17 @@ def _write(table: OutputTable, fmt: str, out: str | None) -> None:
             fh.write(text)
 
 
+# built by the first main call and reused by later ones; building it at
+# import would slow `import sosci.cli` for callers that never parse
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

@@ -20,6 +20,15 @@ rather than copies of the whole block.  The draws are not chunked: a chunk's
 product with the Cholesky factor need not have the bits of the block's
 product, as BLAS kernels are chosen by shape.
 
+Only a chunk's rows that can miss are selected and counted: those with an
+entry above lo_edge = nextafter(theta + c_lo, -inf) or below up_edge =
+nextafter(theta - c_up, +inf), where c_lo and c_up are each coordinate's
+narrowest offsets over all scored methods.  theta is a float and rounding
+is monotone, so fl(y - c) > theta needs y - c > theta exactly, that is
+y > theta + c >= lo_edge (the upper side is its mirror); a smaller offset
+only widens a method's miss set, whichever rule selected y; and a dropped
+row adds 0 to every count, so the counts are those of every row.
+
 Each thread draws its blocks into two float buffers that it keeps across
 blocks and calls, so a block reuses memory that is already mapped.  A thread
 keeps them after a call only while they hold at most 64 MiB together; the
@@ -80,7 +89,9 @@ _KEEP_BYTES = 64 << 20  # block buffers a thread keeps between calls: m <= 1024 
 # block, whose partition copy alone is 3.3 MB, took up to 25% less time in
 # chunks of 256 or 512 KiB than whole on a machine with 2 MiB of L2 cache
 # per core, and more in chunks of 128 KiB or 1 MiB; at 256 KiB a warm call
-# allocates about 0.6 MB beside its kept buffers, against about 4 MB whole
+# allocates about 0.6 MB beside its kept buffers, against about 4 MB whole.
+# The row filter's masks and its copy of the kept rows are per chunk too, so
+# no temporary outgrows a chunk; the partition sees only the kept rows
 _CHUNK_BYTES = 256 << 10
 
 _PANELS = ("all_normal", "half_normal_half_t5")
@@ -301,7 +312,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
     each block is drawn once, each selection rule the methods use (top-k,
     abs-max) is applied to it once, and every method counts its misses on
     that selection, so each report equals the one a call for that method
-    alone would give.  Every label is checked before the first draw.
+    alone would give.  Every label is checked before the first draw.  Only
+    the rows with an entry past the narrowest interval of any method are
+    selected and counted: no other row can miss (see the module docstring),
+    so the counts are those of a pass over every row.
 
     A label is a MethodLabel value or "abs_max" (the latter needs k == 1,
     m == 2 and covariance s^2 * I, the setting the abs-max construction is
@@ -343,6 +357,10 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
             scored.append((label, "top_k", scales * c_lo, scales * c_up))
     rules = dict.fromkeys(rule for _, rule, _, _ in scored)
     rows = max(1, _CHUNK_BYTES // (8 * scenario.m))  # per chunk of selection and counting
+    # a row with no entry above lo_edge or below up_edge misses under no
+    # method and rule (see the module docstring), so only the others are selected
+    lo_edge = np.nextafter(theta + np.min([c_lo for *_, c_lo, _ in scored], axis=0), -np.inf)
+    up_edge = np.nextafter(theta - np.min([c_up for *_, c_up in scored], axis=0), np.inf)
 
     def run_block(args) -> list[list[tuple[int, int, int, int]]]:
         # each chunk's (sos, low, up, missed) counts, per scored method
@@ -355,6 +373,7 @@ def run_coverage(scenario: Scenario, k: int, method: str | Sequence[str],
         counts = []
         for start in range(0, size, rows):
             chunk = y[start:start + rows]
+            chunk = chunk[((chunk > lo_edge) | (chunk < up_edge)).any(axis=1)]
             chosen = {}  # rule -> (y_sel, th_sel, cols), gathered once for every method
             for rule in rules:
                 flat, cols = selected_entries(chunk, rule, k)

@@ -383,6 +383,33 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in err
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # a usage error between two runs leaves the shared parser as it was, and
+    # a scenario flag given once does not carry over to the next run
+    calls = [("simulate", "--m", "4", "--k", "1", "--reps", "200", "--rho", "0.5",
+              "--methods", "sidak"),
+             ("delta-scan", "--m", "10", "--k", "1", "--grid", "3", "--deltas", "0.5"),
+             ("simulate", "--m", "4", "--k", "1", "--reps", "200", "--methods", "sidak")]
+    separate = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        separate.append(run_cli(capsys, *argv))
+    built = []
+    build_parser = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert len(built) == 1
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert shared == separate
+    assert shared[0][1] != shared[2][1]  # rho 0.5, then the default 0
+
+
 # grids whose expansion would take more memory than any machine has
 _OVERSIZED = [
     ("compare", "--m", "100", "--k-range", f"1:{10**15}"),

@@ -486,6 +486,79 @@ def test_run_coverage_counts_match_a_per_replicate_reference(monkeypatch, name):
         assert 0 < sos < scenario.reps  # the intervals miss sometimes, not always
 
 
+def test_run_coverage_counts_misses_at_the_row_filter_edges(monkeypatch):
+    # each row holds theta but for one column, which sits at fl(theta + c_lo)
+    # or fl(theta - c_up) of the narrowest offsets, or one ulp either side;
+    # the narrowest lower and upper offsets come from different methods.  An
+    # edge value farther from 0 than its theta can round so that the interval
+    # misses, so the columns take both signs, and a last column far below
+    # the rest leaves all others selected.  Some rows at each rounded edge
+    # itself miss, so an edge that is not stepped outward drops misses that
+    # the reference counts
+    m, alpha = 40, 0.05
+    k = m - 1
+    rng = np.random.default_rng(31)
+    theta = np.append(rng.uniform(5.0, 10.0, k) * rng.choice([-1.0, 1.0], k), -100.0)
+    scenario = Scenario(m=m, covariance=CovarianceModel("time_decay"), reps=4596, seed=32,
+                        theta=tuple(theta.tolist()))
+    methods = ["sos_symmetric", "sos_shortest", "bonferroni"]
+    scales = np.sqrt(np.diag(build_covariance(scenario)))
+    offsets = [[(scales * c).tolist() for c in method_offsets(method, m, k, alpha)]
+               for method in methods]
+    edges = (theta + np.min([lo for lo, _ in offsets], axis=0),
+             theta - np.min([up for _, up in offsets], axis=0))
+    drawn = []
+
+    def edge_draws(rng, th, lower, size, df, out, normals):
+        out[...] = th
+        cols = rng.integers(0, k, size)
+        at = np.where(rng.integers(0, 2, size) == 0, edges[0][cols], edges[1][cols])
+        # an ulp down, none, or an ulp up
+        out[np.arange(size), cols] = np.nextafter(at, at + rng.integers(-1, 2, size))
+        drawn.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(mc, "draw_replicates", edge_draws)
+    reports = run_coverage(scenario, k, methods, alpha)
+    assert len(drawn) == scenario.reps
+
+    theta = theta.tolist()
+    chosen = [sorted(range(m), key=lambda i: -row[i])[:k] for row in drawn]
+    at_edge = [0, 0]  # lower and upper misses of a column exactly at a rounded edge
+    for report, (c_lo, c_up) in zip(reports, offsets):
+        sos = low = up = missed = 0
+        for row, cols in zip(drawn, chosen):
+            lows = [(row[i] - c_lo[i]) > theta[i] for i in cols]
+            ups = [(row[i] + c_up[i]) < theta[i] for i in cols]
+            sos += any(lows) or any(ups)
+            low += any(lows)
+            up += any(ups)
+            missed += sum(a or b for a, b in zip(lows, ups))
+            at_edge[0] += sum(a and row[i] == edges[0][i] for i, a in zip(cols, lows))
+            at_edge[1] += sum(b and row[i] == edges[1][i] for i, b in zip(cols, ups))
+        counts = (report.sos_misses, report.lower_events, report.upper_events,
+                  report.missed_intervals)
+        assert counts == (sos, low, up, missed), report.method
+    assert min(at_edge) > 0, at_edge
+
+
+def test_run_coverage_selects_only_rows_that_can_miss(monkeypatch):
+    # at eta = 0 a row reaches past the narrowest interval in a few percent
+    # of replicates, and only those rows go through selection
+    scenario = iid_scenario(m=100, reps=5000, seed=41)
+    received = []
+    selected_entries = mc.selected_entries
+
+    def spy(y, rule, k):
+        received.append(y.shape[0])
+        return selected_entries(y, rule, k)
+
+    monkeypatch.setattr(mc, "selected_entries", spy)
+    report = run_coverage(scenario, 10, "sos_symmetric")
+    assert 1 <= sum(received) <= scenario.reps // 2
+    assert report.sos_misses <= sum(received)
+
+
 def test_run_coverage_mixed_panel_runs_and_replays():
     cov = CovarianceModel("block", 0.5, block_size=10)
     scn = Scenario(m=20, covariance=cov, reps=5000, seed=77, eta=2.0,
