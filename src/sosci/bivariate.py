@@ -92,7 +92,7 @@ _A_MAX = 8.0  # a tabulated curve's default extent
 # never reach the |t + mu_i| kink
 _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
-_MAX_STEPS = 50  # every solve tried took at most 6 steps from the Sidak start
+_MAX_STEPS = 50  # every solve tried took at most 6 steps (see _newton)
 _START_STEPS = 2  # Newton steps on a curve's quintic reading before an endpoint solve
 # elements per pass of the mean-0 rule, set by the pass's largest array:
 # a calibration pass's integrand rows, 8 bytes at each of the 2 coordinates'
@@ -356,8 +356,12 @@ def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
     # from overflowing the rule's squares.  The second equation
     # is linear, so a start on it stays on it.  log miss is smooth and close
     # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
-    # two-coordinate Sidak end of the range, every solve tried (alpha from
-    # 1e-13 to 1 - 1e-8, |w| up to 1e12) converged within 6 steps.  From a
+    # two-coordinate Sidak end of the range (an endpoint solve without a
+    # curve), every solve tried (alpha from 1e-13 to 1 - 1e-8, |w| up to
+    # 1e12) converged within 6 steps.  From _calibrate's start, at s below
+    # a = s and at the unadjusted constant past it, every knot of a curve to
+    # a = 12 by 0.01 converged within 5 steps at nine alphas from 1e-13 to
+    # 1 - 1e-8, on the miss and on the coverage alike.  From a
     # start on a curve's quintic reading (the abs-max endpoints) the first
     # step is mostly below _STEP_TOL, so one evaluation confirms the endpoint;
     # where a is near c_plus(a) the reading is off by up to 2e-6, and a
@@ -406,9 +410,9 @@ def _solve_coverage(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
     # the coverage from _coverage_rule, from the start c.  As alpha nears 1,
     # c falls toward 0 like sqrt(1 - alpha) at a = 0 and like 1 - alpha for
     # large a, and log coverage is close to linear in log c (slope 2 at
-    # a = 0, 1 for large a): steps in log c keep c positive from the Sidak
-    # start, and _STEP_TOL bounds each last step relative to c.  An element
-    # is frozen once its step is below _STEP_TOL, as in _newton
+    # a = 0, 1 for large a): steps in log c keep c positive from either of
+    # _calibrate's starts, and _STEP_TOL bounds each last step relative to
+    # c.  An element is frozen once its step is below _STEP_TOL, as in _newton
     target = math.log1p(-alpha)
     out, todo = np.empty(len(a)), np.arange(len(a))
     for _ in range(_MAX_STEPS):
@@ -431,9 +435,14 @@ def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
     # step is 0), so each distinct such value is solved once and its c is
     # copied to every a that shares it: exact, and a long flat run costs one
     # solve.  Above alpha = 1/2 the solve is on the coverage, not the miss,
-    # _CHUNK elements at a time so that no pass maps fresh pages
+    # _CHUNK elements at a time so that no pass maps fresh pages.  c_plus
+    # falls from the two-coordinate Sidak constant s at a = 0 toward the
+    # unadjusted constant z, and is near z once a >= s: each a starts at z
+    # there and at s below it.  The start depends on a alone, so a curve's
+    # knot keeps the bits of the scalar c_plus at its a
     flat, where = np.unique(np.minimum(grid_a, _A_FLAT), return_inverse=True)
-    start = np.full(len(flat), sidak_halfwidth(2, alpha))
+    sidak = sidak_halfwidth(2, alpha)
+    start = np.where(flat >= sidak, -NORMAL.quantile(alpha / 2.0), sidak)
     if alpha > 0.5:
         return np.concatenate([_solve_coverage(flat[lo:lo + _CHUNK], start[lo:lo + _CHUNK], alpha)
                                for lo in range(0, len(flat), _CHUNK)])[where]
@@ -445,10 +454,12 @@ def c_plus(a: float, alpha: float) -> float:
 
     The miss probability falls in c from 1 at c = 0, so the calibration is
     its one root: Newton steps on the log miss probability, whose c slope is
-    the integrand at the tail edges, started at the two-coordinate Sidak
-    constant (the value at a = 0, and the largest over a).  Above
-    alpha = 1/2 the steps are in log c on the log coverage, integrated over
-    [-c, c], so c keeps its relative accuracy as alpha nears 1.
+    the integrand at the tail edges.  The solve starts at the two-coordinate
+    Sidak constant s (the value at a = 0, and the largest over a) when
+    a < s, and at the unadjusted constant (the limit as a grows) when
+    a >= s.  Above alpha = 1/2 the steps are in log c on the log coverage,
+    integrated over [-c, c], so c keeps its relative accuracy as alpha
+    nears 1.
     """
     a = _check_real(a, "a", lambda v: 0.0 <= v < math.inf,
                     "be finite and >= 0 (the curve is even: use |a|)")

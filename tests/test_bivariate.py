@@ -582,6 +582,36 @@ def test_newton_cap_raises_optimization_error(monkeypatch):
         abs_max_interval([4.12, 0.0], 0.05, curve=curve)
 
 
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1 - 1e-8])
+def test_calibration_converges_within_five_steps(monkeypatch, alpha):
+    # knots below the two-coordinate Sidak constant s start at s, the rest
+    # at the unadjusted constant; both starts, on the miss (alpha <= 1/2)
+    # and on the coverage (alpha > 1/2), converge within 5 Newton steps
+    curve = CPlusCurve(alpha, 12.0, 0.01)
+    assert curve.grid_a[0] < sidak_halfwidth(2, alpha) < curve.grid_a[-1]
+    monkeypatch.setattr(bivariate, "_MAX_STEPS", 5)
+    assert np.array_equal(CPlusCurve(alpha, 12.0, 0.01).grid_c, curve.grid_c)
+
+
+@pytest.mark.parametrize("alpha, most", [(0.05, 2400), (0.9, 2200)])
+def test_default_curve_rule_evaluations(monkeypatch, alpha, most):
+    # elements passed to the rules over a default build: a start at the
+    # unadjusted constant past a = s saves about 39% of the 3,742 (alpha
+    # 0.05, on the miss) and 3,192 (alpha 0.9, on the coverage) a start at
+    # s took at every knot
+    seen = []
+    for name in ("_zero_mean_rule", "_coverage_rule"):
+        rule = getattr(bivariate, name)
+
+        def counted(a, *args, rule=rule):
+            seen.append(len(a))
+            return rule(a, *args)
+
+        monkeypatch.setattr(bivariate, name, counted)
+    CPlusCurve.build(alpha)
+    assert 0 < sum(seen) <= most
+
+
 def test_cplus_curve_cache():
     assert cplus_curve(0.05) is cplus_curve(0.05)
 
@@ -649,13 +679,15 @@ def test_hand_built_curve_keeps_read_only_copies():
 
 
 def test_default_curve_bits_are_pinned():
-    # the calibration skips the mean slopes its steps multiply by 0; every
-    # knot keeps the bits it had when they were computed.  Pinned for the
-    # 28-node rule, whose knots lie within 16 ulp of a 96-node rule's
+    # the calibration skips the mean slopes its steps multiply by 0.  Newton's
+    # last step lands within a few ulp of the root, depending on where it
+    # starts: starting every knot at s, not at the unadjusted constant once
+    # a >= s, moves 380 of them by up to 5 ulp.  Pinned for the 28-node rule,
+    # whose knots lie within 17 ulp of a 96-node rule's from the same starts
     grid_c = CPlusCurve.build(0.05).grid_c
     assert grid_c.shape == (801,)
     assert hashlib.sha256(grid_c.tobytes()).hexdigest() == (
-        "4658f440921f1058d4f28cb5f8fd391551c6153b3ea96542d6854f080d9f83f1")
+        "32a56b9b9183ebb33d29c8ae3df0413fe21dc8a5e3f053e855971be32c8d46a8")
 
 
 def test_abs_max_interval_frozen_center(small_curve):
