@@ -92,7 +92,7 @@ _A_MAX = 8.0  # a tabulated curve's default extent
 # never reach the |t + mu_i| kink
 _A_FLAT = 100.0
 _STEP_TOL = 1e-12  # a Newton solve stops once every step in (a, c) is this small
-_MAX_STEPS = 50  # every solve tried took at most 6 steps (see _newton)
+_MAX_STEPS = 50  # every solve tried took at most 6 steps (see _invert_endpoints)
 _START_STEPS = 2  # Newton steps on a curve's quintic reading before an endpoint solve
 # elements per pass of the mean-0 rule, set by the pass's largest array:
 # a calibration pass's integrand rows, 8 bytes at each of the 2 coordinates'
@@ -285,10 +285,11 @@ def _miss_probability(a: np.ndarray, c: np.ndarray, mean_slope: bool) -> np.ndar
     return out
 
 
-def _coverage_rule(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # b_region_probability at means (a, 0) for a >= 0 and c > 0, and its
-    # slope in c, as the rows of a (2, n) array: the complement of
-    # _tail_rule's miss, integrated over [-c, c] itself, for calibrations at
+def _coverage_rule(a: np.ndarray, c: np.ndarray, mean_slope: bool) -> np.ndarray:
+    # b_region_probability at means (a, 0) for a >= 0 and c > 0, its slope
+    # in a (when `mean_slope` is set, else 0) and its slope in c, as the rows
+    # of a (3, n) array laid out as _miss_probability's: the complement of
+    # _tail_rule's miss, integrated over [-c, c] itself, for solves at
     # alpha > 1/2.  There the miss nears 1, and 1 - miss would keep the
     # coverage to absolute, not relative, accuracy.  With h_i as in
     # _tail_rule, the coverage is the sum over i of
@@ -301,7 +302,9 @@ def _coverage_rule(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     # is even in t, so its split at 0 leaves two mirror images, and it is
     # twice its integral over [0, c].  The c slope is the integrand at the
     # two edges, phi(c) [h_0(c) + h_0(-c) + h_1(c) + h_1(-c)]: the tail rule's
-    # edge terms with the sign flipped.
+    # edge terms with the sign flipped.  The a slope integrates h_i's slopes
+    # sign(t + a) e(t + a) and [e(|t| + a) - e(|t| - a)] / 2, where
+    # e(x) = sqrt(2 / pi) exp(-x^2 / 2); h_0's slope jumps at the kink, a panel edge
     from scipy import special  # imported here: only the abs-max rule needs erf
 
     n, kink = len(a), np.maximum(-a, -c)
@@ -312,16 +315,24 @@ def _coverage_rule(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     weight = np.exp(-0.5 * t * t)
     weight *= half * _GL_W
     weight[:, 2] *= 2.0
+    out = np.zeros((3, n))
     size = t + a[:, None, None]
+    below = t[:, 2] - a[:, None]
+    if mean_slope:  # the weights hold exp(-t^2 / 2), and e(x) / sqrt(2 pi) is 1 / pi
+        gauss = np.exp(-0.5 * size * size)
+        gauss[:, :2] *= np.sign(size[:, :2])
+        gauss[:, 2] -= np.exp(-0.5 * below * below)
+        gauss[:, 2] *= 0.5
+        gauss *= weight
+        out[1] = np.add.reduce(gauss.reshape(n, -1), axis=-1) / math.pi
     np.abs(size[:, :2], out=size[:, :2])
     h = special.erf(size * _SQRT_HALF)
-    h[:, 2] += special.erf((t[:, 2] - a[:, None]) * _SQRT_HALF)
+    h[:, 2] += special.erf(below * _SQRT_HALF)
     h[:, 2] *= 0.5
     h *= weight
-    out = np.empty((2, n))
     out[0] = _INV_SQRT_2PI * np.add.reduce(h.reshape(n, -1), axis=-1)
     edges = special.erf(np.stack([c + a, np.abs(c - a), c - a]) * _SQRT_HALF)
-    out[1] = _INV_SQRT_2PI * np.exp(-0.5 * c * c) * (2.0 * edges[0] + edges[1] + edges[2])
+    out[2] = _INV_SQRT_2PI * np.exp(-0.5 * c * c) * (2.0 * edges[0] + edges[1] + edges[2])
     return out
 
 
@@ -347,59 +358,26 @@ def b_region_probability(mu, c: float) -> float:
     return min(max(1.0 - miss, 0.0), 1.0)
 
 
-def _newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
-            alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    # Solves, for each element, the pair
-    #   log miss(|a|, c) = log alpha   and   a + slope c = w
-    # by Newton steps in (a, c) from the given start.  |a| is held at
-    # _A_FLAT beyond it, which changes no bit of miss and keeps a huge a
-    # from overflowing the rule's squares.  The second equation
-    # is linear, so a start on it stays on it.  log miss is smooth and close
-    # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
-    # two-coordinate Sidak end of the range (an endpoint solve without a
-    # curve), every solve tried (alpha from 1e-13 to 1 - 1e-8, |w| up to
-    # 1e12) converged within 6 steps.  From _calibrate's start, at s below
-    # a = s and at the unadjusted constant past it, every knot of a curve to
-    # a = 12 by 0.01 converged within 5 steps at nine alphas from 1e-13 to
-    # 1 - 1e-8, on the miss and on the coverage alike.  From a
-    # start on a curve's quintic reading (the abs-max endpoints) the first
-    # step is mostly below _STEP_TOL, so one evaluation confirms the endpoint;
-    # where a is near c_plus(a) the reading is off by up to 2e-6, and a
-    # second step is needed.
-    # An element is frozen once its step is below _STEP_TOL, so each result
-    # is the one a batch of that element alone would give; the arrays a, c,
-    # slope and w hold the elements still moving, and `todo` their places
-    # once one has frozen (until then nothing is gathered or scattered).
-    # With every slope 0 (calibration), g is 0 from the start and stays 0,
-    # and f_a enters the step only through g and slope: its quadrature is
-    # skipped, and the 0 that stands in for it leaves every step's bits as
-    # they would be with it.
+def _solve_miss(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
+    # c_plus at each a in [0, _A_FLAT] for alpha <= 1/2: Newton steps in c on
+    # log miss(a, c) = log alpha from the start c, skipping the rule's a
+    # slope.  log miss is close to quadratic in c (about -c^2 / 2 far in the
+    # tail): from _calibrate's starts every knot of a curve to a = 12 by 0.01
+    # converged within 5 steps at nine alphas from 1e-13 to 1 - 1e-8, here
+    # and in _solve_coverage.  An element is frozen once its step is below
+    # _STEP_TOL, so each result is the one a batch of it alone would give
     log_alpha = math.log(alpha)
-    mean_slope = bool(slope.any())
-    out = todo = None  # every element's (a, c) and the places still moving, once one freezes
+    out, todo = np.empty(len(a)), np.arange(len(a))
     for _ in range(_MAX_STEPS):
-        size = np.abs(a)
-        miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), c, mean_slope)
-        f = np.log(miss) - log_alpha
-        g = a + slope * c - w
-        f_a = np.sign(a) * (size < _A_FLAT) * miss_a / miss  # 0 where miss is flat in a
-        f_c = miss_c / miss
-        det = slope * f_a - f_c
-        step_a = (f_c * g - slope * f) / det
-        step_c = (f - f_a * g) / det
-        a, c = a + step_a, c + step_c
-        if todo is not None:
-            out[0][todo], out[1][todo] = a, c
-        # a NaN step never counts as converged
-        done = np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL
+        miss, _, miss_c = _miss_probability(a, c, False)
+        step = (np.log(miss) - log_alpha) / (miss_c / miss)
+        c = c - step
+        done = np.abs(step) <= _STEP_TOL  # a NaN step never counts as converged
+        out[todo[done]] = c[done]
         if done.all():
-            return (a, c) if out is None else out
-        if todo is None:
-            if not done.any():
-                continue
-            out, todo = (a, c), np.arange(len(a))
+            return out
         moving = ~done
-        todo, a, c, slope, w = todo[moving], a[moving], c[moving], slope[moving], w[moving]
+        todo, a, c = todo[moving], a[moving], c[moving]
     raise OptimizationError(
         f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
 
@@ -412,11 +390,12 @@ def _solve_coverage(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
     # large a, and log coverage is close to linear in log c (slope 2 at
     # a = 0, 1 for large a): steps in log c keep c positive from either of
     # _calibrate's starts, and _STEP_TOL bounds each last step relative to
-    # c.  An element is frozen once its step is below _STEP_TOL, as in _newton
+    # c.  An element is frozen once its step is below _STEP_TOL, as in
+    # _solve_miss
     target = math.log1p(-alpha)
     out, todo = np.empty(len(a)), np.arange(len(a))
     for _ in range(_MAX_STEPS):
-        cover, cover_c = _coverage_rule(a, c)
+        cover, _, cover_c = _coverage_rule(a, c, False)
         step = (np.log(cover) - target) * cover / (c * cover_c)
         c = c * np.exp(-step)
         done = np.abs(step) <= _STEP_TOL  # a NaN step never counts as converged
@@ -430,15 +409,14 @@ def _solve_coverage(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a >= 0: the constraint a = a_i holds from the start.
-    # With slope 0, _newton reads a only through min(|a|, _A_FLAT) (its a
-    # step is 0), so each distinct such value is solved once and its c is
-    # copied to every a that shares it: exact, and a long flat run costs one
-    # solve.  Above alpha = 1/2 the solve is on the coverage, not the miss,
-    # _CHUNK elements at a time so that no pass maps fresh pages.  c_plus
-    # falls from the two-coordinate Sidak constant s at a = 0 toward the
-    # unadjusted constant z, and is near z once a >= s: each a starts at z
-    # there and at s below it.  The start depends on a alone, so a curve's
+    # c_plus at each a >= 0.  Both solves read a only through
+    # min(a, _A_FLAT), so each distinct such value is solved once and its c
+    # is copied to every a that shares it: exact, and a long flat run costs
+    # one solve.  Below alpha = 1/2 the solve is on the miss, above it on the
+    # coverage, _CHUNK elements at a time so that no pass maps fresh pages.
+    # c_plus falls from the two-coordinate Sidak constant s at a = 0 toward
+    # the unadjusted constant z, and is near z once a >= s: each a starts at
+    # z there and at s below it.  The start depends on a alone, so a curve's
     # knot keeps the bits of the scalar c_plus at its a
     flat, where = np.unique(np.minimum(grid_a, _A_FLAT), return_inverse=True)
     sidak = sidak_halfwidth(2, alpha)
@@ -446,7 +424,7 @@ def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
     if alpha > 0.5:
         return np.concatenate([_solve_coverage(flat[lo:lo + _CHUNK], start[lo:lo + _CHUNK], alpha)
                                for lo in range(0, len(flat), _CHUNK)])[where]
-    return _newton(flat, start, np.zeros(len(flat)), flat, alpha)[1][where]
+    return _solve_miss(flat, start, alpha)[where]
 
 
 def c_plus(a: float, alpha: float) -> float:
@@ -549,7 +527,7 @@ def _cached_curve(alpha: float, a_max: float, step: float) -> CPlusCurve:
     return CPlusCurve.build(alpha, a_max, step)
 
 
-def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
+def _curve_start(curve: CPlusCurve, w: float) -> list[float]:
     # c at the start of each endpoint solve (lower, upper) for w >= 0, read
     # off the tabulated curve.  With b = |a|, each endpoint solves
     #   b + sigma c(b) = r:  the lower one, a = b >= 0 when w >= c(0), as
@@ -571,7 +549,7 @@ def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
     c_0, c_end = float(curve.grid_c[0]), float(curve.grid_c[-1])
     step, stencils = curve.step, curve._quintic
     sign = 1.0 if w >= c_0 else -1.0
-    start = np.empty(2)
+    start = [0.0, 0.0]
     for i, (sigma, r) in enumerate(((sign, sign * w), (-1.0, w))):
         line = curve._plus if sigma > 0.0 else curve._minus
         b = float(np.interp(r, line, curve.grid_a, right=r - sigma * c_end))
@@ -603,21 +581,57 @@ def _curve_start(curve: CPlusCurve, w: float) -> np.ndarray:
 
 
 def _invert_endpoints(w: float, alpha: float,
-                      curve: CPlusCurve | None) -> tuple[float, float]:
+                      curve: CPlusCurve | None) -> list[float]:
     # endpoints for a nonnegative selected value w:
     #   lower = inf{a : a + c(|a|) >= w},  upper = sup{a : a - c(|a|) <= w}
     # c lies in [z, s] and its slope exceeds -1, so a + c(|a|) and a - c(|a|)
-    # are increasing and each endpoint is the one solution of a +/- c = w
-    # with c = c_plus(|a|); both are solved in one batch.  Without a curve
-    # the solve starts at the ends of the Sidak box, where c = s.  With one,
-    # it starts at the root on the curve's reading (`_curve_start`), so one
-    # evaluation of the rule, whose step is below _STEP_TOL, confirms most
-    # endpoints.  Newton iterates against exact c_plus either way, so the
-    # curve sets where the solve starts and nothing else.
-    slope = np.array([1.0, -1.0])
-    c = np.full(2, sidak_halfwidth(2, alpha)) if curve is None else _curve_start(curve, w)
-    lo, hi = _newton(w - slope * c, c, slope, np.array([w, w]), alpha)[0].tolist()
-    return lo, hi
+    # are increasing and each endpoint is the one solution of a + sigma c = w
+    # (sigma 1 lower, -1 upper) with F(|a|, c) = 0, c = c_plus(|a|).  Each is
+    # solved by Newton steps in (a, x) from the start c at the ends of the
+    # Sidak box, where c = s, or at the root on a curve's reading
+    # (`_curve_start`), and a = w - sigma c; the steps iterate against exact
+    # c_plus either way, so the curve sets where a solve starts and nothing
+    # else.  x = c on the log miss for alpha <= 1/2 and, as _calibrate does,
+    # x = log c on the log coverage above it, which keeps the endpoints'
+    # relative accuracy as c nears 0.  |a| is held at _A_FLAT beyond it,
+    # where the rule keeps its bits and F is flat in a.  Both endpoints share
+    # a rule pass per step, and the rest of a step runs on Python floats,
+    # which round as numpy's do.  An endpoint freezes once both its steps
+    # are at most _STEP_TOL (a NaN step never is), and the other goes on
+    # alone.  From the Sidak box every solve tried (alpha 1e-13 to
+    # 1 - 1e-14, |w| to 1e12) took at most 6 steps; from a curve's start one
+    # step mostly confirms the endpoint
+    start = (sidak_halfwidth(2, alpha),) * 2 if curve is None else _curve_start(curve, w)
+    on_coverage = alpha > 0.5
+    rule = _coverage_rule if on_coverage else _miss_probability
+    target = math.log1p(-alpha) if on_coverage else math.log(alpha)
+    out = [w - start[0], w + start[1]]
+    moving = [(0, 1.0, out[0], start[0]), (1, -1.0, out[1], start[1])]
+    for _ in range(_MAX_STEPS):
+        rows = rule(np.array([min(abs(a), _A_FLAT) for _, _, a, _ in moving]),
+                    np.array([c for *_, c in moving]), True)
+        still = []
+        for (i, sigma, a, c), f, v, v_a, v_c in zip(
+                moving, (np.log(rows[0]) - target).tolist(), *rows.tolist()):
+            g = a + sigma * c - w
+            f_a = (v_a if a > 0.0 else -v_a) / v if 0.0 < abs(a) < _A_FLAT else 0.0
+            f_x, g_x = v_c / v, sigma
+            if on_coverage:
+                f_x, g_x = c * f_x, sigma * c
+            det = g_x * f_a - f_x
+            step_a = (f_x * g - g_x * f) / det
+            step_x = (f - f_a * g) / det
+            a += step_a
+            c = c * math.exp(step_x) if on_coverage else c + step_x
+            if abs(step_a) <= _STEP_TOL and abs(step_x) <= _STEP_TOL:
+                out[i] = a
+            else:
+                still.append((i, sigma, a, c))
+        if not still:
+            return out
+        moving = still
+    raise OptimizationError(f"abs-max endpoint solve did not converge in {_MAX_STEPS} "
+                            f"Newton steps at w={w}, alpha={alpha}")
 
 
 def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> ConfidenceInterval:
@@ -627,11 +641,13 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     Endpoints invert the family of acceptance intervals |w - a| <= c_plus(|a|):
     the interval is exactly {a : |w - a| <= c_plus(|a|)}, which is shorter than
     the two-coordinate Sidak box at every w and approaches the unadjusted
-    interval for large |w|.  Both endpoints are solved against exact c_plus
-    values at every a.  A `curve` only starts each endpoint's solve at the
-    root on the tabulated curve, which saves Newton steps; without one the
-    solve starts at the Sidak box.  Either start gives the same endpoints to
-    within the solve's step tolerance.
+    interval for large |w|.  Both endpoints are solved together against
+    exact c_plus values at every a, on the miss probability, or above
+    alpha = 1/2 on the coverage, as c_plus is, so that they keep their
+    relative accuracy as alpha nears 1.  A `curve` only starts each
+    endpoint's solve at the root on the tabulated curve, which saves Newton
+    steps; without one the solve starts at the Sidak box.  Either start gives
+    the same endpoints to within the solve's step tolerance.
     """
     alpha = _check_unit(alpha, "alpha")
     idx = select_abs_max(y)

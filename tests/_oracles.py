@@ -21,6 +21,14 @@ nodes and weights) and row sums (`_sum_rows`), so a bit test compares only
 what each rule computes itself, and it evaluates every node and sign that
 the mean-0 rule mirrors or skips.
 
+`general_newton` is the general two-variable Newton solve in (a, c) that once
+served both the calibration (with slope 0) and the endpoint pair; the
+package's two narrower solves (`bivariate._solve_miss` and the endpoint
+solve in `bivariate._invert_endpoints`) must match it to the bit at
+alpha <= 1/2.  It
+calls the package's mean-0 rule (`_miss_probability`), so a bit test compares
+only the steps.
+
 The one exception is `estimate_b_probability`, a Monte-Carlo check of the
 abs-max region probability.  It reuses the package's sampler, abs-max
 selection and miss counter on purpose: what it checks is the quadrature, by
@@ -34,10 +42,12 @@ import numpy as np
 from scipy import integrate, special
 
 from sosci.baselines import method_offsets
-from sosci.bivariate import _GL_W, _GL_X, _QUINTIC, _panels, _sum_rows
+from sosci.bivariate import (_A_FLAT, _GL_W, _GL_X, _MAX_STEPS, _QUINTIC, _STEP_TOL,
+                             _miss_probability, _panels, _sum_rows)
 from sosci.dist import _check_int, _check_mean_pair, draw_replicates, seeded_rng
 from sosci.mc import _STREAM_REPS, _block_sizes, _count_misses
 from sosci.select import abs_max_index
+from sosci.sos import OptimizationError
 
 
 def series_normal_cdf(x: float) -> float:
@@ -187,6 +197,68 @@ def general_miss_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray,
         np.subtract(away[1], near[1], out=rows[1, :, 1])
     rows *= weight.reshape(2, n, 1, nodes)
     return _sum_rows(rows, h[..., nodes] + h[..., nodes + 1], c_2, mu_0)
+
+
+def general_newton(a: np.ndarray, c: np.ndarray, slope: np.ndarray, w: np.ndarray,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each element, the (a, c) that solves log miss(|a|, c) = log alpha
+    and a + slope c = w, by Newton steps from the given start: with slope 0
+    and w = a, the calibration c_plus(a); with slopes (1, -1) and w >= 0,
+    the abs-max endpoint pair.  Each element freezes once its step is at
+    most the package's step tolerance."""
+    # Solves, for each element, the pair
+    #   log miss(|a|, c) = log alpha   and   a + slope c = w
+    # by Newton steps in (a, c) from the given start.  |a| is held at
+    # _A_FLAT beyond it, which changes no bit of miss and keeps a huge a
+    # from overflowing the rule's squares.  The second equation
+    # is linear, so a start on it stays on it.  log miss is smooth and close
+    # to quadratic in c (about -c^2 / 2 far in the tail): from a start at the
+    # two-coordinate Sidak end of the range (an endpoint solve without a
+    # curve), every solve tried (alpha from 1e-13 to 1 - 1e-8, |w| up to
+    # 1e12) converged within 6 steps.  From _calibrate's start, at s below
+    # a = s and at the unadjusted constant past it, every knot of a curve to
+    # a = 12 by 0.01 converged within 5 steps at nine alphas from 1e-13 to
+    # 1 - 1e-8, on the miss and on the coverage alike.  From a
+    # start on a curve's quintic reading (the abs-max endpoints) the first
+    # step is mostly below _STEP_TOL, so one evaluation confirms the endpoint;
+    # where a is near c_plus(a) the reading is off by up to 2e-6, and a
+    # second step is needed.
+    # An element is frozen once its step is below _STEP_TOL, so each result
+    # is the one a batch of that element alone would give; the arrays a, c,
+    # slope and w hold the elements still moving, and `todo` their places
+    # once one has frozen (until then nothing is gathered or scattered).
+    # With every slope 0 (calibration), g is 0 from the start and stays 0,
+    # and f_a enters the step only through g and slope: its quadrature is
+    # skipped, and the 0 that stands in for it leaves every step's bits as
+    # they would be with it.
+    log_alpha = math.log(alpha)
+    mean_slope = bool(slope.any())
+    out = todo = None  # every element's (a, c) and the places still moving, once one freezes
+    for _ in range(_MAX_STEPS):
+        size = np.abs(a)
+        miss, miss_a, miss_c = _miss_probability(np.minimum(size, _A_FLAT), c, mean_slope)
+        f = np.log(miss) - log_alpha
+        g = a + slope * c - w
+        f_a = np.sign(a) * (size < _A_FLAT) * miss_a / miss  # 0 where miss is flat in a
+        f_c = miss_c / miss
+        det = slope * f_a - f_c
+        step_a = (f_c * g - slope * f) / det
+        step_c = (f - f_a * g) / det
+        a, c = a + step_a, c + step_c
+        if todo is not None:
+            out[0][todo], out[1][todo] = a, c
+        # a NaN step never counts as converged
+        done = np.maximum(np.abs(step_a), np.abs(step_c)) <= _STEP_TOL
+        if done.all():
+            return (a, c) if out is None else out
+        if todo is None:
+            if not done.any():
+                continue
+            out, todo = (a, c), np.arange(len(a))
+        moving = ~done
+        todo, a, c, slope, w = todo[moving], a[moving], c[moving], slope[moving], w[moving]
+    raise OptimizationError(
+        f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
 
 
 def curve_start(curve, w: float) -> np.ndarray:

@@ -33,6 +33,7 @@ from _oracles import (
     curve_start,
     estimate_b_probability,
     general_miss_rule,
+    general_newton,
     larger_of_two_miss_quad,
 )
 
@@ -204,18 +205,20 @@ def test_zero_mean_rule_keeps_the_general_rules_bits(monkeypatch, mean_slopes):
 
 
 def test_mean_zero_rule_sees_only_the_means_the_solves_pass(monkeypatch):
-    # the mean-0 rule serves every solve with no branch for a negative mean:
-    # c_plus, curves (one reaching past _A_FLAT), abs_max_interval at w in
-    # [-6, 6] with and without a curve, and abs_max coverage at a negative
-    # theta only ever pass a in [0, _A_FLAT] and a finite c > 0
+    # the mean-0 rules (on the miss, and on the coverage above alpha = 1/2)
+    # serve every solve with no branch for a negative mean: c_plus, curves
+    # (one reaching past _A_FLAT), abs_max_interval at w in [-6, 6] with and
+    # without a curve, and abs_max coverage at a negative theta only ever
+    # pass a in [0, _A_FLAT] and a finite c > 0
     seen = []
-    rule = bivariate._zero_mean_rule
+    for name in ("_zero_mean_rule", "_coverage_rule"):
+        rule = getattr(bivariate, name)
 
-    def recorded(a, c, mean_slopes):
-        seen.append((a.min(), a.max(), c.min(), np.isfinite(c).all()))
-        return rule(a, c, mean_slopes)
+        def recorded(a, c, mean_slopes, rule=rule):
+            seen.append((a.min(), a.max(), c.min(), np.isfinite(c).all()))
+            return rule(a, c, mean_slopes)
 
-    monkeypatch.setattr(bivariate, "_zero_mean_rule", recorded)
+        monkeypatch.setattr(bivariate, name, recorded)
     scenario = Scenario(m=2, covariance=CovarianceModel("block", 0.0, block_size=1),
                         reps=2000, seed=3, theta=(-3.0, 0.5))
     for alpha in (1e-13, 0.05, 0.999):
@@ -360,6 +363,32 @@ def test_miss_slopes_match_finite_differences():
             fd_c = (miss(a, c + h)[0] - miss(a, c - h)[0]) / (2 * h)
             assert abs(slope_a - fd_a) <= 1e-7, (a, c)
             assert abs(slope_c - fd_c) <= 1e-7, (a, c)
+
+
+def test_coverage_slopes_match_finite_differences():
+    # the coverage rule's slopes at mean (a, 0), which the endpoint solves
+    # read above alpha = 1/2: the c slope from the edges, the a slope from
+    # the rule's nodes, whose coordinate-0 term jumps at the kink -a.  As in
+    # the miss test, a = 0 reads the coverage at h twice and no point has
+    # |a| = c.  c runs past the solves' range (c_plus is at most 1.05 above
+    # alpha = 1/2).  The value and c slope keep the bits they have without
+    # the a slope
+    h = 1e-5
+
+    def cover(a, c, mean_slope=True):
+        return bivariate._coverage_rule(np.array([abs(a)]), np.array([c]), mean_slope)[:, 0]
+
+    for a in (0.0, 0.3, 1.0, 2.2, 5.0, 9.0):
+        for c in (0.05, 0.5, 1.2, 1.5, 2.5, 4.0):
+            p, slope_a, slope_c = cover(a, c)
+            # b_region_probability is 1 - miss, good to about 1e-15 absolute
+            assert p == pytest.approx(b_region_probability((a, 0.0), c), abs=1e-14)
+            fd_a = (cover(a + h, c)[0] - cover(a - h, c)[0]) / (2 * h)
+            fd_c = (cover(a, c + h)[0] - cover(a, c - h)[0]) / (2 * h)
+            assert abs(slope_a - fd_a) <= 1e-7, (a, c)
+            assert abs(slope_c - fd_c) <= 1e-7, (a, c)
+            plain = cover(a, c, False)
+            assert (plain[1], plain[[0, 2]].tobytes()) == (0.0, cover(a, c)[[0, 2]].tobytes())
 
 
 def test_b_region_monotone_in_c():
@@ -582,6 +611,22 @@ def test_newton_cap_raises_optimization_error(monkeypatch):
         abs_max_interval([4.12, 0.0], 0.05, curve=curve)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.9])
+def test_endpoint_solve_on_a_nan_rule_raises(monkeypatch, alpha):
+    # a rule that returns NaN never converges: the endpoint solve raises,
+    # naming itself, w and alpha, and returns no NaN endpoint, from the
+    # Sidak box and from a curve's start alike
+    curve = CPlusCurve.build(alpha, a_max=3.0, step=0.5)
+    for name in ("_zero_mean_rule", "_coverage_rule"):
+        monkeypatch.setattr(bivariate, name, lambda a, c, mean_slope: np.full((3, len(a)), np.nan))
+    for given in (None, curve):
+        with pytest.raises(OptimizationError, match=(
+                rf"abs-max endpoint solve did not converge .* at w=1.5, alpha={alpha}$")):
+            abs_max_interval([1.5, 0.0], alpha, curve=given)
+    with pytest.raises(OptimizationError, match="abs-max calibration did not converge"):
+        c_plus(1.0, alpha)
+
+
 @pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1 - 1e-8])
 def test_calibration_converges_within_five_steps(monkeypatch, alpha):
     # knots below the two-coordinate Sidak constant s start at s, the rest
@@ -775,7 +820,7 @@ def _sidak_start_endpoints(w, alpha):
     # the endpoint solve started at the ends of the Sidak box, as without a curve
     s = sidak_halfwidth(2, alpha)
     slope = np.array([1.0, -1.0])
-    a, _ = bivariate._newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]), alpha)
+    a, _ = general_newton(w - slope * s, np.array([s, s]), slope, np.array([w, w]), alpha)
     return a
 
 
@@ -801,6 +846,48 @@ def test_any_curve_gives_the_no_curve_endpoints(alpha):
             ci = abs_max_interval([w, 0.0], alpha, curve=curve)
             assert abs(ci.lo - plain.lo) <= 1e-12 and abs(ci.hi - plain.hi) <= 1e-12, (
                 curve.a_max, w)
+
+
+@pytest.mark.parametrize("alpha", [1e-13, 1e-6, 0.05, 0.2, 0.5])
+def test_solves_keep_the_general_newton_bits(alpha):
+    # the calibration's 1-D solve in c and the endpoint pair's solve on
+    # floats keep every bit of the general two-variable solve they replace:
+    # every knot of a default curve and a 0.5-step curve to 3, c_plus over
+    # a in [0, 150], and both endpoints over w in [0, 12] and far past it,
+    # from each curve's start and from the Sidak box
+    s, z = sidak_halfwidth(2, alpha), -bivariate.NORMAL.quantile(alpha / 2.0)
+
+    def calibrated(a):
+        return general_newton(a, np.where(a >= s, z, s), np.zeros(len(a)), a, alpha)[1]
+
+    grid_a = np.linspace(0.0, 150.0, 1501)
+    assert bivariate._calibrate(grid_a, alpha).tobytes() == calibrated(grid_a).tobytes()
+    slope = np.array([1.0, -1.0])
+    for curve in (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5), None):
+        if curve is not None:
+            assert curve.grid_c.tobytes() == calibrated(curve.grid_a).tobytes()
+        for w in np.concatenate([np.linspace(0.0, 12.0, 241), [20.0, 150.0, 1e12]]):
+            w = float(w)
+            start = np.full(2, s) if curve is None else np.array(bivariate._curve_start(curve, w))
+            expected = general_newton(w - slope * start, start, slope, np.array([w, w]), alpha)[0]
+            assert bivariate._invert_endpoints(w, alpha, curve) == expected.tolist(), w
+
+
+@pytest.mark.parametrize("alpha", _NEAR_ONE)
+def test_abs_max_endpoints_near_alpha_one_keep_relative_accuracy(alpha):
+    # above alpha = 1/2 the endpoints solve on the coverage in (a, log c), as
+    # the calibration does, so they keep their accuracy where the miss rounds
+    # toward 1: at w = 0 each endpoint is c_plus at itself to 1e-11
+    # relative (the miss form read 6e-4 at 1 - alpha = 1e-12), and away
+    # from 0 within a few ulp of w -/+ c_plus
+    for given in (None, CPlusCurve.build(alpha)):
+        lo, hi = bivariate._invert_endpoints(0.0, alpha, given)
+        assert lo == -hi
+        assert hi == pytest.approx(c_plus(hi, alpha), rel=1e-11, abs=0.0)
+        for w in (0.5, 3.0):
+            lo, hi = bivariate._invert_endpoints(w, alpha, given)
+            assert abs(lo - (w - c_plus(abs(lo), alpha))) <= 4 * math.ulp(w), (given, w)
+            assert abs(hi - (w + c_plus(abs(hi), alpha))) <= 4 * math.ulp(w), (given, w)
 
 
 def test_curve_start_at_huge_curve_a_max():
@@ -830,7 +917,7 @@ def test_curve_start_matches_the_vectorized_start(alpha):
     for curve in curves:
         for w in np.arange(0.0, 6.0 + 1e-12, 0.01):
             start = bivariate._curve_start(curve, float(w))
-            assert start.shape == (2,)
+            assert len(start) == 2
             np.testing.assert_allclose(start, curve_start(curve, float(w)), rtol=0.0,
                                        atol=1e-14, err_msg=f"a_max={curve.a_max}, w={w}")
 
@@ -852,6 +939,7 @@ def test_curve_start_saves_newton_evaluations(monkeypatch):
     w_grid = np.arange(0.0, 6.0 + 1e-12, 0.01)
     for w in w_grid:
         abs_max_interval([w, 0.0], 0.05, curve=curve)
+    assert calls
     assert len(calls) <= 1.1 * len(w_grid)
 
 
@@ -874,6 +962,7 @@ def test_curve_start_past_the_table_saves_newton_evaluations(monkeypatch):
     for w, ci_plain in zip(w_grid, plain):
         ci = abs_max_interval([w, 0.0], alpha, curve=curve)
         assert abs(ci.lo - ci_plain.lo) <= 1e-9 and abs(ci.hi - ci_plain.hi) <= 1e-9, w
+    assert calls
     assert len(calls) <= 1.1 * len(w_grid)
 
 
