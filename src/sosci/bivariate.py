@@ -17,6 +17,7 @@ Two selection rules are covered:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -128,19 +129,33 @@ def _panels(mu_i: np.ndarray, c: np.ndarray):
     # (lo, hi) as (-far, left), (left, -c), (c, far), where
     # left = min(max(-mu_i, -far), -c) is the kink held within the tail, and
     # each panel's nodes and weights, phi(node) folded into the weights.
-    # The upper panel does not depend on mu_i.
-    c = np.minimum(c, _C_UNDERFLOW)
-    c_2 = c * c
-    far = c + 80.0 / (np.sqrt(c_2 + 80.0) + c)  # far^2 / 2 - c^2 / 2 = 40
-    bounds = np.empty(mu_i.shape + (6,))
-    np.negative(far, out=bounds[..., 0])
-    np.negative(c, out=bounds[..., 3])
-    np.minimum(np.maximum(-mu_i, bounds[..., 0]), bounds[..., 3], out=bounds[..., 1])
-    bounds[..., 2], bounds[..., 4], bounds[..., 5] = bounds[..., 1], c, far
-    lo, hi = bounds[..., 0::2], bounds[..., 1::2]
-    half = 0.5 * (hi - lo)[..., None]
+    # The upper panel does not depend on mu_i.  An endpoint solve's pair
+    # forms these, and each panel's half-width and midpoint 0.5 (hi -/+ lo),
+    # on floats, which round as numpy's do, and reads them as one array
+    if mu_i.ndim == 1 and len(mu_i) <= 2:
+        table = []
+        for mu, c in zip(mu_i.tolist(), c.tolist()):
+            c = min(c, _C_UNDERFLOW)
+            far = c + 80.0 / (math.sqrt(c * c + 80.0) + c)
+            left = min(max(-mu, -far), -c)
+            table.append((c, c * c, -far, left, left, -c, c, far, 0.5 * (left + far),
+                          0.5 * (-c - left), 0.5 * (far - c), 0.5 * (left - far),
+                          0.5 * (left - c), 0.5 * (far + c)))
+        table = np.array(table)
+        c, c_2, bounds, half, mid = (table[:, 0], table[:, 1], table[:, 2:8], table[:, 8:11, None],
+                                     table[:, 11:, None])
+    else:
+        bounds = np.empty(mu_i.shape + (6,))
+        c = np.minimum(c, _C_UNDERFLOW, out=bounds[..., 4])
+        c_2 = c * c
+        np.add(c, 80.0 / (np.sqrt(c_2 + 80.0) + c), out=bounds[..., 5])  # far^2 / 2 - c^2 / 2 = 40
+        np.negative(bounds[..., 4:], out=bounds[..., 3::-3])  # -c and -far
+        np.minimum(np.maximum(-mu_i, bounds[..., 0]), bounds[..., 3], out=bounds[..., 1])
+        bounds[..., 2] = bounds[..., 1]
+        lo, hi = bounds[..., 0::2], bounds[..., 1::2]
+        half, mid = 0.5 * (hi - lo)[..., None], 0.5 * (hi + lo)[..., None]
     panels = half * _GL_X  # the nodes, each panel's q in a row
-    panels += 0.5 * (hi + lo)[..., None]
+    panels += mid
     weight = -0.5 * panels
     weight *= panels
     np.exp(weight, out=weight)
@@ -149,9 +164,10 @@ def _panels(mu_i: np.ndarray, c: np.ndarray):
 
 
 def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # For each element, 1 - b_region_probability at means (mu_0, mu_1).  The
-    # two coordinates' selection events split the sample space, so the miss
-    # is the sum over i (j the other coordinate) of the term
+    # For each element, 1 - b_region_probability at means (mu_0, mu_1) (c may
+    # be (2, n), one per coordinate).  The two coordinates' selection events
+    # split the sample space, so the miss is the sum over i (j the other
+    # coordinate) of the term
     #   Pr{ |Y_i - mu_i| > c and |Y_j| < |Y_i| }
     # for independent standard normal errors.  Conditioning on Y_i = mu_i + t,
     #   term = integral_{|t| > c} phi(t) h(t) dt,
@@ -176,6 +192,13 @@ def _tail_rule(mu_0: np.ndarray, mu_1: np.ndarray, c: np.ndarray) -> np.ndarray:
     h *= weight.reshape(2, n, nodes)
     miss = _INV_SQRT_2PI * np.add.reduce(h, axis=-1)
     return miss[0] + miss[1]
+
+
+def _abs_max_miss(theta_0: np.ndarray, theta_1: np.ndarray, alpha: float) -> np.ndarray:
+    # the abs-max interval's exact SoS miss at each theta: it covers theta_i exactly when
+    # |Y_i - theta_i| <= c_plus(|theta_i|), so _tail_rule's terms at each coordinate's c
+    size = np.abs(np.stack([theta_0, theta_1]))
+    return _tail_rule(theta_0, theta_1, _calibrate(size.ravel(), alpha).reshape(size.shape))
 
 
 def _zero_mean_rule(a: np.ndarray, c: np.ndarray, mean_slopes: bool) -> np.ndarray:
@@ -224,7 +247,7 @@ def _zero_mean_rule(a: np.ndarray, c: np.ndarray, mean_slopes: bool) -> np.ndarr
     shared = lower[:, 2 * q:nodes + 1]  # coordinate 1's lower sign: upper panel, edge c
     h = np.subtract(1.0, lower)  # coordinate 0's upper sign, then its h
     close = size < 1.0
-    h[close] = special.ndtr(size[close])
+    h[close] = special.ndtr(size[close])  # not where=: scipy's ufuncs corrupted memory with it
     h -= lower
     # coordinate 1's integrand (row 0) and mean slope (row 1) on its upper
     # panel and at the edge c
@@ -358,46 +381,32 @@ def b_region_probability(mu, c: float) -> float:
     return min(max(1.0 - miss, 0.0), 1.0)
 
 
-def _solve_miss(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a in [0, _A_FLAT] for alpha <= 1/2: Newton steps in c on
-    # log miss(a, c) = log alpha from the start c, skipping the rule's a
-    # slope.  log miss is close to quadratic in c (about -c^2 / 2 far in the
-    # tail): from _calibrate's starts every knot of a curve to a = 12 by 0.01
-    # converged within 5 steps at nine alphas from 1e-13 to 1 - 1e-8, here
-    # and in _solve_coverage.  An element is frozen once its step is below
-    # _STEP_TOL, so each result is the one a batch of it alone would give
-    log_alpha = math.log(alpha)
+def _solve_c(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
+    # c_plus at each a in [0, _A_FLAT] from the start c, skipping the rule's a
+    # slope.  For alpha <= 1/2, Newton steps in c on log miss(a, c) = log alpha:
+    # log miss is close to quadratic in c (about -c^2 / 2 far in the tail).
+    # For alpha > 1/2, steps in log c on log coverage(a, c) = log1p(-alpha),
+    # the coverage from _coverage_rule.  As alpha nears 1, c falls toward 0
+    # like sqrt(1 - alpha) at a = 0 and like 1 - alpha for large a, and log
+    # coverage is close to linear in log c (slope 2 at a = 0, 1 for large a):
+    # steps in log c keep c positive from either of _calibrate's starts, and
+    # _STEP_TOL bounds each last step relative to c.  From _calibrate's
+    # starts every knot of a curve to a = 12 by 0.01 converged within 5 steps
+    # at nine alphas from 1e-13 to 1 - 1e-8, on the miss and on the coverage.
+    # An element is frozen once its step is below _STEP_TOL, so each result
+    # is the one a batch of it alone would give
+    on_coverage = alpha > 0.5
+    target = math.log1p(-alpha) if on_coverage else math.log(alpha)
     out, todo = np.empty(len(a)), np.arange(len(a))
     for _ in range(_MAX_STEPS):
-        miss, _, miss_c = _miss_probability(a, c, False)
-        step = (np.log(miss) - log_alpha) / (miss_c / miss)
-        c = c - step
-        done = np.abs(step) <= _STEP_TOL  # a NaN step never counts as converged
-        out[todo[done]] = c[done]
-        if done.all():
-            return out
-        moving = ~done
-        todo, a, c = todo[moving], a[moving], c[moving]
-    raise OptimizationError(
-        f"abs-max calibration did not converge in {_MAX_STEPS} Newton steps at alpha={alpha}")
-
-
-def _solve_coverage(a: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
-    # c_plus at each a >= 0 for alpha > 1/2: Newton steps in log c on
-    #   log coverage(a, c) = log1p(-alpha),
-    # the coverage from _coverage_rule, from the start c.  As alpha nears 1,
-    # c falls toward 0 like sqrt(1 - alpha) at a = 0 and like 1 - alpha for
-    # large a, and log coverage is close to linear in log c (slope 2 at
-    # a = 0, 1 for large a): steps in log c keep c positive from either of
-    # _calibrate's starts, and _STEP_TOL bounds each last step relative to
-    # c.  An element is frozen once its step is below _STEP_TOL, as in
-    # _solve_miss
-    target = math.log1p(-alpha)
-    out, todo = np.empty(len(a)), np.arange(len(a))
-    for _ in range(_MAX_STEPS):
-        cover, _, cover_c = _coverage_rule(a, c, False)
-        step = (np.log(cover) - target) * cover / (c * cover_c)
-        c = c * np.exp(-step)
+        if on_coverage:
+            cover, _, cover_c = _coverage_rule(a, c, False)
+            step = (np.log(cover) - target) * cover / (c * cover_c)
+            c = c * np.exp(-step)
+        else:
+            miss, _, miss_c = _miss_probability(a, c, False)
+            step = (np.log(miss) - target) / (miss_c / miss)
+            c = c - step
         done = np.abs(step) <= _STEP_TOL  # a NaN step never counts as converged
         out[todo[done]] = c[done]
         if done.all():
@@ -422,9 +431,9 @@ def _calibrate(grid_a: np.ndarray, alpha: float) -> np.ndarray:
     sidak = sidak_halfwidth(2, alpha)
     start = np.where(flat >= sidak, -NORMAL.quantile(alpha / 2.0), sidak)
     if alpha > 0.5:
-        return np.concatenate([_solve_coverage(flat[lo:lo + _CHUNK], start[lo:lo + _CHUNK], alpha)
+        return np.concatenate([_solve_c(flat[lo:lo + _CHUNK], start[lo:lo + _CHUNK], alpha)
                                for lo in range(0, len(flat), _CHUNK)])[where]
-    return _solve_miss(flat, start, alpha)[where]
+    return _solve_c(flat, start, alpha)[where]
 
 
 def c_plus(a: float, alpha: float) -> float:
@@ -469,9 +478,9 @@ class CPlusCurve:
     passed in, and both arrays are read-only: `cplus_curve` hands one cached
     curve to every caller, and `abs_max_interval` starts its endpoint solves
     on it, so a_max and step move where a solve starts, never an endpoint.
-    Construction also forms, once, what every such start reads: the lines
-    grid_a + grid_c and grid_a - grid_c, and the quintic coefficients of
-    each run of 6 knots.
+    Construction also forms, once, what every such start reads, as tuples
+    of Python floats: the lines grid_a + grid_c and grid_a - grid_c,
+    grid_a itself, and the quintic coefficients of each run of 6 knots.
     """
 
     alpha: float
@@ -479,13 +488,13 @@ class CPlusCurve:
     step: float = 0.01
     grid_a: np.ndarray = field(init=False)
     grid_c: np.ndarray = field(init=False)
-    # the start tables (see _curve_start), read-only like the grids, and the
-    # unadjusted constant, c_plus's limit as a grows, which bounds a start
-    # past a_max
-    _plus: np.ndarray = field(init=False, repr=False)
-    _minus: np.ndarray = field(init=False, repr=False)
-    _quintic: np.ndarray = field(init=False, repr=False)
+    # c_plus's limit as a grows (the unadjusted constant), which bounds a start past
+    # a_max, and the start tables (see _curve_start), the quintic's rows in one tuple
     _c_inf: float = field(init=False, repr=False)
+    _plus: tuple = field(init=False, repr=False)
+    _minus: tuple = field(init=False, repr=False)
+    _knots: tuple = field(init=False, repr=False)
+    _quintic: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha, step, n = _check_grid(self.alpha, self.a_max, self.step)
@@ -501,13 +510,11 @@ class CPlusCurve:
             quintic = np.einsum("sk,kj->sj", np.lib.stride_tricks.sliding_window_view(
                 mirrored, 6), _QUINTIC)
         derived = (("alpha", alpha), ("a_max", float(grid_a[-1])), ("step", step),
-                   ("grid_a", grid_a), ("grid_c", grid_c), ("_plus", grid_a + grid_c),
-                   ("_minus", grid_a - grid_c), ("_quintic", quintic),
-                   ("_c_inf", -NORMAL.quantile(alpha / 2.0)))
-        # frozen: each derived field is set once, here
-        for name, value in derived:
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+                   ("grid_a", grid_a), ("grid_c", grid_c), ("_c_inf", -NORMAL.quantile(alpha / 2)),
+                   *zip(("_plus", "_minus", "_knots", "_quintic"), (tuple(table.tolist()) for table
+                        in (grid_a + grid_c, grid_a - grid_c, grid_a, quintic.ravel()))))
+        grid_a.flags.writeable = grid_c.flags.writeable = False
+        for name, value in derived:  # frozen: each derived field is set once, here
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -527,13 +534,20 @@ def _cached_curve(alpha: float, a_max: float, step: float) -> CPlusCurve:
     return CPlusCurve.build(alpha, a_max, step)
 
 
+def _interp(r: float, line: tuple, knots: tuple, right: float) -> float:
+    # np.interp(r, line, knots, right=right) on floats, in its order and to its bits
+    j = max(bisect.bisect_right(line, r) - 1, 0)  # below the line: knots[0], np.interp's left
+    return (knots[j] if r <= line[j] else right if j == len(line) - 1 else
+            (knots[j + 1] - knots[j]) / (line[j + 1] - line[j]) * (r - line[j]) + knots[j])
+
+
 def _curve_start(curve: CPlusCurve, w: float) -> list[float]:
     # c at the start of each endpoint solve (lower, upper) for w >= 0, read
     # off the tabulated curve.  With b = |a|, each endpoint solves
     #   b + sigma c(b) = r:  the lower one, a = b >= 0 when w >= c(0), as
     #   (sigma, r) = (1, w), else a = -b as (-1, -w); the upper one as (-1, w).
     # b + c(b) and b - c(b) are increasing (c's slope lies in (-1, 0]), so
-    # np.interp on the curve's line b + sigma c(b) inverts the table's linear
+    # _interp on the curve's line b + sigma c(b) inverts the table's linear
     # reading exactly, with c held at its last knot past a_max.  Where 6
     # knots fit around that root, Newton steps on their quintic p (the
     # curve's row of coefficients, read by Horner's rule) then move it to
@@ -552,25 +566,25 @@ def _curve_start(curve: CPlusCurve, w: float) -> list[float]:
     start = [0.0, 0.0]
     for i, (sigma, r) in enumerate(((sign, sign * w), (-1.0, w))):
         line = curve._plus if sigma > 0.0 else curve._minus
-        b = float(np.interp(r, line, curve.grid_a, right=r - sigma * c_end))
-        if b <= curve.a_max and len(stencils):
+        b = _interp(r, line, curve._knots, r - sigma * c_end)
+        if b <= curve.a_max and stencils:
             # the row's knots j0, ..., j0 + 5 and v = b / step - (j0 + 2.5);
             # q holds the coefficients in v of b + sigma p(b) - r
             x = b / step
-            j0 = min(math.floor(x) - 2, len(stencils) - 3)
+            j0 = min(math.floor(x) - 2, len(stencils) // 6 - 3)
             center = j0 + 2.5
-            q0, q1, q2, q3, q4, q5 = (sigma * stencils[j0 + 2]).tolist()
-            q0 += step * center - r
-            q1 += step
+            q0, q1, q2, q3, q4, q5 = stencils[6 * j0 + 12:6 * j0 + 18]
+            q0, q1 = sigma * q0 + (step * center - r), sigma * q1 + step
+            q2, q3, q4, q5 = sigma * q2, sigma * q3, sigma * q4, sigma * q5
             v = x - center
             for _ in range(_START_STEPS):
                 f = q0 + v * (q1 + v * (q2 + v * (q3 + v * (q4 + v * q5))))
                 f_v = q1 + v * (2.0 * q2 + v * (3.0 * q3 + v * (4.0 * q4 + v * 5.0 * q5)))
                 v -= f / f_v
             b = step * (v + center)
-        elif len(stencils):
-            q0, q1, q2, q3, q4, q5 = stencils[-1].tolist()
-            v = b / step - (len(stencils) - 0.5)
+        elif stencils:
+            q0, q1, q2, q3, q4, q5 = stencils[-6:]
+            v = b / step - (len(stencils) // 6 - 0.5)
             p = q0 + v * (q1 + v * (q2 + v * (q3 + v * (q4 + v * q5))))
             start[i] = max(curve._c_inf, min(c_end, p))
             continue
@@ -596,11 +610,11 @@ def _invert_endpoints(w: float, alpha: float,
     # relative accuracy as c nears 0.  |a| is held at _A_FLAT beyond it,
     # where the rule keeps its bits and F is flat in a.  Both endpoints share
     # a rule pass per step, and the rest of a step runs on Python floats,
-    # which round as numpy's do.  An endpoint freezes once both its steps
-    # are at most _STEP_TOL (a NaN step never is), and the other goes on
-    # alone.  From the Sidak box every solve tried (alpha 1e-13 to
-    # 1 - 1e-14, |w| to 1e12) took at most 6 steps; from a curve's start one
-    # step mostly confirms the endpoint
+    # which round as numpy's do (but not math.log: the log is numpy's).  An
+    # endpoint freezes once both its steps are at most _STEP_TOL (a NaN step
+    # never is), and the other goes on alone.  From the Sidak box every solve
+    # tried (alpha 1e-13 to 1 - 1e-14, |w| to 1e12) took at most 6 steps;
+    # from a curve's start one step mostly confirms the endpoint
     start = (sidak_halfwidth(2, alpha),) * 2 if curve is None else _curve_start(curve, w)
     on_coverage = alpha > 0.5
     rule = _coverage_rule if on_coverage else _miss_probability
@@ -611,9 +625,9 @@ def _invert_endpoints(w: float, alpha: float,
         rows = rule(np.array([min(abs(a), _A_FLAT) for _, _, a, _ in moving]),
                     np.array([c for *_, c in moving]), True)
         still = []
-        for (i, sigma, a, c), f, v, v_a, v_c in zip(
-                moving, (np.log(rows[0]) - target).tolist(), *rows.tolist()):
-            g = a + sigma * c - w
+        for (i, sigma, a, c), log_v, v, v_a, v_c in zip(
+                moving, np.log(rows[0]).tolist(), *rows.tolist()):
+            f, g = log_v - target, a + sigma * c - w
             f_a = (v_a if a > 0.0 else -v_a) / v if 0.0 < abs(a) < _A_FLAT else 0.0
             f_x, g_x = v_c / v, sigma
             if on_coverage:
@@ -650,8 +664,9 @@ def abs_max_interval(y, alpha: float, curve: CPlusCurve | None = None) -> Confid
     the same endpoints to within the solve's step tolerance.
     """
     alpha = _check_unit(alpha, "alpha")
+    y = _check_real_array(y, "y")
     idx = select_abs_max(y)
-    w = float(np.asarray(y, dtype=float)[idx])
+    w = y.tolist()[idx]
     if curve is not None:
         if not isinstance(curve, CPlusCurve):
             raise ValueError(f"curve must be a CPlusCurve, got {curve!r}")

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every subcommand builds an OutputTable and serializes it as CSV (RFC 4180,
-header row) or JSON ({"meta": ..., "rows": [...]}).  Numbers are rendered
-with 6 significant digits in both formats, so a replayed run is
-byte-identical.  Exit codes: 0 success, 2 usage or configuration error,
-3 numerical failure.
+header row) or JSON ({"meta": ..., "rows": [...]}).  CSV renders numbers
+with 6 significant digits, so a replayed run is byte-identical; JSON
+carries each float unrounded.  Exit codes: 0 success, 2 usage or
+configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ class OutputTable:
 
     def to_json(self) -> str:
         import json  # imported here: only --format json needs it
+        import numpy as np
 
-        def native(value):
-            if isinstance(value, float):
-                return float(f"{value:.6g}")  # same 6-digit rendering as CSV
-            return value
-
-        payload = {
-            "meta": {**self.meta, "version": __version__},
-            "rows": [dict(zip(self.header, map(native, row))) for row in self.rows],
-        }
+        # the builds the numbers rest on: numpy, its BLAS, and scipy if the run loaded it
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        meta = {**self.meta, "version": __version__, "numpy": np.__version__,
+                "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+        if "scipy" in sys.modules:
+            meta["scipy"] = sys.modules["scipy"].__version__
+        # json writes a float's repr, which reads back as the computed double
+        payload = {"meta": meta, "rows": [dict(zip(self.header, row)) for row in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 
 

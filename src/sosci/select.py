@@ -92,4 +92,4 @@ def select_abs_max(y) -> int:
     y = _check_values(y)
     if y.size != 2:
         raise ValueError(f"abs-max selection needs exactly 2 coordinates, got {y.size}")
-    return int(abs_max_index(y))
+    return int(abs(y.item(1)) > abs(y.item(0)))  # abs_max_index's comparison, on floats

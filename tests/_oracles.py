@@ -23,7 +23,7 @@ the mean-0 rule mirrors or skips.
 
 `general_newton` is the general two-variable Newton solve in (a, c) that once
 served both the calibration (with slope 0) and the endpoint pair; the
-package's two narrower solves (`bivariate._solve_miss` and the endpoint
+package's two narrower solves (`bivariate._solve_c` and the endpoint
 solve in `bivariate._invert_endpoints`) must match it to the bit at
 alpha <= 1/2.  It
 calls the package's mean-0 rule (`_miss_probability`), so a bit test compares
@@ -108,11 +108,13 @@ def t_cdf_quad(x: float, df: int) -> float:
     return 0.5 + const * val
 
 
-def b_region_quad(mu, c: float) -> float:
+def b_region_quad(mu, c) -> float:
     """Abs-max region probability Pr{|Y_sel - mu_sel| <= c}, Y ~ N(mu, I_2),
     by adaptive quadrature of each coordinate's term, conditioned on
     Y_i = mu_i + t, with the |t + mu_i| kink passed as a break point:
       integral_{-c}^{c} phi(t) [Phi(|t + mu_i| - mu_j) - Phi(-|t + mu_i| - mu_j)] dt
+    `c` is one half-width, or a pair: coordinate i's term then runs over
+    [-c_i, c_i], as when each coordinate keeps its own interval.
     """
     def dens(t: float) -> float:
         return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
@@ -121,7 +123,8 @@ def b_region_quad(mu, c: float) -> float:
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
     total = 0.0
-    for mu_i, mu_j in ((mu[0], mu[1]), (mu[1], mu[0])):
+    c_pair = np.broadcast_to(np.asarray(c, dtype=float), 2)
+    for mu_i, mu_j, c in ((mu[0], mu[1], c_pair[0]), (mu[1], mu[0], c_pair[1])):
         def integrand(t: float) -> float:
             u = abs(t + mu_i)
             return dens(t) * (cdf(u - mu_j) - cdf(-u - mu_j))

@@ -179,6 +179,21 @@ def test_mean_zero_rows_keep_the_general_rules_bits(mean_slopes):
     assert mirrored.tobytes() == general.tobytes()
 
 
+def test_pair_panels_on_floats_keep_the_array_panels_bits():
+    # an endpoint solve's pair forms its panels on floats; the same pair as
+    # a (1, 2) batch takes the array path, and every output keeps its bits:
+    # the kink inside, at and past each tail, and c at and past _C_UNDERFLOW
+    rng = np.random.default_rng(5)
+    mu = np.concatenate([[0.0, 1.96, 2.5, 39.5, 45.0, 100.0], rng.uniform(0.0, 100.0, 200)])
+    c = np.concatenate([[0.0, 1.96, 2.24, 40.0, 41.0, 1e3], rng.uniform(0.0, 45.0, 200)])
+    for i in range(0, len(mu), 2):
+        for n in (1, 2):
+            pair = bivariate._panels(mu[i:i + n], c[i:i + n])
+            batch = bivariate._panels(mu[None, i:i + n], c[i:i + n])
+            for got, want in zip(pair, batch):
+                assert got.tobytes() == want.reshape(got.shape).tobytes(), (mu[i], c[i])
+
+
 @pytest.mark.parametrize("mean_slopes", [False, True])
 def test_zero_mean_rule_keeps_the_general_rules_bits(monkeypatch, mean_slopes):
     # every element goes through _zero_mean_rule, in more than one pass,
@@ -922,6 +937,30 @@ def test_curve_start_matches_the_vectorized_start(alpha):
                                        atol=1e-14, err_msg=f"a_max={curve.a_max}, w={w}")
 
 
+@pytest.mark.parametrize("alpha", [1e-13, 0.05, 0.9])
+def test_float_reading_matches_np_interp_to_the_bit(alpha):
+    # the start's linear reading of a curve's lines, on floats, against
+    # np.interp's: at every knot, every midpoint and 10^4 random r inside
+    # and past both ends of each line, with right= as the start passes it
+    rng = np.random.default_rng(7)
+    curves = (cplus_curve(alpha), CPlusCurve.build(alpha, a_max=3.0, step=0.5),
+              CPlusCurve.build(alpha, a_max=1.0, step=0.5))
+    for curve in curves:
+        c_end = float(curve.grid_c[-1])
+        assert curve._knots == tuple(curve.grid_a.tolist())
+        for sigma, line in ((1.0, curve._plus), (-1.0, curve._minus)):
+            array = curve.grid_a + sigma * curve.grid_c
+            assert line == tuple(array.tolist())
+            span = array[-1] - array[0]
+            rs = np.concatenate([array, 0.5 * (array[1:] + array[:-1]),
+                                 rng.uniform(array[0] - span, array[-1] + span, 10**4)])
+            for r in rs.tolist():
+                right = r - sigma * c_end
+                expected = float(np.interp(r, array, curve.grid_a, right=right))
+                got = bivariate._interp(r, line, curve._knots, right)
+                assert got.hex() == expected.hex(), (curve.a_max, sigma, r)
+
+
 def test_curve_start_saves_newton_evaluations(monkeypatch):
     # over c04's width profile, a solve started on the curve's quintic
     # reading needs at most 1.1 evaluations of the rule per interval on
@@ -979,6 +1018,66 @@ def test_abs_max_interval_at_huge_curve_a_max():
 def test_abs_max_alpha_mismatch(small_curve):
     with pytest.raises(ValueError):
         abs_max_interval([1.0, 0.0], 0.01, curve=small_curve)
+
+
+_THETA_GRID = np.arange(0.0, 12.0 + 1e-9, 0.25)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_abs_max_exact_miss_stays_within_alpha(alpha):
+    # the paper's guarantee, exactly: over theta in [0, 12]^2 the abs-max
+    # interval's SoS miss is at most alpha (rounding aside), and at the
+    # origin, where both c are the Sidak constant, it is alpha itself
+    theta_0, theta_1 = (v.ravel() for v in np.meshgrid(_THETA_GRID, _THETA_GRID))
+    miss = bivariate._abs_max_miss(theta_0, theta_1, alpha)
+    assert miss.shape == (49 * 49,) and np.all(miss > 0.5 * alpha)
+    assert miss.max() <= alpha * (1.0 + 1e-12)
+    at_origin = bivariate._abs_max_miss(np.zeros(1), np.zeros(1), alpha)[0]
+    assert at_origin == pytest.approx(alpha, rel=1e-12, abs=0.0)
+
+
+def test_abs_max_exact_miss_is_even_in_each_coordinate():
+    theta_0, theta_1 = (v.ravel() for v in np.meshgrid(_THETA_GRID[::4], _THETA_GRID[::4]))
+    miss = bivariate._abs_max_miss(theta_0, theta_1, 0.05)
+    for s_0, s_1 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        flipped = bivariate._abs_max_miss(s_0 * theta_0, s_1 * theta_1, 0.05)
+        np.testing.assert_allclose(flipped, miss, rtol=1e-13, atol=0.0)
+
+
+def test_abs_max_exact_miss_matches_adaptive_quadrature():
+    # an independent reference: each coordinate's term by adaptive
+    # quadrature over its own [-c_i, c_i], c_i = c_plus(|theta_i|)
+    alpha = 0.05
+    thetas = ((0.0, 0.0), (0.1, 0.0), (1.5, 2.0), (3.0, -1.0), (6.0, 6.0))
+    theta_0, theta_1 = np.array(thetas).T
+    miss = bivariate._abs_max_miss(theta_0, theta_1, alpha)
+    for theta, value in zip(thetas, miss):
+        c_pair = [c_plus(abs(t), alpha) for t in theta]
+        assert value == pytest.approx(1.0 - b_region_quad(theta, c_pair), rel=1e-10), theta
+
+
+def test_per_coordinate_c_keeps_the_tail_rules_bits():
+    # one c given per coordinate, the same for both, gives the bits of the
+    # shared c: the rule's arithmetic is elementwise
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        mu_0, mu_1 = rng.uniform(-12.0, 12.0, (2, 2500))
+        c = rng.uniform(0.0, 8.0, 2500)
+        assert (bivariate._tail_rule(mu_0, mu_1, np.stack([c, c])).tobytes()
+                == bivariate._tail_rule(mu_0, mu_1, c).tobytes())
+
+
+def test_abs_max_exact_miss_sees_an_unadjusted_calibration(monkeypatch):
+    # the mutation the bound exists to catch: with the unadjusted constant in
+    # place of c_plus the miss at the origin is 1 - (1 - alpha)^2, about
+    # 1.95 alpha, far past the bound
+    alpha = 0.05
+    z = -bivariate.NORMAL.quantile(alpha / 2.0)
+    monkeypatch.setattr(bivariate, "_calibrate", lambda a, alpha: np.full(len(a), z))
+    at_origin = bivariate._abs_max_miss(np.zeros(1), np.zeros(1), alpha)[0]
+    assert at_origin == pytest.approx(1.0 - (1.0 - alpha) ** 2, rel=1e-12)
+    assert at_origin > alpha * (1.0 + 1e-12)
+    assert at_origin / alpha == pytest.approx(1.95, rel=1e-12)
 
 
 def test_abs_max_coverage_by_simulation():

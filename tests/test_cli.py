@@ -3,17 +3,20 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sosci
 from sosci import bivariate, cli
+from sosci.dist import NORMAL
 from sosci.sos import OptimizationError
 
 
@@ -103,8 +106,40 @@ def test_intervals_json_round_trip(capsys):
     assert payload["meta"]["m"] == 2 and payload["meta"]["alpha"] == 0.05
     (row,) = payload["rows"]
     assert row["index"] == 1
-    assert row["lo"] == 0.940036  # same 6-digit rendering as the CSV
-    assert row["hi"] == 4.85996
+    # JSON carries the computed doubles; CSV renders the same row at 6 digits
+    c = -NORMAL.quantile(0.025)
+    assert row["lo"] == 2.9 - c and row["hi"] == 2.9 + c
+    code, out, _ = run_cli(capsys, "intervals", "--y", "2.9,2.5", "--method", "larger-of-two")
+    assert code == 0
+    assert csv_rows(out)[1] == [["1", "2.9", f"{row['lo']:.6g}", f"{row['hi']:.6g}",
+                                 "larger_of_two"]] == [["1", "2.9", "0.940036", "4.85996",
+                                                        "larger_of_two"]]
+
+
+def test_json_keeps_an_abs_max_interval_near_alpha_one_open(capsys):
+    # at alpha near 1 the endpoints are 0.5 -/+ 3.3e-10: 6 digits would print
+    # a point, the unrounded floats are fl(0.5 -/+ c_plus) at each endpoint
+    code, out, _ = run_cli(capsys, "intervals", "--y", "0.5,0.1", "--method", "abs-max",
+                           "--alpha", "0.9999999999", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    lo, hi = row["lo"], row["hi"]
+    assert lo < 0.5 < hi
+    alpha = 0.9999999999
+    assert abs(lo - (0.5 - bivariate.c_plus(abs(lo), alpha))) <= math.ulp(lo)
+    assert abs(hi - (0.5 + bivariate.c_plus(abs(hi), alpha))) <= math.ulp(hi)
+
+
+def test_json_meta_names_the_libraries_and_floats_round_trip(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--m", "7", "--k-range", "1:2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    meta = payload["meta"]
+    assert meta["numpy"] == np.__version__
+    assert set(meta["blas"]) == {"name", "version"}
+    rows = cli.cmd_compare(cli.build_parser().parse_args(["compare", "--m", "7",
+                                                          "--k-range", "1:2"])).rows
+    assert [r["length"] for r in payload["rows"]] == [row[2] for row in rows]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

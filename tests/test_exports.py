@@ -112,6 +112,20 @@ def test_normal_only_commands_load_no_scipy_and_the_rest_load_special():
         assert "scipy.special" in _fresh_modules(code)
 
 
+def test_json_meta_names_scipy_only_where_the_run_loaded_it():
+    # a normal-only command loads no scipy, so its meta has no scipy version
+    code = ("import contextlib, io, json, sys\nfrom sosci import cli\nseen = []\n"
+            "for argv in (['compare', '--m', '5', '--k-range', '1:2'],\n"
+            "             ['cplus-curve', '--a-max', '1', '--step', '0.5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert cli.main([*argv, '--format', 'json']) == 0\n"
+            "    seen.append(json.loads(out.getvalue())['meta'].get('scipy'))\n"
+            "print(seen)")
+    import scipy
+
+    assert _fresh_output(code) == [None, scipy.__version__]
+
+
 def test_readme_public_api_lists_every_export():
     # README's "Public API" section is one bullet per module: `module`: `name`, ...
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

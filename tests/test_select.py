@@ -73,6 +73,14 @@ def test_abs_max_tie_prefers_first():
     assert select_abs_max([-1.5, 1.5]) == 0
 
 
+def test_abs_max_float_comparison_matches_abs_max_index():
+    # select_abs_max compares the checked pair as floats; ties, signed zeros
+    # included, pick index 0 as abs_max_index does
+    for pair in ((2.0, -2.0), (-0.0, 0.0), (0.0, -0.0), (-3.0, 1.0), (1.0, -3.0)):
+        assert select_abs_max(list(pair)) == int(abs_max_index(np.array(pair))), pair
+    assert [select_abs_max(p) for p in ((-0.0, 0.0), (0.0, -0.0), (-3, 1), (1, -3))] == [0, 0, 0, 1]
+
+
 def test_abs_max_errors():
     with pytest.raises(ValueError):
         select_abs_max([1.0])
